@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .boundary import (
     BoundaryCurve,
     IntegrationError,
-    invert_boundary,
     load_curve,
     save_curve,
     solve_boundary,
@@ -78,7 +77,6 @@ __all__ = [
     "filter_calibration",
     "fundamental_G",
     "gamma",
-    "invert_boundary",
     "ladder_from_spec",
     "load_config",
     "load_curve",

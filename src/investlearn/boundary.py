@@ -185,11 +185,6 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     )
 
 
-def invert_boundary(curve: BoundaryCurve, pi) -> np.ndarray:
-    """h(pi): see BoundaryCurve.h_at."""
-    return curve.h_at(pi)
-
-
 # ---------------------------------------------------------------------------
 # serialization: two-column CSV plus JSON header sidecar
 # ---------------------------------------------------------------------------

@@ -42,14 +42,7 @@ from .simulate import (
     simulate_reflecting,
     stop_at_c_reference,
 )
-from .value import (
-    TOL_C1_PASTING,
-    TOL_GRADIENT,
-    TOL_PREMIUM,
-    TOL_SMOOTH_FIT,
-    ValueSurface,
-    verify_surface,
-)
+from .value import ValueSurface, verify_surface
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -125,13 +118,17 @@ def _surface_csv(surface: ValueSurface, path: Path, n: int = 101) -> None:
                 w.writerow([_fmt(u), _fmt(p), _fmt(v)])
 
 
+def _load_or_solve(cfg: RunConfig, quiet: bool):
+    """The config's saved boundary CSV if it names one, else a fresh solve."""
+    if cfg.boundary_csv is not None:
+        _say(quiet, f"loaded boundary from {cfg.boundary_csv}")
+        return load_curve(cfg.boundary_csv)
+    return solve_boundary(cfg.rate, cfg.model, grid_size=cfg.surface_grid_size)
+
+
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     started = time.perf_counter()
-    if cfg.boundary_csv is not None:
-        curve = load_curve(cfg.boundary_csv)
-        _say(quiet, f"loaded boundary from {cfg.boundary_csv}")
-    else:
-        curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.surface_grid_size)
+    curve = _load_or_solve(cfg, quiet)
     if not curve.monotone:
         _write_json(out / "verify_report.json",
                     {"passed": False, "reason": "boundary is not strictly increasing",
@@ -146,25 +143,17 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     doc["route"] = curve.conditions.route
     _write_json(out / "verify_report.json", doc)
     _surface_csv(surface, out / "surface.csv")
-    checks = {
-        "pde": report.pde.passed,
-        "smooth_fit": max(report.smooth_fit_max_vu,
-                          report.smooth_fit_max_vupi) <= TOL_SMOOTH_FIT,
-        "c1_pasting": report.c1_pasting_max <= TOL_C1_PASTING,
-        "gradient_bound": report.gradient.worst <= TOL_GRADIENT,
-        "learning_premium": report.premium.worst <= TOL_PREMIUM,
-        "all": report.passed,
-    }
+    checks = report.checks()
     _write_manifest(out, "verify", cfg, ["verify_report.json", "surface.csv"],
                     checks, started)
     for name, ok in checks.items():
         _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     started = time.perf_counter()
-    curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.surface_grid_size)
+    curve = _load_or_solve(cfg, quiet)
     if not curve.monotone:
         _say(quiet, "FAIL boundary not strictly increasing, no reflection strategy")
         _write_manifest(out, "simulate", cfg, [], {"monotone": False}, started)
@@ -231,18 +220,13 @@ def cmd_discrete(cfg: RunConfig, out: Path, quiet: bool) -> int:
     save_ladder(ladder, out / "ladder.csv")
     suite = discrete_verification_suite(ladder)
     _write_json(out / "discrete_report.json", suite.to_dict())
-    checks = {
-        "bellman": suite.bellman_max_violation <= 1e-10,
-        "generator": suite.generator_max_residual <= 1e-8,
-        "smooth_fit": suite.smooth_fit_max_gap <= 1e-4,
-        "b_nondecreasing": bool(np.all(np.diff(ladder.b) >= 0.0)),
-    }
+    checks = suite.checks()
     _write_manifest(out, "discrete", cfg, ["ladder.csv", "discrete_report.json"],
                     checks, started)
     _say(quiet, f"wrote {out / 'ladder.csv'} ({ladder.n_levels + 1} levels)")
     for name, ok in checks.items():
         _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
-    return EXIT_OK if suite.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
 def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:

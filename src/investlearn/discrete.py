@@ -240,13 +240,18 @@ class DiscreteCheckReport:
     smooth_fit_max_gap: float
     monotone: DiscreteMonotoneReport
 
+    def checks(self) -> dict:
+        """Per-check verdicts, as the run manifest records them."""
+        return {
+            "bellman": self.bellman_max_violation <= TOL_BELLMAN,
+            "generator": self.generator_max_residual <= TOL_GENERATOR,
+            "smooth_fit": self.smooth_fit_max_gap <= TOL_SMOOTH_FIT,
+            "b_nondecreasing": self.monotone.b_nondecreasing,
+        }
+
     @property
     def passed(self) -> bool:
-        return (
-            self.bellman_max_violation <= TOL_BELLMAN
-            and self.generator_max_residual <= TOL_GENERATOR
-            and self.smooth_fit_max_gap <= TOL_SMOOTH_FIT
-        )
+        return all(self.checks().values())
 
     def to_dict(self) -> dict:
         return {

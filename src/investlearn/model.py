@@ -308,11 +308,6 @@ def gamma(spec: RateSpec, params: ModelParams, u: ArrayLike) -> np.ndarray:
     return spec.gamma_derivs(u, params.r)[0]
 
 
-def gamma_derivatives(spec: RateSpec, params: ModelParams, u: ArrayLike):
-    """(gamma, gamma', gamma'', gamma''') at u.  Last entry None for tabulated specs."""
-    return spec.gamma_derivs(u, params.r)
-
-
 def fundamental_G(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:
     """Increasing solution G(u, pi) = (1-pi) (pi/(1-pi))^gamma(u) of the killed generator.
 

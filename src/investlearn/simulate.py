@@ -15,6 +15,18 @@ with theta the path's true state, drawn Bernoulli(pi_0) up front.  The only
 discretization effects are that U (hence rho) updates at step ends and that
 the boundary crossing is monitored at step ends.
 
+Every stepped simulation runs through one kernel, `_run`.  It owns the
+random numbers, the update above, and the bookkeeping of live and finished
+paths; a strategy enters only as a hook called once per step on the live
+rows, which books payoffs and says which rows grew (U moved) and which died
+(U reached 1).  The kernel caches the drift (theta - 1/2) rho^2 dt and the
+volatility rho sqrt(dt) per path and calls rho again only on rows whose U
+grew.  The reflecting strategy's hook is the running maximum, then h, then
+the payoff increment; stop_at_c's hook is the barrier logit(c(u0)); the
+filter check runs with no hook.  A trajectory is a one-key run of the
+reflecting strategy with recording on, so a plotted path is by construction
+one of the batch paths.
+
 Each path owns a counter-based substream keyed (seed, path index), so results
 are reproducible bit for bit, independent of chunking, and paths are common
 random numbers across strategies with the same seed.  Draw 0 of each stream
@@ -27,7 +39,8 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from types import SimpleNamespace
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,8 +117,8 @@ class SimResult:
         }
 
 
-def _substreams(seed: int, n_paths: int) -> List[np.random.Generator]:
-    return [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_paths)]
+def _substreams(seed: int, keys: Sequence[int]) -> List[np.random.Generator]:
+    return [np.random.Generator(np.random.Philox(key=[seed, i])) for i in keys]
 
 
 def _draw_theta(gens: List[np.random.Generator], start_pi: float) -> np.ndarray:
@@ -113,8 +126,95 @@ def _draw_theta(gens: List[np.random.Generator], start_pi: float) -> np.ndarray:
     return (unif < start_pi).astype(float)
 
 
-def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, theta,
-            terminal_u, terminal_pi, frac_alive: float) -> SimResult:
+# A strategy hook: hook(t, rows, alive) -> (grew, died).  It sees the live
+# rows of the batch after the step that ends at time t, may book payoffs and
+# move rows.u, and returns the indices of the rows whose U grew and of those
+# that died, or None for either.
+Hook = Callable[[float, SimpleNamespace, np.ndarray],
+                Tuple[Optional[np.ndarray], Optional[np.ndarray]]]
+
+
+@dataclass
+class _Run:
+    theta: np.ndarray
+    terminal_u: np.ndarray
+    terminal_pi: np.ndarray
+    n_alive: int
+    trace: Optional[dict]  # (t, U, Pi) of the first key when recording
+
+
+def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int],
+         u0: float, hook: Optional[Hook] = None, record: bool = False) -> _Run:
+    """Step the belief of the paths keyed `keys` from (u0, start_pi).
+
+    Rows carry their output position `pos`, log odds `phi`, its running
+    maximum `peak`, capacity `u`, `theta`, and the cached `drift` and `vol`.
+    A path that starts at u0 >= 1 is finished before its first step.  Dead
+    rows stay frozen until the chunk ends, when the batch is compacted.
+    """
+    gens = _substreams(cfg.seed, keys)
+    theta = _draw_theta(gens, cfg.start_pi)
+    n = theta.size
+    terminal_u = np.full(n, u0)
+    terminal_pi = np.full(n, cfg.start_pi)
+    times, us, phis = [0.0], [u0], []
+    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
+    n_steps = cfg.n_steps
+    m = n if u0 < 1.0 else 0
+    phi0 = _logit(cfg.start_pi)
+    rows = SimpleNamespace(pos=np.arange(m), phi=np.full(m, phi0), peak=np.full(m, phi0),
+                           u=np.full(m, u0), theta=theta[:m].copy(),
+                           drift=np.empty(m), vol=np.empty(m))
+
+    def refresh(sel):
+        rv = rho(spec, params, rows.u[sel])
+        rows.drift[sel] = (rows.theta[sel] - 0.5) * rv * rv * dt
+        rows.vol[sel] = rv * sqdt
+
+    refresh(slice(None))
+    steps_done = 0
+    while steps_done < n_steps and rows.pos.size:
+        span = min(CHUNK_STEPS, n_steps - steps_done)
+        # one row per step, so each step reads contiguous memory
+        z = np.empty((span, rows.pos.size))
+        for row, i in enumerate(rows.pos):
+            z[:, row] = gens[i].standard_normal(span)
+        alive = np.ones(rows.pos.size, dtype=bool)
+
+        for step in range(span):
+            t = (steps_done + step + 1) * dt
+            tracing = record and rows.pos[0] == 0 and alive[0]
+            rows.phi = np.where(alive, rows.phi + rows.drift + rows.vol * z[step], rows.phi)
+            grew, died = hook(t, rows, alive) if hook else (None, None)
+            if died is not None and died.size:
+                terminal_u[rows.pos[died]] = rows.u[died]
+                terminal_pi[rows.pos[died]] = _expit(rows.phi[died])
+                alive[died] = False
+            if grew is not None:
+                grew = grew[alive[grew]]
+                if grew.size:
+                    refresh(grew)
+            if tracing:
+                times.append(t)
+                us.append(rows.u[0])
+                phis.append(rows.phi[0])
+            if died is not None and not alive.any():
+                break
+
+        steps_done += span
+        if not alive.all():
+            rows = SimpleNamespace(**{name: col[alive] for name, col in vars(rows).items()})
+
+    terminal_u[rows.pos] = rows.u
+    terminal_pi[rows.pos] = _expit(rows.phi)
+    trace = None
+    if record:
+        pis = np.concatenate(([cfg.start_pi], _expit(np.array(phis))))
+        trace = {"t": np.array(times), "u": np.array(us, dtype=float), "pi": pis}
+    return _Run(theta, terminal_u, terminal_pi, rows.pos.size, trace)
+
+
+def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, run: _Run) -> SimResult:
     est = float(np.sum(payoffs) / cfg.n_paths)
     # a single path carries no spread information; report zero, not NaN
     se = float(np.std(payoffs, ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
@@ -124,13 +224,45 @@ def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, theta,
         std_error=se,
         initial_jump=jump,
         truncation_bound=bound,
-        frac_alive_at_horizon=frac_alive,
+        frac_alive_at_horizon=run.n_alive / cfg.n_paths,
         config=cfg,
         payoffs=payoffs,
-        theta=theta,
-        terminal_u=terminal_u,
-        terminal_pi=terminal_pi,
+        theta=run.theta,
+        terminal_u=run.terminal_u,
+        terminal_pi=run.terminal_pi,
     )
+
+
+def _reflect(curve: BoundaryCurve, cfg: SimConfig, keys: Sequence[int],
+             record: bool = False) -> Tuple[float, np.ndarray, _Run]:
+    """Reflecting strategy on the paths keyed `keys`: (jump, payoffs, run)."""
+    if not curve.monotone:
+        raise ValueError("reflecting strategy needs a strictly increasing boundary")
+    r, k = curve.params.r, curve.params.k
+    u_start = max(cfg.start_u, float(curve.h_at(cfg.start_pi)))
+    jump = (cfg.start_pi - k) * (u_start - cfg.start_u) if u_start > cfg.start_u else 0.0
+    payoffs = np.full(len(keys), jump)
+
+    def hook(t, rows, alive):
+        exceed = alive & (rows.phi > rows.peak)
+        if not exceed.any():
+            return None, None
+        pi_e = _expit(rows.phi[exceed])
+        u_e = rows.u[exceed]
+        du = np.maximum(curve.h_at(pi_e), u_e) - u_e
+        rows.peak[exceed] = rows.phi[exceed]
+        grow = du > 0.0
+        if not grow.any():
+            return None, None
+        grew = np.flatnonzero(exceed)[grow]
+        payoffs[rows.pos[grew]] += math.exp(-r * t) * (pi_e[grow] - k) * du[grow]
+        rows.u[grew] += du[grow]
+        died = grew[rows.u[grew] >= 1.0]
+        rows.u[died] = 1.0
+        return grew, died
+
+    run = _run(curve.spec, curve.params, cfg, keys, u_start, hook, record)
+    return jump, payoffs, run
 
 
 def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
@@ -142,73 +274,8 @@ def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
     reaches 1 or the horizon runs out; the reported truncation bound caps
     what the horizon cut can have discarded per path.
     """
-    if not curve.monotone:
-        raise ValueError("reflecting strategy needs a strictly increasing boundary")
-    spec, params = curve.spec, curve.params
-    r, k = params.r, params.k
-    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
-    n_steps = cfg.n_steps
-
-    gens = _substreams(cfg.seed, cfg.n_paths)
-    theta = _draw_theta(gens, cfg.start_pi)
-
-    u_start = max(cfg.start_u, float(curve.h_at(cfg.start_pi)))
-    jump = (cfg.start_pi - k) * (u_start - cfg.start_u) if u_start > cfg.start_u else 0.0
-    payoffs = np.full(cfg.n_paths, jump)
-    terminal_u = np.full(cfg.n_paths, u_start)
-    terminal_pi = np.full(cfg.n_paths, cfg.start_pi)
-
-    if u_start >= 1.0:
-        return _finish(cfg, params, jump, payoffs, theta, terminal_u, terminal_pi, 0.0)
-
-    idx = np.arange(cfg.n_paths)
-    phi = np.full(cfg.n_paths, _logit(cfg.start_pi))
-    phimax = phi.copy()
-    u = np.full(cfg.n_paths, u_start)
-    th = theta.copy()
-
-    steps_done = 0
-    while steps_done < n_steps and idx.size:
-        span = min(CHUNK_STEPS, n_steps - steps_done)
-        z = np.empty((idx.size, span))
-        for row, i in enumerate(idx):
-            z[row] = gens[i].standard_normal(span)
-        alive = np.ones(idx.size, dtype=bool)
-
-        for step in range(span):
-            t_next = (steps_done + step + 1) * dt
-            rv = rho(spec, params, u)
-            phi = np.where(alive, phi + (th - 0.5) * rv * rv * dt + rv * sqdt * z[:, step], phi)
-
-            exceed = alive & (phi > phimax)
-            if np.any(exceed):
-                pi_e = _expit(phi[exceed])
-                u_cand = curve.h_at(pi_e)
-                du = np.maximum(u_cand, u[exceed]) - u[exceed]
-                grow = du > 0.0
-                if np.any(grow):
-                    rows = np.flatnonzero(exceed)[grow]
-                    payoffs[idx[rows]] += math.exp(-r * t_next) * (pi_e[grow] - k) * du[grow]
-                    u[rows] += du[grow]
-                phimax[exceed] = phi[exceed]
-
-                died = exceed & (u >= 1.0)
-                if np.any(died):
-                    terminal_u[idx[died]] = 1.0
-                    terminal_pi[idx[died]] = _expit(phi[died])
-                    alive &= ~died
-                    if not np.any(alive):
-                        break
-
-        steps_done += span
-        if not np.all(alive):
-            idx, phi, phimax, u, th = idx[alive], phi[alive], phimax[alive], u[alive], th[alive]
-
-    if idx.size:
-        terminal_u[idx] = u
-        terminal_pi[idx] = _expit(phi)
-    frac_alive = idx.size / cfg.n_paths
-    return _finish(cfg, params, jump, payoffs, theta, terminal_u, terminal_pi, frac_alive)
+    jump, payoffs, run = _reflect(curve, cfg, range(cfg.n_paths))
+    return _finish(cfg, curve.params, jump, payoffs, run)
 
 
 def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimResult:
@@ -225,78 +292,40 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
     spec, params = curve.spec, curve.params
     r, k = params.r, params.k
 
-    if kind == "full_now":
-        gens = _substreams(cfg.seed, cfg.n_paths)
-        theta = _draw_theta(gens, cfg.start_pi)
-        pay = (cfg.start_pi - k) * (1.0 - cfg.start_u)
-        payoffs = np.full(cfg.n_paths, pay)
-        return _finish(cfg, params, pay, payoffs, theta,
-                       np.ones(cfg.n_paths), np.full(cfg.n_paths, cfg.start_pi), 0.0)
-
-    if kind == "frozen":
-        gens = _substreams(cfg.seed, cfg.n_paths)
-        theta = _draw_theta(gens, cfg.start_pi)
-        return _finish(cfg, params, 0.0, np.zeros(cfg.n_paths), theta,
-                       np.full(cfg.n_paths, cfg.start_u),
-                       np.full(cfg.n_paths, cfg.start_pi), 1.0)
+    if kind in ("full_now", "frozen"):
+        theta = _draw_theta(_substreams(cfg.seed, range(cfg.n_paths)), cfg.start_pi)
+        n = cfg.n_paths
+        if kind == "full_now":
+            pay = (cfg.start_pi - k) * (1.0 - cfg.start_u)
+            run = _Run(theta, np.ones(n), np.full(n, cfg.start_pi), 0, None)
+            return _finish(cfg, params, pay, np.full(n, pay), run)
+        run = _Run(theta, np.full(n, cfg.start_u), np.full(n, cfg.start_pi), n, None)
+        return _finish(cfg, params, 0.0, np.zeros(n), run)
 
     if kind != "stop_at_c":
         raise ValueError(f"unknown baseline {kind!r}")
 
-    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
-    n_steps = cfg.n_steps
-    rv = float(rho(spec, params, cfg.start_u))
     cbar = float(stopping_threshold_c(spec, params, cfg.start_u))
     scale = 1.0 - cfg.start_u
-
-    gens = _substreams(cfg.seed, cfg.n_paths)
-    theta = _draw_theta(gens, cfg.start_pi)
-    payoffs = np.zeros(cfg.n_paths)
-    terminal_u = np.full(cfg.n_paths, cfg.start_u)
-    terminal_pi = np.full(cfg.n_paths, cfg.start_pi)
-
     if cfg.start_pi >= cbar:
-        payoffs[:] = (cfg.start_pi - k) * scale
-        terminal_u[:] = 1.0
-        return _finish(cfg, params, float(payoffs[0]), payoffs, theta,
-                       terminal_u, terminal_pi, 0.0)
+        # everything is installed at time zero: the run takes no step
+        pay = (cfg.start_pi - k) * scale
+        run = _run(spec, params, cfg, range(cfg.n_paths), 1.0)
+        return _finish(cfg, params, pay, np.full(cfg.n_paths, pay), run)
 
-    idx = np.arange(cfg.n_paths)
-    phi = np.full(cfg.n_paths, _logit(cfg.start_pi))
-    th = theta.copy()
+    payoffs = np.zeros(cfg.n_paths)
     phi_c = _logit(cbar)
-    drift = (th - 0.5) * rv * rv * dt
 
-    steps_done = 0
-    while steps_done < n_steps and idx.size:
-        span = min(CHUNK_STEPS, n_steps - steps_done)
-        z = np.empty((idx.size, span))
-        for row, i in enumerate(idx):
-            z[row] = gens[i].standard_normal(span)
-        alive = np.ones(idx.size, dtype=bool)
+    def hook(t, rows, alive):
+        hit = np.flatnonzero(alive & (rows.phi >= phi_c))
+        if not hit.size:
+            return None, None
+        payoffs[rows.pos[hit]] = math.exp(-r * t) * (_expit(rows.phi[hit]) - k) * scale
+        rows.u[hit] = 1.0
+        return None, hit
 
-        for step in range(span):
-            t_next = (steps_done + step + 1) * dt
-            phi = np.where(alive, phi + drift + rv * sqdt * z[:, step], phi)
-            hit = alive & (phi >= phi_c)
-            if np.any(hit):
-                pi_hit = _expit(phi[hit])
-                payoffs[idx[hit]] = math.exp(-r * t_next) * (pi_hit - k) * scale
-                terminal_u[idx[hit]] = 1.0
-                terminal_pi[idx[hit]] = pi_hit
-                alive &= ~hit
-                if not np.any(alive):
-                    break
-
-        steps_done += span
-        if not np.all(alive):
-            idx, phi, th = idx[alive], phi[alive], th[alive]
-            drift = (th - 0.5) * rv * rv * dt
-
-    if idx.size:
-        terminal_pi[idx] = _expit(phi)
-    frac_alive = idx.size / cfg.n_paths
-    return _finish(cfg, params, 0.0, payoffs, theta, terminal_u, terminal_pi, frac_alive)
+    run = _run(spec, params, cfg, range(cfg.n_paths), cfg.start_u, hook)
+    return _finish(cfg, params, 0.0, payoffs, run)
 
 
 def stop_at_c_reference(curve: BoundaryCurve, cfg: SimConfig) -> float:
@@ -345,25 +374,8 @@ def filter_calibration(
     fraction of paths with theta = 1 matches the mean belief (the filter is
     calibrated).  Both at three standard errors.
     """
-    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
-    n_steps = cfg.n_steps
-    rv = float(rho(spec, params, cfg.start_u))
-
-    gens = _substreams(cfg.seed, cfg.n_paths)
-    theta = _draw_theta(gens, cfg.start_pi)
-    phi = np.full(cfg.n_paths, _logit(cfg.start_pi))
-    drift = (theta - 0.5) * rv * rv * dt
-
-    steps_done = 0
-    while steps_done < n_steps:
-        span = min(CHUNK_STEPS, n_steps - steps_done)
-        z = np.empty((cfg.n_paths, span))
-        for i, g in enumerate(gens):
-            z[i] = g.standard_normal(span)
-        phi = phi + drift * span + rv * sqdt * np.sum(z, axis=1)
-        steps_done += span
-
-    pi_end = _expit(phi)
+    run = _run(spec, params, cfg, range(cfg.n_paths), cfg.start_u)
+    theta, pi_end = run.theta, run.terminal_pi
     mean_pi = float(np.mean(pi_end))
     se_pi = float(np.std(pi_end, ddof=1) / math.sqrt(cfg.n_paths))
     martingale_ok = abs(mean_pi - cfg.start_pi) <= 3.0 * se_pi
@@ -412,43 +424,12 @@ def sample_trajectory(
 ) -> dict:
     """One path of (t, U, Pi) under the reflecting strategy, for inspection.
 
-    Uses the same substream the batch run would give this path index, so a
-    plotted trajectory is one of the paths behind the batch estimate.
+    This is the batch run restricted to the key `path_index`, with recording
+    on, so for path_index < n_paths it ends exactly where that batch path
+    ends.
     """
-    if not curve.monotone:
-        raise ValueError("reflecting strategy needs a strictly increasing boundary")
-    spec, params = curve.spec, curve.params
-    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
-    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, path_index]))
-    theta = 1.0 if gen.random() < cfg.start_pi else 0.0
-
-    u = max(cfg.start_u, float(curve.h_at(cfg.start_pi)))
-    phi = _logit(cfg.start_pi)
-    phimax = phi
-    times = [0.0]
-    us = [u]
-    pis = [cfg.start_pi]
-
-    for n in range(cfg.n_steps):
-        if u >= 1.0:
-            break
-        rv = float(rho(spec, params, u))
-        phi += (theta - 0.5) * rv * rv * dt + rv * sqdt * gen.standard_normal()
-        if phi > phimax:
-            phimax = phi
-            pi = float(_expit(np.array(phi)))
-            u = max(u, float(curve.h_at(pi)))
-        times.append((n + 1) * dt)
-        us.append(u)
-        pis.append(float(_expit(np.array(phi))))
-
-    return {
-        "t": np.array(times),
-        "u": np.array(us),
-        "pi": np.array(pis),
-        "theta": theta,
-        "path_index": path_index,
-    }
+    _, _, run = _reflect(curve, cfg, [path_index], record=True)
+    return dict(run.trace, theta=float(run.theta[0]), path_index=path_index)
 
 
 def save_trajectory(traj: dict, csv_path: Union[str, Path]) -> None:

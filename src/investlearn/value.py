@@ -383,19 +383,31 @@ class ValueCheckReport:
     value_min: float
     A_terminal: float
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.pde.passed
-            and self.smooth_fit_max_vu <= TOL_SMOOTH_FIT
-            and self.smooth_fit_max_vupi <= TOL_SMOOTH_FIT
-            and self.c1_pasting_max <= TOL_C1_PASTING
-            and self.gradient.worst <= TOL_GRADIENT
-            and self.premium.worst <= TOL_PREMIUM
+    def checks(self) -> dict:
+        """Per-check verdicts, as the run manifest records them.
+
+        "all" also requires continuity, a positive value and a vanishing
+        terminal coefficient, which have no entry of their own.
+        """
+        checks = {
+            "pde": self.pde.passed,
+            "smooth_fit": self.smooth_fit_max_vu <= TOL_SMOOTH_FIT
+            and self.smooth_fit_max_vupi <= TOL_SMOOTH_FIT,
+            "c1_pasting": self.c1_pasting_max <= TOL_C1_PASTING,
+            "gradient_bound": self.gradient.worst <= TOL_GRADIENT,
+            "learning_premium": self.premium.worst <= TOL_PREMIUM,
+        }
+        checks["all"] = (
+            all(checks.values())
             and self.continuity_max <= TOL_CONTINUITY
             and self.value_min > 0.0
             and abs(self.A_terminal) <= 1e-12
         )
+        return checks
+
+    @property
+    def passed(self) -> bool:
+        return self.checks()["all"]
 
     def to_dict(self) -> dict:
         return {

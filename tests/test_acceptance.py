@@ -26,7 +26,6 @@ from investlearn.model import (
     ModelParams,
     Tabulated,
     gamma,
-    gamma_derivatives,
     zero_level_B,
 )
 from investlearn.simulate import (
@@ -96,7 +95,7 @@ def test_03_monotone_regimes():
     assert b_gap <= 1e-10
 
     hyp = solve_boundary(HYP, PARAMS, grid_size=2001)
-    gh, d1, d2, _ = gamma_derivatives(HYP, PARAMS, hyp.u_grid)
+    gh, d1, d2, _ = HYP.gamma_derivs(hyp.u_grid, PARAMS.r)
     cond1 = float(np.max(np.abs(2.0 * d1 * d1 - gh * d2)))
     assert cond1 <= 1e-12
     assert np.all(np.diff(hyp.b_values) > 0.0)

