@@ -12,6 +12,16 @@ integrated backward from the terminal condition b(1) = c(1), where it meets
 the frozen-rate stopping threshold.  The denominator is bounded away from
 zero on the strip 0 < b <= c(u), so fixed-step classical RK4 is enough; a
 guard aborts if the iterate ever leaves the strip by more than float noise.
+F sees the rate only through gamma, gamma' and gamma'' at u, so the solve
+tabulates them once at the grid nodes and once at the stage midpoints.
+
+The curve carries its slopes: m_j = F(u_j, b_j) is the exact b' at every
+knot, so b is read back between knots by cubic Hermite interpolation on
+(u, b, m), the dense output of Hairer, Norsett and Wanner (Solving ODEs I,
+II.6), and its inverse h by the cubic Hermite interpolant on (b, u, 1/m).
+Both are fourth-order accurate between knots.  Exact slopes stay close to
+the secant slopes, where a cubic Hermite segment is monotone (Fritsch and
+Carlson, SIAM J. Numer. Anal. 17(2), 1980).
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -30,7 +41,6 @@ from .model import (
     RateSpec,
     check_conditions,
     spec_from_dict,
-    stopping_threshold_c,
 )
 
 # Excursions beyond the strip up to this size are projected back (accumulated
@@ -44,60 +54,106 @@ class IntegrationError(RuntimeError):
     """The boundary iterate left the admissible strip 0 < b <= c(u)."""
 
 
-def boundary_rhs(spec: RateSpec, params: ModelParams, u: float, b: float) -> float:
-    """Right-hand side F(u, b) of the boundary ODE.
+def _slope(k, u, g, d1, d2, b):
+    """Guarded F(u, b) from gamma, gamma', gamma'' at u.
 
-    Guards: b must lie in (0, c(u) + PROJECTION_TOL] and gamma must be
-    strictly decaying at u (the formula divides by gamma').
+    Floats in the stepping loop, arrays for the knot slopes.  Raises
+    IntegrationError unless gamma' < 0 (F divides by it) and b lies in
+    (0, c(u) + PROJECTION_TOL].
     """
-    k = params.k
-    g, d1, d2, _ = spec.gamma_derivs(u, params.r)
-    g = float(g)
-    d1 = float(d1)
-    d2 = float(d2)
-    if d1 >= 0.0:
-        raise IntegrationError(f"gamma is not strictly decaying at u={u}; boundary ODE undefined")
-    if b <= 0.0:
-        raise IntegrationError(f"boundary iterate b={b} fell to zero at u={u}")
     c = k * g / (k + g - 1.0)
-    if b - c > PROJECTION_TOL:
-        raise IntegrationError(f"boundary iterate b={b} above threshold c={c} at u={u}")
+    bad = (d1 >= 0.0) | (b <= 0.0) | (b - c > PROJECTION_TOL)
+    if bad if isinstance(bad, bool) else bad.any():
+        j = int(np.argmax(np.ravel(bad)))
+        u, d1, b, c = (float(np.ravel(np.broadcast_to(x, np.shape(bad)))[j]) for x in (u, d1, b, c))
+        raise IntegrationError(f"boundary ODE undefined at u={u}: needs gamma' < 0 and "
+                               f"0 < b <= c, got gamma'={d1}, b={b}, c={c}")
     lin = g * k - (g + k - 1.0) * b
     num = 2.0 * (b - k) * d1 * d1 + lin * d2
     den = -g * lin - (g - 1.0) * (1.0 - k) * b
     return num / den * b * (1.0 - b) / d1
 
 
+def boundary_rhs(spec: RateSpec, params: ModelParams, u: float, b: float) -> float:
+    """Right-hand side F(u, b) of the boundary ODE, guarded as in _slope."""
+    g, d1, d2, _ = spec.gamma_derivs(u, params.r)
+    return _slope(params.k, u, float(g), float(d1), float(d2), b)
+
+
+class _Hermite:
+    """Cubic Hermite interpolant through (x_j, y_j) with slopes m_j.
+
+    Each segment's polynomial in s = x - x_j has its coefficients built
+    once, so a query costs one search and a Horner step.  Constant end
+    segments hold y_0 left of x_0 and y_n from x_n on, so the ends come out
+    exactly and nothing is extrapolated.
+    """
+
+    def __init__(self, x, y, m):
+        dx = np.diff(x)
+        secant = np.diff(y) / dx
+        zero = np.zeros(1)
+        self.x = x
+        self.base = np.concatenate((x[:1], x))
+        self.c0 = np.concatenate((y[:1], y))
+        self.c1 = np.concatenate((zero, m[:-1], zero))
+        self.c2 = np.concatenate((zero, (3.0 * secant - 2.0 * m[:-1] - m[1:]) / dx, zero))
+        self.c3 = np.concatenate((zero, (m[:-1] + m[1:] - 2.0 * secant) / (dx * dx), zero))
+
+    def __call__(self, q):
+        i = np.searchsorted(self.x, q, side="right")
+        s = q - self.base[i]
+        return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+
+
 @dataclass
 class BoundaryCurve:
-    """Solved boundary on a uniform u-grid with its stopping threshold.
+    """Boundary b at the knots u_grid, with its slopes and the threshold c.
 
-    monotone is the exact strict-increase flag (no slack): it certifies that
-    the piecewise-linear inverse h is well defined.
+    slopes holds m_j = F(u_j, b_j).  monotone is the exact certificate (no
+    slack) that b strictly increases over the knots and every slope is
+    positive, so that the inverse h is well defined.
     """
 
     u_grid: np.ndarray
     b_values: np.ndarray
     c_values: np.ndarray
+    slopes: np.ndarray
     spec: RateSpec
     params: ModelParams
-    monotone: bool
-    conditions: ConditionReport
     n_projections: int = 0
 
+    def __post_init__(self):
+        self.monotone = bool(np.all(np.diff(self.b_values) > 0.0) and np.all(self.slopes > 0.0))
+
+    # the interpolants are built on first use; a curve that is only saved never reads them
+    @cached_property
+    def _b(self) -> _Hermite:
+        return _Hermite(self.u_grid, self.b_values, self.slopes)
+
+    @cached_property
+    def _h(self) -> _Hermite:
+        return _Hermite(self.b_values, self.u_grid, 1.0 / self.slopes)
+
+    @cached_property
+    def conditions(self) -> ConditionReport:
+        """Sufficient conditions for an increasing boundary; they depend on
+        the rate and the model only, not on the solve."""
+        return check_conditions(self.spec, self.params)
+
     def b_at(self, u):
-        """Piecewise-linear interpolation of b between grid points."""
-        return np.interp(u, self.u_grid, self.b_values)
+        """b(u) by cubic Hermite interpolation between the knots."""
+        return self._b(u)
 
     def h_at(self, pi):
         """Inverse boundary h(pi): first capacity level whose threshold exceeds pi.
 
-        0 left of b(0), 1 right of b(1), linear interpolation of the inverse
-        in between.  Requires the monotone certificate.
+        0 left of b(0), 1 right of b(1), the cubic Hermite interpolant of
+        the inverse in between.  Requires the monotone certificate.
         """
         if not self.monotone:
             raise ValueError("boundary is not strictly increasing; inverse undefined")
-        return np.interp(pi, self.b_values, self.u_grid, left=0.0, right=1.0)
+        return self._h(pi)
 
     @property
     def grid_size(self) -> int:
@@ -120,6 +176,21 @@ class BoundaryCurve:
         }
 
 
+def _on_knots(spec, params, ug, b, nodes, n_projections) -> BoundaryCurve:
+    """The curve through (ug, b); nodes holds gamma, gamma', gamma'' at ug."""
+    g, d1, d2 = nodes
+    k = params.k
+    return BoundaryCurve(
+        u_grid=ug,
+        b_values=b,
+        c_values=k * g / (k + g - 1.0),
+        slopes=_slope(k, ug, g, d1, d2, b),
+        spec=spec,
+        params=params,
+        n_projections=n_projections,
+    )
+
+
 def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -> BoundaryCurve:
     """Integrate the boundary ODE backward from u = 1 with fixed-step RK4.
 
@@ -130,14 +201,17 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
+    k = params.k
     ug = np.linspace(0.0, 1.0, grid_size)
-    cg = np.asarray(stopping_threshold_c(spec, params, ug), dtype=float)
+    # stage midpoints, with the stepping loop's own arithmetic u0 + dt / 2
+    um = ug[1:] + 0.5 * (ug[:-1] - ug[1:])
+    g, d1, d2 = nodes = spec.gamma_derivs(ug, params.r)[:3]
+    gm, d1m, d2m = spec.gamma_derivs(um, params.r)[:3]
+    cg = k * g / (k + g - 1.0)
     b = np.empty(grid_size)
-    b[-1] = cg[-1]
+    b[-1] = b0 = cg.item(-1)
+    u0, gam0 = ug.item(-1), (g.item(-1), d1.item(-1), d2.item(-1))
     n_proj = 0
-
-    def f(u, bb):
-        return boundary_rhs(spec, params, u, bb)
 
     # compensated summation: in near-degenerate regimes (rho almost constant)
     # the per-step increment is ~1e-12 of b itself, and plain accumulation
@@ -145,18 +219,19 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     # value coefficient then amplifies
     comp = 0.0
     for i in range(grid_size - 1, 0, -1):
-        u0 = ug[i]
-        u1 = ug[i - 1]
+        u1 = ug.item(i - 1)
+        gam1 = g.item(i - 1), d1.item(i - 1), d2.item(i - 1)
+        gamh = gm.item(i - 1), d1m.item(i - 1), d2m.item(i - 1)
         dt = u1 - u0  # negative
-        b0 = b[i]
-        k1 = f(u0, b0)
-        k2 = f(u0 + 0.5 * dt, b0 + 0.5 * dt * k1)
-        k3 = f(u0 + 0.5 * dt, b0 + 0.5 * dt * k2)
-        k4 = f(u1, b0 + dt * k3)
+        uh = u0 + 0.5 * dt  # == um[i - 1]
+        k1 = _slope(k, u0, *gam0, b0)
+        k2 = _slope(k, uh, *gamh, b0 + 0.5 * dt * k1)
+        k3 = _slope(k, uh, *gamh, b0 + 0.5 * dt * k2)
+        k4 = _slope(k, u1, *gam1, b0 + dt * k3)
         incr = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) + comp
         b1 = b0 + incr
         comp = incr - (b1 - b0)
-        c1 = cg[i - 1]
+        c1 = cg.item(i - 1)
         if b1 >= c1:
             if b1 - c1 > PROJECTION_TOL:
                 raise IntegrationError(f"boundary left the strip at u={u1}: b={b1}, c={c1}")
@@ -169,20 +244,10 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
             b1 = _STRIP_EPS
             comp = 0.0
             n_proj += 1
-        b[i - 1] = b1
+        b[i - 1] = b0 = b1
+        u0, gam0 = u1, gam1
 
-    monotone = bool(np.all(np.diff(b) > 0.0))
-    report = check_conditions(spec, params)
-    return BoundaryCurve(
-        u_grid=ug,
-        b_values=b,
-        c_values=cg,
-        spec=spec,
-        params=params,
-        monotone=monotone,
-        conditions=report,
-        n_projections=n_proj,
-    )
+    return _on_knots(spec, params, ug, b, nodes, n_proj)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +296,9 @@ def save_curve(curve: BoundaryCurve, csv_path: Union[str, Path]) -> Path:
 def load_curve(csv_path: Union[str, Path], header_path: Optional[Union[str, Path]] = None) -> BoundaryCurve:
     """Load a curve written by save_curve.
 
-    The monotone flag is recomputed from the data (a tampered file must not
-    ride on a stale certificate); spec and params are rebuilt from the header.
+    The threshold, the knot slopes and the monotone flag are recomputed from
+    the data (a tampered file must not ride on a stale certificate); spec
+    and params are rebuilt from the header.
     """
     csv_path = Path(csv_path)
     hpath = Path(header_path) if header_path is not None else header_path_for(csv_path)
@@ -258,14 +324,5 @@ def load_curve(csv_path: Union[str, Path], header_path: Optional[Union[str, Path
     b = np.asarray(bs)
     if ug.size < 2 or np.any(np.diff(ug) <= 0):
         raise ValueError(f"{csv_path}: u column must be strictly increasing")
-    cg = np.asarray(stopping_threshold_c(spec, params, ug), dtype=float)
-    return BoundaryCurve(
-        u_grid=ug,
-        b_values=b,
-        c_values=cg,
-        spec=spec,
-        params=params,
-        monotone=bool(np.all(np.diff(b) > 0.0)),
-        conditions=check_conditions(spec, params),
-        n_projections=int(header.get("n_projections", 0)),
-    )
+    nodes = spec.gamma_derivs(ug, params.r)[:3]
+    return _on_knots(spec, params, ug, b, nodes, int(header.get("n_projections", 0)))

@@ -123,7 +123,7 @@ def _load_or_solve(cfg: RunConfig, quiet: bool):
     if cfg.boundary_csv is not None:
         _say(quiet, f"loaded boundary from {cfg.boundary_csv}")
         return load_curve(cfg.boundary_csv)
-    return solve_boundary(cfg.rate, cfg.model, grid_size=cfg.surface_grid_size)
+    return solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
 
 
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N",
                        help="override sim.seed from the config")
         p.add_argument("--grid", type=int, metavar="N",
-                       help="override grid_size and surface_grid_size")
+                       help="override grid_size")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress lines")
     return parser

@@ -22,7 +22,6 @@ _TOP_KEYS = {
     "model",
     "rate",
     "grid_size",
-    "surface_grid_size",
     "sim",
     "ladder",
     "boundary_csv",
@@ -42,7 +41,6 @@ class RunConfig:
     model: ModelParams
     rate: RateSpec
     grid_size: int
-    surface_grid_size: int
     sim: SimConfig
     write_paths: bool
     trajectory_path: int
@@ -101,7 +99,6 @@ def load_config(path, seed: Optional[int] = None,
         doc["sim"]["seed"] = seed
     if grid is not None:
         doc["grid_size"] = grid
-        doc["surface_grid_size"] = grid
 
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
@@ -142,7 +139,6 @@ def load_config(path, seed: Optional[int] = None,
     rate = spec_from_dict(rate_doc)
 
     grid_size = _as_int(doc, "grid_size", 2001, 3)
-    surface_grid_size = _as_int(doc, "surface_grid_size", 20001, 3)
 
     sim_doc = doc.get("sim", {})
     if not isinstance(sim_doc, dict):
@@ -163,6 +159,9 @@ def load_config(path, seed: Optional[int] = None,
         sim = SimConfig(**sim_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sim parameters: {exc}") from exc
+    if trajectory_path >= sim.n_paths:
+        raise ConfigError(f"sim.trajectory_path {trajectory_path} names no path "
+                          f"of a batch of sim.n_paths {sim.n_paths}")
 
     ladder_doc = doc.get("ladder", {})
     if not isinstance(ladder_doc, dict):
@@ -209,7 +208,6 @@ def load_config(path, seed: Optional[int] = None,
         model=model,
         rate=rate,
         grid_size=grid_size,
-        surface_grid_size=surface_grid_size,
         sim=sim,
         write_paths=write_paths,
         trajectory_path=trajectory_path,

@@ -13,18 +13,15 @@ the variational characterization (generator residual zero below the boundary
 and nonpositive above it, smooth fit along the boundary, the gradient bound
 V_u <= k - pi, and dominance over the no-learning stopping value).
 
-Finite-difference policy.  Steps in the pi direction are plain (1e-4,
-shrunk near the ends); G is analytic in pi.  Steps in the u direction are
-snapped to whole multiples of the boundary grid spacing: b is stored with
-piecewise-linear interpolation, and a step that is not a multiple of the
-spacing samples the local interpolation slope, which is off by O(spacing)
-and would drown the tolerances.  Snapping aligns the interpolation-error
-phase at all stencil points and cancels it to third order.  Second
-derivatives above the boundary are differenced at the pull-back level
-u0 = h(pi), where the surface is C2-pasted; differencing the two-branch
-assembly across interpolation knots of h would measure knot noise, not the
-generator.  Derivatives in u always difference the branch the base point
-belongs to (the pasting is C1, so the branch derivative is the derivative).
+Finite-difference policy.  Steps are fixed: 1e-4 in u, and 1e-4 in pi,
+shrunk near the ends.  G is analytic in pi, and b and h are read back from
+the boundary curve by cubic Hermite dense output, whose error between knots
+is fourth order in the grid spacing, far below what a 1e-4 step can see.
+Second derivatives above the boundary are differenced at the pull-back
+level u0 = h(pi), where the surface is C2-pasted, so the stencil never
+straddles the kink of the assembly.  Derivatives in u always difference the
+branch the base point belongs to (the pasting is C1, so the branch
+derivative is the derivative).
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .model import fundamental_G, stopping_value_v
 
 EXCLUSION_BAND = 1e-6  # pde_residual refuses evaluation this close to b(u)
 PI_STEP = 1e-4
-U_STEP_NOMINAL = 1e-4
+U_STEP = 1e-4
 
 TOL_PDE_BELOW_REL = 1e-6
 TOL_PDE_ABOVE = 1e-8
@@ -74,9 +71,6 @@ class ValueSurface:
         self.curve = curve
         self.spec = curve.spec
         self.params = curve.params
-        # FD step in u, snapped to the boundary grid spacing (see module docstring)
-        self.du = curve.u_grid[1] - curve.u_grid[0]
-        self.u_step = max(1, round(U_STEP_NOMINAL / self.du)) * self.du
 
     # -- building blocks ---------------------------------------------------
 
@@ -121,7 +115,7 @@ class ValueSurface:
         """dV/du by second-order FD of the branch owning (u, pi).
 
         Above the boundary the branch is linear in u, so the FD reproduces
-        k - pi to roundoff; below, the stencil is snapped to grid nodes.
+        k - pi to roundoff.
         """
         scalar = np.ndim(u) == 0 and np.ndim(pi) == 0
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -137,7 +131,7 @@ class ValueSurface:
             # branch linear in u at frozen pull-back level: difference it
             # directly (the formula extends past the domain edge, so a plain
             # central stencil is always available)
-            d = self.u_step
+            d = U_STEP
             ua, pa = u[above], pi[above]
             u0 = self.curve.h_at(pa)
             base = self._below(u0, pa)
@@ -151,7 +145,7 @@ class ValueSurface:
 
     def _fd_u(self, fn, u, pi):
         """Second-order difference of fn(u, pi) in u; central where possible."""
-        d = self.u_step
+        d = U_STEP
         res = np.empty(u.shape, dtype=float)
         lo = u < d
         hi = u > 1.0 - d
@@ -168,14 +162,8 @@ class ValueSurface:
         return res
 
 
-def build_surface(spec, params, grid_size: int = 20001) -> ValueSurface:
-    """Solve the boundary and wrap it as a surface.
-
-    The default grid is finer than the solver's own: the piecewise-linear
-    read-back of b injects O(grid spacing squared) noise into the branch
-    above the boundary, and the learning-premium tolerance of 1e-8 needs
-    that noise an order of magnitude smaller than a 2001-point grid gives.
-    """
+def build_surface(spec, params, grid_size: int = 2001) -> ValueSurface:
+    """Solve the boundary on the solver's default grid and wrap it as a surface."""
     from .boundary import solve_boundary
 
     return ValueSurface(solve_boundary(spec, params, grid_size=grid_size))
@@ -280,7 +268,7 @@ def smooth_fit_residuals(surface: ValueSurface, u: float) -> Tuple[float, float]
     Differences the continuation branch A(.) G(., pi0) toward smaller u with
     a second-order stencil (forward variant only when u < 2 steps from 0).
     """
-    d = surface.u_step
+    d = U_STEP
     pi0 = float(surface.curve.b_at(u))
     k = surface.params.k
 
@@ -303,11 +291,9 @@ def smooth_fit_residuals(surface: ValueSurface, u: float) -> Tuple[float, float]
 def c1_pasting_gap(surface: ValueSurface, u: float) -> float:
     """|dV/dpi from below - dV/dpi from above| at pi = b(u) (second order).
 
-    The above-side stencil sits on the next two boundary knots b_{j}, b_{j+1}
-    rather than fixed offsets: at knot abscissae the piecewise-linear inverse
-    round-trips exactly (h(b_j) = u_j), so the assembled branch is evaluated
-    free of interpolation noise, which a fixed-step stencil would amplify by
-    1/step.  Spacing is uneven, hence the generic 3-point weights.
+    Both sides use the same one-sided three-point stencil with step 1e-4
+    (shrunk near the ends): the continuation branch below b(u), the
+    assembled surface above it.
     """
     pi0 = float(surface.curve.b_at(u))
     hp = float(_pi_step(np.asarray(pi0)))
@@ -317,20 +303,11 @@ def c1_pasting_gap(surface: ValueSurface, u: float) -> float:
         - 4.0 * float(surface._below(u, pi0 - hp))
         + float(surface._below(u, pi0 - 2.0 * hp))
     ) / (2.0 * hp)
-
-    bv = surface.curve.b_values
-    j = int(np.searchsorted(bv, pi0, side="right"))
-    if j + 1 >= bv.size:
-        raise ValueError("c1_pasting_gap needs two boundary knots above b(u)")
-    x1, x2 = float(bv[j]), float(bv[j + 1])
-    f1 = float(surface.value(u, x1))
-    f2 = float(surface.value(u, x2))
-    # first derivative at pi0 from (pi0, x1, x2), unequal spacing
     hi = (
-        f0 * (2.0 * pi0 - x1 - x2) / ((pi0 - x1) * (pi0 - x2))
-        + f1 * (pi0 - x2) / ((x1 - pi0) * (x1 - x2))
-        + f2 * (pi0 - x1) / ((x2 - pi0) * (x2 - x1))
-    )
+        -3.0 * f0
+        + 4.0 * float(surface.value(u, pi0 + hp))
+        - float(surface.value(u, pi0 + 2.0 * hp))
+    ) / (2.0 * hp)
     return abs(lo - hi)
 
 
@@ -438,11 +415,11 @@ class ValueCheckReport:
 def boundary_check_points(surface: ValueSurface, n_points: int = 50) -> np.ndarray:
     """Boundary u-values for the pasting checks: grid nodes away from the ends.
 
-    Starts clear of u = 0 by the u-stencil width and stops two knots short of
-    u = 1 so the above-side pasting stencil has knots to stand on.
+    Starts at the first node where the backward u-stencil of the smooth-fit
+    check fits above u = 0 and stops two nodes short of u = 1.
     """
     ug = surface.curve.u_grid
-    i0 = int(np.ceil(2.0 * surface.u_step / surface.du))
+    i0 = int(np.searchsorted(ug, 2.0 * U_STEP))
     idx = np.unique(np.linspace(i0, ug.size - 3, n_points).round().astype(int))
     return ug[idx]
 

@@ -15,6 +15,7 @@ from investlearn.model import (
     HyperbolicGamma,
     LinearNoise,
     ModelParams,
+    RateSpec,
     Tabulated,
     stopping_threshold_c,
 )
@@ -95,6 +96,41 @@ def test_nonmonotone_flag():
     assert np.min(curve.b_values) < 0.72
 
 
+@pytest.mark.parametrize("spec", [LINEAR, HYP], ids=["linear", "hyperbolic"])
+def test_dense_output_between_knots(spec):
+    # the odd nodes of a 4001-node solve sit midway between the knots of a
+    # 2001-node one, where a piecewise-linear read-back is off by ~2e-7
+    coarse = solve_boundary(spec, PARAMS, grid_size=2001)
+    fine = solve_boundary(spec, PARAMS, grid_size=4001)
+    u, b = fine.u_grid[1::2], fine.b_values[1::2]
+    assert np.max(np.abs(coarse.b_at(u) - b)) <= 1e-10
+    assert np.max(np.abs(coarse.h_at(b) - u)) <= 1e-10
+
+
+class CountingSpec(RateSpec):
+    """Wraps a rate spec and counts its gamma_derivs calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def rho2(self, u, r):
+        return self.inner.rho2(u, r)
+
+    def gamma_derivs(self, u, r):
+        self.calls += 1
+        return self.inner.gamma_derivs(u, r)
+
+
+def test_solve_tabulates_gamma_twice():
+    # once at the nodes, once at the stage midpoints, for any grid size
+    for n in (11, 2001):
+        spec = CountingSpec(LINEAR)
+        curve = solve_boundary(spec, PARAMS, grid_size=n)
+        assert spec.calls == 2
+        assert curve.monotone
+
+
 def test_invert_boundary_roundtrip(linear_curve):
     ug = linear_curve.u_grid[100:-100:500]
     back = linear_curve.h_at(linear_curve.b_at(ug))
@@ -120,6 +156,7 @@ def test_save_load_roundtrip(tmp_path, linear_curve):
     clone = load_curve(p)
     assert np.array_equal(clone.u_grid, linear_curve.u_grid)
     assert np.array_equal(clone.b_values, linear_curve.b_values)
+    assert np.array_equal(clone.slopes, linear_curve.slopes)
     assert clone.monotone == linear_curve.monotone
     # re-saving the loaded curve byte-matches the original files
     q = tmp_path / "curve2.csv"

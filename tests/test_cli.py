@@ -203,7 +203,7 @@ def test_simulate_reads_boundary_csv(tmp_path, solved):
            "n_paths": 200, "seed": 4}
     outs = {}
     for name, csv_dir in (("resolved", None), ("loaded", solved), ("shrunk", shrunk)):
-        doc = {**BASE, "sim": sim}
+        doc = {**BASE, "grid_size": 20001, "sim": sim}
         if csv_dir is not None:
             doc["boundary_csv"] = str(csv_dir / "boundary.csv")
         cfg = write_cfg(tmp_path, doc, f"{name}.json")
@@ -221,7 +221,6 @@ def test_simulate_nonmonotone_exits_1(tmp_path):
     doc = {
         **BASE,
         "rate": nonmono_rate(),
-        "surface_grid_size": 2001,
         "sim": {"n_paths": 10, "horizon": 1.0},
     }
     cfg = write_cfg(tmp_path, doc)
@@ -286,7 +285,7 @@ def test_manifest_checks_come_from_the_report(tmp_path):
     out = tmp_path / "verify"
     rc = main(["verify", "--config", str(cfg_path), "--out", str(out),
                "--grid", "2001", "--quiet"])
-    curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.surface_grid_size)
+    curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
     checks = verify_surface(ValueSurface(curve)).checks()
     assert read_manifest(out)["checks"] == checks
     assert set(checks) == {"pde", "smooth_fit", "c1_pasting", "gradient_bound",
@@ -421,7 +420,6 @@ def test_overrides_change_config_hash(tmp_path):
     assert plain.config_hash != gridded.config_hash
     assert seeded.sim.seed == 7
     assert gridded.grid_size == 501
-    assert gridded.surface_grid_size == 501
 
 
 @pytest.mark.parametrize(
@@ -439,6 +437,8 @@ def test_overrides_change_config_hash(tmp_path):
         {**BASE, "model": {"r": 0.1, "k": 0.5, "mu0": 0.0}},
         {**BASE, "grid_size": 2},
         {**BASE, "out_dir": 7},
+        {**BASE, "sim": {"n_paths": 10, "trajectory_path": 10}},
+        {**BASE, "surface_grid_size": 2001},
     ],
 )
 def test_bad_documents_rejected(tmp_path, doc):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import investlearn.simulate as sim_mod
-from investlearn.boundary import solve_boundary
+from investlearn.boundary import BoundaryCurve, solve_boundary
 from investlearn.model import LinearNoise, ModelParams, Tabulated, rho
 from investlearn.simulate import (
     SimConfig,
@@ -96,7 +96,8 @@ def test_chunking_does_not_change_results(linear_curve, monkeypatch):
 
 # sha1 of tobytes() of the float64 result arrays for PINNED_CFG, taken from
 # the implementation that stepped each strategy in its own loop; the shared
-# kernel must reproduce them bit for bit
+# kernel must reproduce them bit for bit.  The reflecting hashes were taken
+# with a piecewise-linear inverse h, which the test puts back as a fake.
 PINNED_CFG = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
 PINNED_SHA1 = {
     "reflecting": {
@@ -112,7 +113,9 @@ PINNED_SHA1 = {
 }
 
 
-def test_results_pinned_bit_for_bit(linear_curve):
+def test_results_pinned_bit_for_bit(linear_curve, monkeypatch):
+    monkeypatch.setattr(BoundaryCurve, "h_at", lambda self, pi: np.interp(
+        pi, self.b_values, self.u_grid, left=0.0, right=1.0))
     runs = {
         "reflecting": simulate_reflecting(linear_curve, PINNED_CFG),
         "stop_at_c": simulate_baseline(linear_curve, PINNED_CFG, "stop_at_c"),
