@@ -7,7 +7,9 @@ failure, 2 configuration or input error.
 
 The manifest records the tool version, the hash of the effective config,
 per-check pass/fail flags, and the output file list.  It is written
-atomically (temp file + rename) at the end of the run.  Every artifact
+atomically (temp file + rename) at the end of the run; a run stopped by a
+numerical failure (exit 1) still writes one, with no outputs and the single
+check `completed: false`.  Every artifact
 except the manifest's wall-clock field is byte-deterministic given the
 config and seed.
 """
@@ -340,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, grid=args.grid)
@@ -361,6 +364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG_ERROR
     except (IntegrationError, ArithmeticError, ValueError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
+        _write_manifest(out, args.command, cfg, [], {"completed": False}, started)
         return EXIT_CHECK_FAILED
 
 

@@ -12,6 +12,12 @@ with V_n(pi) = A_n G_n(pi) below b_n and (pi - k) + V_{n+1}(pi) above.
 f_n(0+) = -gamma_n k < 0 and f_n(c_n) = (gamma_n - gamma_{n+1}) V_{n+1}(c_n) > 0,
 so bisection brackets the root without derivatives.
 
+The verification suite re-checks a solved ladder against its Bellman
+characterization.  Each V_n is linear on the levels it stops through and
+A_m G_m on the level m that holds pi, so its pi-derivatives are closed form
+(G_m' = G_m (gamma_m - pi)/(pi (1-pi)), G_m'' = G_m gamma_m (gamma_m - 1)/(pi (1-pi))^2)
+and the suite differences nothing.
+
 The module also carries an independent cross-check: a brute-force value
 iteration for the same recursion on a trinomial discretization of the belief
 in log-odds space.  It shares no code with the closed-form assembly beyond
@@ -28,24 +34,13 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .model import ConfigError, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of
+from .model import ConfigError, G_of_gamma, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of
 
 BISECT_F_TOL = 1e-13
-# Fourth-order five-point second differences: at the 1e-8 residual tolerance a
-# three-point stencil has no workable step (Taylor and roundoff floors cross
-# above it), so the stencil half-width is 2 * GEN_FD_STEP and the kink band
-# must clear it.
-GEN_FD_STEP = 1e-3
-GEN_KINK_BAND = 2.5e-3
 
 TOL_BELLMAN = 1e-10
 TOL_GENERATOR = 1e-8
 TOL_SMOOTH_FIT = 1e-4
-
-
-def _G(gamma_n: float, pi):
-    pi = np.asarray(pi, dtype=float)
-    return (1.0 - pi) * np.exp(gamma_n * (np.log(pi) - np.log1p(-pi)))
 
 
 @dataclass(frozen=True)
@@ -83,13 +78,32 @@ class DiscreteLadder:
         for m in range(n, self.n_levels + 1):
             hold = rem & (pi < self.b[m])
             if np.any(hold):
-                out[hold] += self.A[m] * _G(self.gamma[m], pi[hold])
+                out[hold] += self.A[m] * G_of_gamma(self.gamma[m], pi[hold])
                 rem = rem & ~hold
             if not np.any(rem):
                 break
             out[rem] += pi[rem] - self.k
         if scalar:
             return float(out[0])
+        return out
+
+    def _derivative(self, n: int, pi: np.ndarray, order: int) -> np.ndarray:
+        """First (order 1) or second (order 2) pi-derivative of V_n, closed form.
+
+        Every level stopped through adds slope 1 and no curvature; the level
+        m that holds pi adds A_m G_m' or A_m G_m''.
+        """
+        out = np.zeros(pi.shape, dtype=float)
+        rem = np.ones(pi.shape, dtype=bool)
+        for m in range(n, self.n_levels + 1):
+            hold = rem & (pi < self.b[m])
+            g, x = self.gamma[m], pi[hold]
+            q = x * (1.0 - x)
+            factor = (g - x) / q if order == 1 else g * (g - 1.0) / (q * q)
+            out[hold] += self.A[m] * G_of_gamma(g, x) * factor
+            rem &= ~hold
+            if order == 1:
+                out[rem] += 1.0
         return out
 
 
@@ -119,7 +133,7 @@ def solve_ladder(gamma: np.ndarray, params: ModelParams) -> DiscreteLadder:
     b = np.empty_like(gamma)
     A = np.empty_like(gamma)
     b[N] = c[N]
-    A[N] = (b[N] - k) / float(_G(gamma[N], b[N]))
+    A[N] = (b[N] - k) / float(G_of_gamma(gamma[N], b[N]))
 
     for n in range(N - 1, -1, -1):
         tail = DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c)
@@ -129,7 +143,7 @@ def solve_ladder(gamma: np.ndarray, params: ModelParams) -> DiscreteLadder:
 
         b[n] = _bisect(f, 1e-12, c[n] - 1e-12)
         vnext = float(tail.value(n + 1, b[n]))
-        A[n] = (b[n] - k + vnext) / float(_G(gamma[n], b[n]))
+        A[n] = (b[n] - k + vnext) / float(G_of_gamma(gamma[n], b[n]))
         if not A[n] > 0.0:
             raise ArithmeticError(f"nonpositive ladder coefficient A_{n} = {A[n]}")
 
@@ -272,52 +286,35 @@ class DiscreteCheckReport:
 def discrete_verification_suite(ladder: DiscreteLadder, n_pi: int = 999) -> DiscreteCheckReport:
     """Re-check the solved ladder against its own Bellman characterization.
 
-    (i)  stepping up one level never beats the value: V_n >= pi - k + V_{n+1};
-    (ii) generator inequality (rho_n^2/2) pi^2 (1-pi)^2 V_n'' - r V_n <= 0 by
-         five-point central differences away from the value kinks at b_m;
-    (iii) one-sided first derivatives of V_n agree at b_n (smooth fit).
+    (i)  stepping up one level never beats the value, V_n >= pi - k + V_{n+1},
+         and the held and stopped branches agree at b_n (value matching);
+    (ii) generator inequality (rho_n^2/2) pi^2 (1-pi)^2 V_n'' - r V_n <= 0 at
+         every grid point, the kinks at b_m included, with V_n'' = A_m G_m''
+         on the level m that holds pi;
+    (iii) smooth fit: the held slope A_n G_n'(b_n) equals the stopped slope
+         1 + V_{n+1}'(b_n).
     """
     pis = np.linspace(0.001, 0.999, n_pi)
     N = ladder.n_levels
 
+    b, g = ladder.b, ladder.gamma
+    held = ladder.A * G_of_gamma(g, b)
+    held_slope = held * (g - b) / (b * (1.0 - b))
+
     bellman = -np.inf
     gen = -np.inf
+    fit = -np.inf
     for n in range(N + 1):
         vn = ladder.value(n, pis)
-        vnext = ladder.value(n + 1, pis) if n < N else 0.0
-        bellman = max(bellman, float(np.max(vnext + pis - ladder.k - vn)))
-
-        away = np.ones(pis.shape, dtype=bool)
-        for m in range(n, N + 1):
-            away &= np.abs(pis - ladder.b[m]) > GEN_KINK_BAND
-        away &= (pis > GEN_FD_STEP * 2.5) & (pis < 1.0 - GEN_FD_STEP * 2.5)
-        pa = pis[away]
-        h = GEN_FD_STEP
-        v2 = (
-            -ladder.value(n, pa + 2.0 * h)
-            + 16.0 * ladder.value(n, pa + h)
-            - 30.0 * ladder.value(n, pa)
-            + 16.0 * ladder.value(n, pa - h)
-            - ladder.value(n, pa - 2.0 * h)
-        ) / (12.0 * h * h)
-        resid = 0.5 * ladder.rho2(n) * pa**2 * (1.0 - pa) ** 2 * v2 - ladder.r * ladder.value(n, pa)
+        bellman = max(bellman, float(np.max(ladder.value(n + 1, pis) + pis - ladder.k - vn)))
+        v2 = ladder._derivative(n, pis, 2)
+        resid = 0.5 * ladder.rho2(n) * pis**2 * (1.0 - pis) ** 2 * v2 - ladder.r * vn
         gen = max(gen, float(np.max(resid)))
 
-    # value(n, b_n) lands on the stopped branch, which equals the held branch
-    # there to roundoff (A_n is defined from that equality), so both one-sided
-    # stencils may share the anchor point.
-    fit = -np.inf
-    hp = 1e-5
-    for n in range(N + 1):
-        bn = ladder.b[n]
-        f0 = ladder.value(n, bn)
-        left = (
-            3.0 * f0 - 4.0 * ladder.value(n, bn - hp) + ladder.value(n, bn - 2.0 * hp)
-        ) / (2.0 * hp)
-        right = (
-            -3.0 * f0 + 4.0 * ladder.value(n, bn + hp) - ladder.value(n, bn + 2.0 * hp)
-        ) / (2.0 * hp)
-        fit = max(fit, abs(float(left) - float(right)))
+        # V_n holds only for pi < b_n, so at b_n itself value and _derivative
+        # give the stopped branch (b_n - k) + V_{n+1}
+        bellman = max(bellman, abs(float(held[n]) - ladder.value(n, b[n])))
+        fit = max(fit, abs(float(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0])))
 
     return DiscreteCheckReport(
         n_pi=n_pi,

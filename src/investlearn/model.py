@@ -308,17 +308,26 @@ def gamma(spec: RateSpec, params: ModelParams, u: ArrayLike) -> np.ndarray:
     return spec.gamma_derivs(u, params.r)[0]
 
 
+def G_of_gamma(g: ArrayLike, pi: ArrayLike) -> np.ndarray:
+    """G = (1-pi) (pi/(1-pi))^g for exponent values g; pi strictly inside (0, 1).
+
+    Its pi-derivatives are closed form, G_pi = G (g - pi) / (pi (1-pi)) and
+    G_pipi = G g (g - 1) / (pi (1-pi))^2, which the diagnostics use instead
+    of differencing in pi.
+    """
+    pi = np.asarray(pi, dtype=float)
+    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+        raise ValueError("pi must lie strictly in (0, 1)")
+    # exp/log form keeps precision for pi near either end
+    return (1.0 - pi) * np.exp(g * (np.log(pi) - np.log1p(-pi)))
+
+
 def fundamental_G(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:
     """Increasing solution G(u, pi) = (1-pi) (pi/(1-pi))^gamma(u) of the killed generator.
 
     pi must lie strictly inside (0, 1).
     """
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ValueError("pi must lie strictly in (0, 1)")
-    g = gamma(spec, params, u)
-    # exp/log form keeps precision for pi near either end
-    return (1.0 - pi) * np.exp(g * (np.log(pi) - np.log1p(-pi)))
+    return G_of_gamma(gamma(spec, params, u), pi)
 
 
 def stopping_threshold_c(spec: RateSpec, params: ModelParams, u: ArrayLike) -> np.ndarray:

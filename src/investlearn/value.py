@@ -13,15 +13,18 @@ the variational characterization (generator residual zero below the boundary
 and nonpositive above it, smooth fit along the boundary, the gradient bound
 V_u <= k - pi, and dominance over the no-learning stopping value).
 
-Finite-difference policy.  Steps are fixed: 1e-4 in u, and 1e-4 in pi,
-shrunk near the ends.  G is analytic in pi, and b and h are read back from
-the boundary curve by cubic Hermite dense output, whose error between knots
-is fourth order in the grid spacing, far below what a 1e-4 step can see.
-Second derivatives above the boundary are differenced at the pull-back
-level u0 = h(pi), where the surface is C2-pasted, so the stencil never
-straddles the kink of the assembly.  Derivatives in u always difference the
-branch the base point belongs to (the pasting is C1, so the branch
-derivative is the derivative).
+Finite-difference policy.  Every pi-derivative of a continuation branch
+A(u) G(u, .) is taken in closed form from G_pi = G (gamma - pi)/(pi (1-pi))
+and G_pipi = G gamma (gamma - 1)/(pi (1-pi))^2; above the boundary the
+curvature is that of the branch at the pull-back level u0 = h(pi), where the
+surface is C2-pasted.  Finite differences remain only where b or h enters,
+since only they see the solved boundary: the u-derivatives, by fixed 1e-4
+stencils on the branch the base point belongs to (the pasting is C1, so the
+branch derivative is the derivative), and the above-side slope of the C1
+pasting check, by a one-sided 1e-4 pi-stencil (shrunk near the ends) on the
+assembled surface.  b and h are read back by cubic Hermite dense output,
+whose error between knots is fourth order in the grid spacing, far below
+what a 1e-4 step can see.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from typing import Tuple
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .model import fundamental_G, stopping_value_v
+from .model import fundamental_G, gamma, stopping_value_v
 
-EXCLUSION_BAND = 1e-6  # pde_residual refuses evaluation this close to b(u)
 PI_STEP = 1e-4
 U_STEP = 1e-4
 
@@ -89,6 +91,11 @@ class ValueSurface:
     def _below(self, u, pi):
         return self.coefficient_A(u) * fundamental_G(self.spec, self.params, u, pi)
 
+    def _below_pi(self, u, pi):
+        """pi-derivative A(u) G_pi(u, pi) of the continuation branch, closed form."""
+        g = gamma(self.spec, self.params, u)
+        return self._below(u, pi) * (g - pi) / (pi * (1.0 - pi))
+
     def value(self, u, pi):
         """V(u, pi), vectorized over broadcastable arguments."""
         u = np.asarray(u, dtype=float)
@@ -112,10 +119,10 @@ class ValueSurface:
     # -- u-derivative of the active branch ----------------------------------
 
     def value_u(self, u, pi):
-        """dV/du by second-order FD of the branch owning (u, pi).
+        """dV/du of the branch owning (u, pi).
 
-        Above the boundary the branch is linear in u, so the FD reproduces
-        k - pi to roundoff.
+        Below the boundary, a second-order FD of the continuation branch;
+        above it, k - pi exactly, since that branch is linear in u.
         """
         scalar = np.ndim(u) == 0 and np.ndim(pi) == 0
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -126,19 +133,7 @@ class ValueSurface:
         below = pi <= b_u
         if np.any(below):
             out[below] = self._fd_u(self._below, u[below], pi[below])
-        above = ~below
-        if np.any(above):
-            # branch linear in u at frozen pull-back level: difference it
-            # directly (the formula extends past the domain edge, so a plain
-            # central stencil is always available)
-            d = U_STEP
-            ua, pa = u[above], pi[above]
-            u0 = self.curve.h_at(pa)
-            base = self._below(u0, pa)
-            slope = pa - self.params.k
-            f_plus = base + slope * (u0 - (ua + d))
-            f_minus = base + slope * (u0 - (ua - d))
-            out[above] = (f_plus - f_minus) / (2.0 * d)
+        out[~below] = self.params.k - pi[~below]
         if scalar:
             return float(out[0])
         return out
@@ -178,55 +173,11 @@ def _pi_step(pi):
     return np.minimum(PI_STEP, np.minimum(pi, 1.0 - pi) / 2.0)
 
 
-def pde_residual(surface: ValueSurface, u, pi):
-    """Signed generator residual (rho^2/2) pi^2 (1-pi)^2 V_pipi - r V.
-
-    Zero (to FD accuracy) below the boundary, nonpositive above it.  V_pipi
-    is a central second difference with step 1e-4; above the boundary it is
-    taken at the pull-back level u0 = h(pi) where the pasting is C2.
-    Refuses evaluation within EXCLUSION_BAND of b(u).
-    """
-    scalar = np.isscalar(u) and np.isscalar(pi)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    u, pi = np.broadcast_arrays(u, pi)
-    b_u = surface.curve.b_at(u)
-    if np.any(np.abs(pi - b_u) < EXCLUSION_BAND):
-        raise ValueError("pde_residual: pi within the exclusion band around b(u)")
-    res = _pde_residual_raw(surface, u, pi, b_u)
-    if scalar:
-        return float(res[0])
-    return res
-
-
-def _pde_residual_raw(surface: ValueSurface, u, pi, b_u):
-    p = surface.params
-    below = pi <= b_u
-    # level at which the curvature is differenced: u itself below the
-    # boundary, the pull-back h(pi) above it
-    lev = np.where(below, u, 0.0)
-    above = ~below
-    if np.any(above):
-        lev[above] = surface.curve.h_at(pi[above])
-    h = _pi_step(pi)
-    A = surface.coefficient_A(lev)
-    Gm = fundamental_G(surface.spec, p, lev, pi - h)
-    G0 = fundamental_G(surface.spec, p, lev, pi)
-    Gp = fundamental_G(surface.spec, p, lev, pi + h)
-    v_pipi = A * (Gp - 2.0 * G0 + Gm) / h**2
-    val = A * G0
-    if np.any(above):
-        val = val + np.where(above, (pi - p.k) * (lev - u), 0.0)
-    rho2 = surface.spec.rho2(u, p.r)
-    return 0.5 * rho2 * pi**2 * (1.0 - pi) ** 2 * v_pipi - p.r * val
-
-
 @dataclass(frozen=True)
 class PdeResidualReport:
     n_samples: int
     n_below: int
     n_above: int
-    n_excluded: int
     max_below_rel: float
     max_above_signed: float
 
@@ -241,70 +192,66 @@ class PdeResidualReport:
 
 
 def pde_residual_sweep(surface: ValueSurface, n_samples: int = 10000) -> PdeResidualReport:
-    """Generator residual over a deterministic low-discrepancy sample sweep."""
-    u, pi = low_discrepancy_samples(n_samples)
-    b_u = surface.curve.b_at(u)
-    keep = np.abs(pi - b_u) >= EXCLUSION_BAND
-    n_excluded = int(n_samples - np.count_nonzero(keep))
-    u, pi, b_u = u[keep], pi[keep], b_u[keep]
-    res = _pde_residual_raw(surface, u, pi, b_u)
-    below = pi <= b_u
+    """Signed generator residual (rho^2/2) pi^2 (1-pi)^2 V_pipi - r V over a
+    deterministic low-discrepancy sample sweep.
+
+    V_pipi = A G gamma (gamma - 1)/(pi (1-pi))^2 at the level u below the
+    boundary and at the pull-back level h(pi) above it.  G solves its ODE
+    exactly, so below the boundary the residual measures only whether
+    spec.rho2 agrees with spec.gamma_derivs; above it, the sign of the
+    stopped region's generator.
+    """
     p = surface.params
-    val = surface.value(u[below], pi[below])
-    rel = np.abs(res[below]) / np.maximum(1.0, p.r * np.abs(val))
+    u, pi = low_discrepancy_samples(n_samples)
+    below = pi <= surface.curve.b_at(u)
+    above = ~below
+    lev = u.copy()
+    lev[above] = surface.curve.h_at(pi[above])
+    g = gamma(surface.spec, p, lev)
+    val = surface._below(lev, pi)
+    v_pipi = val * g * (g - 1.0) / (pi * (1.0 - pi)) ** 2
+    val[above] += (pi[above] - p.k) * (lev[above] - u[above])
+    res = 0.5 * surface.spec.rho2(u, p.r) * pi**2 * (1.0 - pi) ** 2 * v_pipi - p.r * val
+    rel = np.abs(res[below]) / np.maximum(1.0, p.r * np.abs(val[below]))
     return PdeResidualReport(
         n_samples=n_samples,
         n_below=int(np.count_nonzero(below)),
-        n_above=int(np.count_nonzero(~below)),
-        n_excluded=n_excluded,
+        n_above=int(np.count_nonzero(above)),
         max_below_rel=float(np.max(rel)),
-        max_above_signed=float(np.max(res[~below])),
+        max_above_signed=float(np.max(res[above])),
     )
 
 
 def smooth_fit_residuals(surface: ValueSurface, u: float) -> Tuple[float, float]:
     """|V_u + pi - k| and |V_upi + 1| at (u, b(u)), one-sided from below in u.
 
-    Differences the continuation branch A(.) G(., pi0) toward smaller u with
-    a second-order stencil (forward variant only when u < 2 steps from 0).
+    One second-order u-stencil toward smaller u (forward variant only when
+    u < 2 steps from 0), applied to the continuation branch A G and to its
+    closed-form pi-derivative A G_pi at pi0 = b(u).
     """
     d = U_STEP
     pi0 = float(surface.curve.b_at(u))
-    k = surface.params.k
-
-    def v_u(piq: float) -> float:
-        if u >= 2.0 * d:
-            pts = (u, u - d, u - 2.0 * d)
-            w = (3.0, -4.0, 1.0)
-        else:
-            pts = (u, u + d, u + 2.0 * d)
-            w = (-3.0, 4.0, -1.0)
-        vals = [float(surface._below(x, piq)) for x in pts]
-        return (w[0] * vals[0] + w[1] * vals[1] + w[2] * vals[2]) / (2.0 * d)
-
-    hp = float(_pi_step(np.asarray(pi0)))
-    res_u = abs(v_u(pi0) - (k - pi0))
-    res_mixed = abs((v_u(pi0 + hp) - v_u(pi0 - hp)) / (2.0 * hp) + 1.0)
-    return res_u, res_mixed
+    if u >= 2.0 * d:
+        pts, w = u - d * np.arange(3.0), np.array([3.0, -4.0, 1.0])
+    else:
+        pts, w = u + d * np.arange(3.0), np.array([-3.0, 4.0, -1.0])
+    v_u = float(w @ surface._below(pts, pi0)) / (2.0 * d)
+    v_upi = float(w @ surface._below_pi(pts, pi0)) / (2.0 * d)
+    return abs(v_u - (surface.params.k - pi0)), abs(v_upi + 1.0)
 
 
 def c1_pasting_gap(surface: ValueSurface, u: float) -> float:
-    """|dV/dpi from below - dV/dpi from above| at pi = b(u) (second order).
+    """|dV/dpi from below - dV/dpi from above| at pi = b(u).
 
-    Both sides use the same one-sided three-point stencil with step 1e-4
-    (shrunk near the ends): the continuation branch below b(u), the
-    assembled surface above it.
+    Below, the closed-form slope A G_pi of the continuation branch; above,
+    a one-sided three-point stencil with step 1e-4 (shrunk near the ends)
+    on the assembled surface, which reads the pull-back level h.
     """
     pi0 = float(surface.curve.b_at(u))
     hp = float(_pi_step(np.asarray(pi0)))
-    f0 = float(surface._below(u, pi0))
-    lo = (
-        3.0 * f0
-        - 4.0 * float(surface._below(u, pi0 - hp))
-        + float(surface._below(u, pi0 - 2.0 * hp))
-    ) / (2.0 * hp)
+    lo = float(surface._below_pi(u, pi0))
     hi = (
-        -3.0 * f0
+        -3.0 * float(surface._below(u, pi0))
         + 4.0 * float(surface.value(u, pi0 + hp))
         - float(surface.value(u, pi0 + 2.0 * hp))
     ) / (2.0 * hp)

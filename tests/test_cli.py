@@ -157,6 +157,27 @@ def test_verify_scaled_tamper_fails_diagnostics(tmp_path, solved):
     assert man["checks"]["smooth_fit"] is False
 
 
+def test_verify_knot_outside_strip_writes_manifest(tmp_path, solved, capsys):
+    # a knot above c(u) fails at load; the run still leaves a manifest
+    work = tmp_path / "curve"
+    _copy_curve(solved, work)
+    lines = (work / "boundary.csv").read_text().splitlines()
+    u, _ = lines[1000].split(",")
+    lines[1000] = f"{u},0.99"
+    (work / "boundary.csv").write_text("\n".join(lines) + "\n")
+
+    doc = {**BASE, "boundary_csv": str(work / "boundary.csv")}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert "check failed" in capsys.readouterr().err
+    man = read_manifest(out)
+    assert man["command"] == "verify"
+    assert man["outputs"] == []
+    assert man["checks"] == {"completed": False}
+
+
 def test_verify_missing_csv_exits_2(tmp_path):
     doc = {**BASE, "boundary_csv": str(tmp_path / "nowhere.csv")}
     cfg = write_cfg(tmp_path, doc)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from investlearn.discrete import (
+    DiscreteLadder,
     boundary_equation,
     check_discrete_monotone,
     discrete_verification_suite,
@@ -14,6 +15,7 @@ from investlearn.discrete import (
 )
 from investlearn.model import (
     ConfigError,
+    G_of_gamma,
     HyperbolicGamma,
     ModelParams,
     rho,
@@ -94,6 +96,34 @@ def test_verification_suite_passes(hyp_ladder):
     d = rep.to_dict()
     assert d["passed"] is True
     assert d["monotone"]["all_hold"] is True
+
+
+def _with(ladder, b, A):
+    return DiscreteLadder(gamma=ladder.gamma, k=ladder.k, r=ladder.r, b=b, A=A, c=ladder.c)
+
+
+def test_verification_suite_rejects_shifted_threshold(hyp_ladder):
+    # b_2 moved up by 0.1 %, A_2 re-derived so that value matching still
+    # holds at the wrong threshold: only optimality is broken
+    b, A = hyp_ladder.b.copy(), hyp_ladder.A.copy()
+    b[2] *= 1.001
+    A[2] = (b[2] - PARAMS.k + hyp_ladder.value(3, b[2])) / float(
+        G_of_gamma(hyp_ladder.gamma[2], b[2]))
+    rep = discrete_verification_suite(_with(hyp_ladder, b, A))
+    assert rep.checks()["bellman"] is False
+    assert rep.checks()["smooth_fit"] is False
+    assert not rep.passed
+
+
+def test_verification_suite_rejects_value_matching_break(hyp_ladder):
+    # A_2 low by 1e-8 relative: V_2 steps down at b_2 by about 5e-9, far
+    # inside the grid's other gaps and the smooth-fit tolerance, so only the
+    # value-matching term of the Bellman check sees it
+    A = hyp_ladder.A.copy()
+    A[2] *= 1.0 - 1e-8
+    rep = discrete_verification_suite(_with(hyp_ladder, hyp_ladder.b, A))
+    assert rep.checks() == {
+        "bellman": False, "generator": True, "smooth_fit": True, "b_nondecreasing": True}
 
 
 def test_vanishing_gamma_gap_recovers_stopping_threshold():

@@ -123,9 +123,29 @@ def test_continuity_across_boundary(linear_report):
     assert linear_report.continuity_max <= 1e-12
 
 
+@pytest.mark.parametrize("spec", [
+    LinearNoise(C=0.25, D=0.999),
+    HyperbolicGamma(A=1.2001, beta=0.2),
+], ids=["linear_D0.999", "hyperbolic_A1.2001"])
+def test_verify_passes_near_family_edges(spec):
+    # correct surfaces near the edge of each family's admissible range
+    # (D -> 1, A -> 1 + beta), where V_upi is hardest to resolve
+    report = verify_surface(build_surface(spec, PARAMS, grid_size=2001))
+    assert report.checks() == {
+        "pde": True, "smooth_fit": True, "c1_pasting": True,
+        "gradient_bound": True, "learning_premium": True, "all": True}
+
+
 def test_report_dict_shape(linear_report):
     d = linear_report.to_dict()
     assert d["passed"] is True
+    assert set(d) == {
+        "n_samples", "n_boundary_points", "pde", "smooth_fit_max_vu",
+        "smooth_fit_max_vupi", "c1_pasting_max", "gradient", "premium",
+        "continuity_max", "value_min", "A_terminal", "tolerances", "passed"}
+    assert set(d["pde"]) == {
+        "n_samples", "n_below", "n_above", "max_below_rel",
+        "max_above_signed", "passed"}
     assert set(d["tolerances"]) == {
         "pde_below_rel", "pde_above_signed", "smooth_fit", "c1_pasting",
         "gradient", "premium", "continuity"}
