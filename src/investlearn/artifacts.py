@@ -1,0 +1,57 @@
+"""The artifact format: every CSV and JSON file the tool writes or reads back.
+
+A CSV is written by column, one row per index, each cell the repr of the
+Python scalar (ints stay ints, floats come out in shortest round-trip form),
+so identical data gives identical bytes and reads back bit for bit.  A JSON
+document is indented, key-sorted and ends in a newline.
+"""
+
+import csv
+import json
+from pathlib import Path
+from typing import Sequence, Union
+
+import numpy as np
+
+from .model import ConfigError
+
+PathLike = Union[str, Path]
+
+
+def write_csv(path: PathLike, header: Sequence[str], *columns) -> None:
+    """Write the header, then one row per index of the equal-length columns."""
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*cells))
+
+
+def read_csv(path: PathLike, header: Sequence[str]) -> np.ndarray:
+    """The data rows of a CSV with this header, as a float array of its columns.
+
+    Raises ConfigError naming the file if it cannot be read, is empty, has
+    another header, has no data rows, or has a ragged or non-numeric row.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: empty CSV")
+    if [h.strip() for h in rows[0]] != list(header):
+        raise ConfigError(f"{path}: expected columns {list(header)}, got {rows[0]}")
+    if len(rows) < 2:
+        raise ConfigError(f"{path}: no data rows")
+    ragged = next((row for row in rows if len(row) != len(header)), None)
+    if ragged is not None:
+        raise ConfigError(f"{path}: row {ragged} has {len(ragged)} fields, expected {len(header)}")
+    try:
+        return np.array(rows[1:], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: non-numeric row: {exc}") from exc
+
+
+def write_json(path: PathLike, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -26,17 +26,18 @@ Carlson, SIAM J. Numer. Anal. 17(2), 1980).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv, write_json
 from .model import (
     ConditionReport,
+    ConfigError,
     ModelParams,
     RateSpec,
     check_conditions,
@@ -251,16 +252,9 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
 
 
 # ---------------------------------------------------------------------------
-# serialization: two-column CSV plus JSON header sidecar
+# serialization: a (u, b) CSV plus a JSON header sidecar of the same stem,
+# both through the artifact format
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def header_path_for(csv_path: Union[str, Path]) -> Path:
-    return Path(csv_path).with_suffix(".json")
 
 
 def save_curve(curve: BoundaryCurve, csv_path: Union[str, Path]) -> Path:
@@ -270,11 +264,7 @@ def save_curve(curve: BoundaryCurve, csv_path: Union[str, Path]) -> Path:
     representation, so identical curves produce identical bytes.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "b"])
-        for u, bb in zip(curve.u_grid, curve.b_values):
-            w.writerow([_fmt(u), _fmt(bb)])
+    write_csv(csv_path, ["u", "b"], curve.u_grid, curve.b_values)
     header = {
         "kind": "boundary_curve",
         "schema_version": 1,
@@ -286,43 +276,42 @@ def save_curve(curve: BoundaryCurve, csv_path: Union[str, Path]) -> Path:
         "conditions": curve.conditions.to_dict(),
         "observed": curve.observed_summary(),
     }
-    hpath = header_path_for(csv_path)
-    with open(hpath, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    hpath = csv_path.with_suffix(".json")
+    write_json(hpath, header)
     return hpath
 
 
-def load_curve(csv_path: Union[str, Path], header_path: Optional[Union[str, Path]] = None) -> BoundaryCurve:
-    """Load a curve written by save_curve.
+def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
+    """Load a curve written by save_curve from the CSV and its .json sidecar.
 
     The threshold, the knot slopes and the monotone flag are recomputed from
     the data (a tampered file must not ride on a stale certificate); spec
-    and params are rebuilt from the header.
+    and params are rebuilt from the header.  A fault in the files' shape
+    raises ConfigError naming the file: a CSV read_csv rejects, a sidecar
+    that is not a boundary-curve header or lacks a field, fewer than two
+    rows, or u not strictly increasing.  A well-formed curve with a knot
+    outside the strip raises IntegrationError.
     """
     csv_path = Path(csv_path)
-    hpath = Path(header_path) if header_path is not None else header_path_for(csv_path)
-    with open(hpath) as fh:
-        header = json.load(fh)
-    if header.get("kind") != "boundary_curve":
-        raise ValueError(f"{hpath} is not a boundary-curve header")
-    params = ModelParams(r=float(header["model"]["r"]), k=float(header["model"]["k"]))
-    spec = spec_from_dict(header["rate"])
+    # copied into one contiguous row per column, which the interpolants search
+    ug, b = read_csv(csv_path, ["u", "b"]).T.copy()
+    if ug.size < 2 or not np.all(np.diff(ug) > 0):
+        raise ConfigError(f"{csv_path}: u column must be strictly increasing over at least 2 rows")
+    hpath = csv_path.with_suffix(".json")
+    try:
+        header = json.loads(hpath.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {hpath}: {exc}") from exc
+    if not isinstance(header, dict) or header.get("kind") != "boundary_curve":
+        raise ConfigError(f"{hpath} is not a boundary-curve header")
+    try:
+        params = ModelParams(r=float(header["model"]["r"]), k=float(header["model"]["k"]))
+        spec = spec_from_dict(header["rate"])
+        n_projections = int(header.get("n_projections", 0))
+    except KeyError as exc:
+        raise ConfigError(f"{hpath}: header lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{hpath}: invalid header: {exc}") from exc
 
-    us, bs = [], []
-    with open(csv_path, newline="") as fh:
-        rd = csv.reader(fh)
-        head = next(rd)
-        if [h.strip() for h in head] != ["u", "b"]:
-            raise ValueError(f"{csv_path}: expected header 'u,b', got {head}")
-        for row in rd:
-            if not row:
-                continue
-            us.append(float(row[0]))
-            bs.append(float(row[1]))
-    ug = np.asarray(us)
-    b = np.asarray(bs)
-    if ug.size < 2 or np.any(np.diff(ug) <= 0):
-        raise ValueError(f"{csv_path}: u column must be strictly increasing")
     nodes = spec.gamma_derivs(ug, params.r)[:3]
-    return _on_knots(spec, params, ug, b, nodes, int(header.get("n_projections", 0)))
+    return _on_knots(spec, params, ug, b, nodes, n_projections)

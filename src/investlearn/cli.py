@@ -2,8 +2,9 @@
 
 Subcommands: solve, verify, simulate, discrete, compare, plot.  Each run is
 file-in/file-out: a JSON config document in, CSV/JSON/SVG artifacts plus a
-run manifest out.  Exit codes are a stable contract: 0 success, 1 check
-failure, 2 configuration or input error.
+run manifest out, all through the artifact format of `artifacts`.  Exit
+codes are a stable contract: 0 success, 1 check failure, 2 configuration or
+input error (a malformed input file included).
 
 The manifest records the tool version, the hash of the effective config,
 per-check pass/fail flags, and the output file list.  It is written
@@ -15,8 +16,6 @@ config and seed.
 """
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -26,6 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
+from .artifacts import read_csv, write_csv, write_json
 from .boundary import IntegrationError, load_curve, save_curve, solve_boundary
 from .config import RunConfig, load_config
 from .discrete import (
@@ -51,15 +51,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
                     outputs: List[str], checks: dict, started: float) -> None:
     manifest = {
@@ -73,7 +64,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
         "wall_clock_seconds": round(time.perf_counter() - started, 3),
     }
     tmp = out_dir / "manifest.json.tmp"
-    _write_json(tmp, manifest)
+    write_json(tmp, manifest)
     os.replace(tmp, out_dir / "manifest.json")
 
 
@@ -92,7 +83,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         "monotone": curve.monotone,
         "n_projections": curve.n_projections,
     }
-    _write_json(out / "conditions.json", report)
+    write_json(out / "conditions.json", report)
     checks = {
         "monotone": curve.monotone,
         "inside_strip": bool(np.all(curve.b_values[:-1] > 0.0)
@@ -111,13 +102,8 @@ def _surface_csv(surface: ValueSurface, path: Path, n: int = 101) -> None:
     """Value samples as (u, pi, value) triples on an interior grid."""
     us = np.linspace(0.0, 1.0 - 1e-6, n)
     pis = np.linspace(1e-3, 1.0 - 1e-3, n)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "pi", "value"])
-        for u in us:
-            vals = surface.value(np.full(pis.shape, u), pis)
-            for p, v in zip(pis, vals):
-                w.writerow([_fmt(u), _fmt(p), _fmt(v)])
+    vals = [surface.value(np.full(pis.shape, u), pis) for u in us]
+    write_csv(path, ["u", "pi", "value"], np.repeat(us, n), np.tile(pis, n), np.concatenate(vals))
 
 
 def _load_or_solve(cfg: RunConfig, quiet: bool):
@@ -132,9 +118,9 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     started = time.perf_counter()
     curve = _load_or_solve(cfg, quiet)
     if not curve.monotone:
-        _write_json(out / "verify_report.json",
-                    {"passed": False, "reason": "boundary is not strictly increasing",
-                     "monotone": False})
+        write_json(out / "verify_report.json",
+                   {"passed": False, "reason": "boundary is not strictly increasing",
+                    "monotone": False})
         _write_manifest(out, "verify", cfg, ["verify_report.json"],
                         {"monotone": False, "diagnostics": False}, started)
         _say(quiet, "FAIL boundary not strictly increasing")
@@ -143,7 +129,7 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     report = verify_surface(surface)
     doc = report.to_dict()
     doc["route"] = curve.conditions.route
-    _write_json(out / "verify_report.json", doc)
+    write_json(out / "verify_report.json", doc)
     _surface_csv(surface, out / "surface.csv")
     checks = report.checks()
     _write_manifest(out, "verify", cfg, ["verify_report.json", "surface.csv"],
@@ -187,7 +173,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
         "diff_vs_stop_at_c": {"mean": d_stop, "se": se_stop},
         "diff_vs_full_now": {"mean": d_full, "se": se_full},
     }
-    _write_json(out / "estimates.json", doc)
+    write_json(out / "estimates.json", doc)
     outputs = ["estimates.json", "trajectory.csv"]
     traj = sample_trajectory(curve, cfg.sim, cfg.trajectory_path)
     save_trajectory(traj, out / "trajectory.csv")
@@ -221,7 +207,7 @@ def cmd_discrete(cfg: RunConfig, out: Path, quiet: bool) -> int:
     ladder = _config_ladder(cfg)
     save_ladder(ladder, out / "ladder.csv")
     suite = discrete_verification_suite(ladder)
-    _write_json(out / "discrete_report.json", suite.to_dict())
+    write_json(out / "discrete_report.json", suite.to_dict())
     checks = suite.checks()
     _write_manifest(out, "discrete", cfg, ["ladder.csv", "discrete_report.json"],
                     checks, started)
@@ -240,38 +226,13 @@ def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
     ladder = _config_ladder(cfg)
     curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
     b_cont = curve.b_at(ladder.u_levels)
-    with open(out / "compare.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "u_n", "b_ladder", "b_continuous", "difference"])
-        for n in range(ladder.n_levels + 1):
-            w.writerow([n, _fmt(ladder.u_levels[n]), _fmt(ladder.b[n]),
-                        _fmt(b_cont[n]), _fmt(ladder.b[n] - b_cont[n])])
+    write_csv(out / "compare.csv", ["n", "u_n", "b_ladder", "b_continuous", "difference"],
+              np.arange(ladder.n_levels + 1), ladder.u_levels, ladder.b, b_cont,
+              ladder.b - b_cont)
     _write_manifest(out, "compare", cfg, ["compare.csv"],
                     {"completed": True}, started)
     _say(quiet, f"wrote {out / 'compare.csv'}")
     return EXIT_OK
-
-
-def _read_csv(path: Path, expect_header: List[str]) -> np.ndarray:
-    """Read a numeric CSV written by this tool; empty or mismatched is an error."""
-    try:
-        with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            try:
-                header = next(rd)
-            except StopIteration:
-                raise ConfigError(f"{path}: empty CSV") from None
-            if [h.strip() for h in header] != expect_header:
-                raise ConfigError(
-                    f"{path}: expected columns {expect_header}, got {header}")
-            rows = [[float(v) for v in row] for row in rd if row]
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric row: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
 
 
 def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> int:
@@ -280,19 +241,19 @@ def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> int:
         raise ConfigError("config needs a 'plot' object naming input CSVs")
     outputs = []
     if "boundary" in cfg.plot_inputs:
-        data = _read_csv(cfg.plot_inputs["boundary"], ["u", "b"])
+        data = read_csv(cfg.plot_inputs["boundary"], ["u", "b"])
         u, b = data[:, 0], data[:, 1]
         c = stopping_threshold_c(cfg.rate, cfg.model, u)
         zl = zero_level_B(cfg.rate, cfg.model, u)
         plot_boundary(u, b, c, zl, cfg.model.k, out / "boundary.svg")
         outputs.append("boundary.svg")
     if "trajectory" in cfg.plot_inputs:
-        data = _read_csv(cfg.plot_inputs["trajectory"], ["t", "U", "Pi"])
+        data = read_csv(cfg.plot_inputs["trajectory"], ["t", "U", "Pi"])
         plot_trajectory(data[:, 0], data[:, 1], data[:, 2], out / "trajectory.svg")
         outputs.append("trajectory.svg")
     if "ladder" in cfg.plot_inputs:
-        data = _read_csv(cfg.plot_inputs["ladder"],
-                         ["n", "u_n", "gamma_n", "c_n", "b_n", "A_n"])
+        data = read_csv(cfg.plot_inputs["ladder"],
+                        ["n", "u_n", "gamma_n", "c_n", "b_n", "A_n"])
         plot_ladder(data[:, 1], data[:, 4], data[:, 3], out / "ladder.svg")
         outputs.append("ladder.svg")
     _write_manifest(out, "plot", cfg, outputs, {"completed": True}, started)
@@ -358,9 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return COMMANDS[args.command](cfg, out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except FileNotFoundError as exc:
-        print(f"config error: missing input file: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (IntegrationError, ArithmeticError, ValueError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ numpy, which is the point.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +33,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
+from .artifacts import write_csv
 from .model import ConfigError, G_of_gamma, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of
 
 BISECT_F_TOL = 1e-13
@@ -187,23 +187,6 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # monotonicity condition (discrete analogue of the continuous cond1)
 # ---------------------------------------------------------------------------
-
-
-def discrete_sign_H(ladder: DiscreteLadder, n: int, b) -> np.ndarray:
-    """H_n(b): sign determines whether b_n <= b_{n+1} locally.
-
-    H_n(b) = 2 (b-k) (g_n - g_{n+1})
-             + (g_{n+1} k - (g_{n+1} + k - 1) b) (g_n - 2 g_{n+1} + g_{n+2}) / (g_{n+1} - g_{n+2})
-    """
-    g = ladder.gamma
-    k = ladder.k
-    if not 0 <= n <= ladder.n_levels - 2:
-        raise IndexError("H_n needs three consecutive levels")
-    b = np.asarray(b, dtype=float)
-    d2 = g[n] - 2.0 * g[n + 1] + g[n + 2]
-    return 2.0 * (b - k) * (g[n] - g[n + 1]) + (g[n + 1] * k - (g[n + 1] + k - 1.0) * b) * d2 / (
-        g[n + 1] - g[n + 2]
-    )
 
 
 @dataclass(frozen=True)
@@ -404,18 +387,6 @@ def value_iteration_oracle(
 
 def save_ladder(ladder: DiscreteLadder, csv_path: Union[str, Path]) -> None:
     """CSV with one row per level: n, u_n, gamma_n, c_n, b_n, A_n."""
-    csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "u_n", "gamma_n", "c_n", "b_n", "A_n"])
-        for n in range(ladder.n_levels + 1):
-            w.writerow(
-                [
-                    n,
-                    repr(float(ladder.u_levels[n])),
-                    repr(float(ladder.gamma[n])),
-                    repr(float(ladder.c[n])),
-                    repr(float(ladder.b[n])),
-                    repr(float(ladder.A[n])),
-                ]
-            )
+    write_csv(csv_path, ["n", "u_n", "gamma_n", "c_n", "b_n", "A_n"],
+              np.arange(ladder.n_levels + 1), ladder.u_levels, ladder.gamma, ladder.c,
+              ladder.b, ladder.A)

@@ -34,7 +34,9 @@ ArrayLike = Union[float, np.ndarray]
 
 # Strict inequalities in the condition checks are tested against this slack;
 # identities that hold with equality (e.g. the hyperbolic family) must not
-# flip the verdict on float noise.
+# flip the verdict on float noise.  The sign of 2 gamma'^2 - gamma gamma'' is
+# tested relative to the scale 2 gamma'^2 + |gamma gamma''| of its terms
+# (_sign_slack), since their roundoff grows with gamma.
 SIGN_TOL = 1e-10
 
 # gamma ~ sqrt(2 r) / rho as rho -> 0, which overflows the exponent in G;
@@ -336,12 +338,6 @@ def stopping_threshold_c(spec: RateSpec, params: ModelParams, u: ArrayLike) -> n
     return params.k * g / (params.k + g - 1.0)
 
 
-def stopping_threshold_c_prime(spec: RateSpec, params: ModelParams, u: ArrayLike) -> np.ndarray:
-    """c'(u) = -k (1-k) gamma' / (gamma + k - 1)^2; positive when gamma decays."""
-    g, d1, _, _ = spec.gamma_derivs(u, params.r)
-    return -params.k * (1.0 - params.k) * d1 / (g + params.k - 1.0) ** 2
-
-
 def stopping_value_v(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:
     """Value v(pi; u) of stopping the frozen-rate problem: smooth-pasted at c(u).
 
@@ -374,6 +370,11 @@ def sign_function_H(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: Array
     return 2.0 * (pi - k) * d1**2 + (g * k - (g + k - 1.0) * pi) * d2
 
 
+def _sign_slack(g, d1, d2):
+    """Pointwise slack SIGN_TOL (2 gamma'^2 + |gamma gamma''|) for the sign of 2 gamma'^2 - gamma gamma''."""
+    return SIGN_TOL * (2.0 * d1**2 + np.abs(g * d2))
+
+
 def zero_level_B(spec: RateSpec, params: ModelParams, u: ArrayLike):
     """Level B(u) where H(u, .) vanishes, when 2 gamma'^2 - gamma gamma'' > 0.
 
@@ -388,7 +389,7 @@ def zero_level_B(spec: RateSpec, params: ModelParams, u: ArrayLike):
     disc_a = np.atleast_1d(np.asarray(disc, dtype=float))
     denom_a = np.atleast_1d(np.asarray(denom, dtype=float))
     out = np.full_like(disc_a, np.nan)
-    ok = disc_a > SIGN_TOL
+    ok = np.atleast_1d(disc > _sign_slack(g, d1, d2))
     out[ok] = k * disc_a[ok] / denom_a[ok]
     if scalar:
         return float(out[0]) if ok[0] else None
@@ -445,6 +446,7 @@ def check_conditions(spec: RateSpec, params: ModelParams, grid_size: int = 1001)
             the hyperbolic family).
     cond2:  the same quantity > 0 everywhere and the implied level B strictly
             increasing (finite differences on the grid).
+    Both sign tests allow the relative slack of _sign_slack at each point.
     The combination gamma concave + B increasing certifies b > k as well.
     """
     ug = np.linspace(0.0, 1.0, grid_size)
@@ -455,10 +457,11 @@ def check_conditions(spec: RateSpec, params: ModelParams, grid_size: int = 1001)
     gamma_decreasing = bool(np.all(d1 < 0))
 
     disc = 2.0 * d1**2 - g * d2
-    cond1 = bool(np.max(disc) <= SIGN_TOL)
+    slack = _sign_slack(g, d1, d2)
+    cond1 = bool(np.all(disc <= slack))
     gamma_concave = bool(np.max(d2) <= SIGN_TOL)
 
-    if np.min(disc) > SIGN_TOL:
+    if np.all(disc > slack):
         B = params.k * disc / (disc + (1.0 - params.k) * d2)
         B_increasing: Optional[bool] = bool(np.all(np.diff(B) > 0))
         cond2 = bool(B_increasing)

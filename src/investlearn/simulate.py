@@ -35,7 +35,6 @@ is the uniform that decides theta; normals follow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .artifacts import write_csv
 from .boundary import BoundaryCurve
 from .model import ModelParams, RateSpec, rho, stopping_threshold_c, stopping_value_v
 
@@ -97,7 +97,7 @@ class SimResult:
     frac_alive_at_horizon: float
     config: SimConfig
     payoffs: np.ndarray
-    theta: np.ndarray
+    theta: Optional[np.ndarray]  # None for runs that take no step
     terminal_u: np.ndarray
     terminal_pi: np.ndarray
 
@@ -136,7 +136,7 @@ Hook = Callable[[float, SimpleNamespace, np.ndarray],
 
 @dataclass
 class _Run:
-    theta: np.ndarray
+    theta: Optional[np.ndarray]
     terminal_u: np.ndarray
     terminal_pi: np.ndarray
     n_alive: int
@@ -279,7 +279,7 @@ def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
 
 
 def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimResult:
-    """Reference strategies sharing the reflecting run's random numbers.
+    """Reference strategies for the reflecting run.
 
     "full_now":  invest to capacity 1 immediately; deterministic payoff
                  (pi0 - k)(1 - u0).
@@ -287,33 +287,31 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
     "stop_at_c": keep rho frozen at the start capacity and invest everything
                  the first time Pi reaches the one-shot threshold c(u0);
                  its value is (1 - u0) v(pi0; u0), which the estimate should
-                 reproduce up to step-end monitoring bias.
+                 reproduce up to step-end monitoring bias.  It steps the
+                 same random numbers as the reflecting run.
+
+    A run that takes no step (full_now, frozen, stop_at_c from pi0 >= c(u0))
+    is closed form: it draws nothing, and its theta is None.
     """
     spec, params = curve.spec, curve.params
     r, k = params.r, params.k
-
-    if kind in ("full_now", "frozen"):
-        theta = _draw_theta(_substreams(cfg.seed, range(cfg.n_paths)), cfg.start_pi)
-        n = cfg.n_paths
-        if kind == "full_now":
-            pay = (cfg.start_pi - k) * (1.0 - cfg.start_u)
-            run = _Run(theta, np.ones(n), np.full(n, cfg.start_pi), 0, None)
-            return _finish(cfg, params, pay, np.full(n, pay), run)
-        run = _Run(theta, np.full(n, cfg.start_u), np.full(n, cfg.start_pi), n, None)
+    if kind not in ("full_now", "frozen", "stop_at_c"):
+        raise ValueError(f"unknown baseline {kind!r}")
+    n = cfg.n_paths
+    if kind == "frozen":
+        run = _Run(None, np.full(n, cfg.start_u), np.full(n, cfg.start_pi), n, None)
         return _finish(cfg, params, 0.0, np.zeros(n), run)
 
-    if kind != "stop_at_c":
-        raise ValueError(f"unknown baseline {kind!r}")
-
-    cbar = float(stopping_threshold_c(spec, params, cfg.start_u))
+    # full_now is stop_at_c with the threshold 0
+    cbar = float(stopping_threshold_c(spec, params, cfg.start_u)) if kind == "stop_at_c" else 0.0
     scale = 1.0 - cfg.start_u
     if cfg.start_pi >= cbar:
-        # everything is installed at time zero: the run takes no step
+        # everything is installed at time zero: no path takes a step
         pay = (cfg.start_pi - k) * scale
-        run = _run(spec, params, cfg, range(cfg.n_paths), 1.0)
-        return _finish(cfg, params, pay, np.full(cfg.n_paths, pay), run)
+        run = _Run(None, np.ones(n), np.full(n, cfg.start_pi), 0, None)
+        return _finish(cfg, params, pay, np.full(n, pay), run)
 
-    payoffs = np.zeros(cfg.n_paths)
+    payoffs = np.zeros(n)
     phi_c = _logit(cbar)
 
     def hook(t, rows, alive):
@@ -324,7 +322,7 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
         rows.u[hit] = 1.0
         return None, hit
 
-    run = _run(spec, params, cfg, range(cfg.n_paths), cfg.start_u, hook)
+    run = _run(spec, params, cfg, range(n), cfg.start_u, hook)
     return _finish(cfg, params, 0.0, payoffs, run)
 
 
@@ -433,25 +431,11 @@ def sample_trajectory(
 
 
 def save_trajectory(traj: dict, csv_path: Union[str, Path]) -> None:
-    with open(Path(csv_path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "U", "Pi"])
-        for t, u, p in zip(traj["t"], traj["u"], traj["pi"]):
-            w.writerow([repr(float(t)), repr(float(u)), repr(float(p))])
+    write_csv(csv_path, ["t", "U", "Pi"], traj["t"], traj["u"], traj["pi"])
 
 
 def save_paths(result: SimResult, csv_path: Union[str, Path]) -> None:
-    with open(Path(csv_path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "theta", "payoff", "initial_jump", "terminal_u", "terminal_pi"])
-        for i in range(result.config.n_paths):
-            w.writerow(
-                [
-                    i,
-                    int(result.theta[i]),
-                    repr(float(result.payoffs[i])),
-                    repr(float(result.initial_jump)),
-                    repr(float(result.terminal_u[i])),
-                    repr(float(result.terminal_pi[i])),
-                ]
-            )
+    n = result.config.n_paths
+    write_csv(csv_path, ["path", "theta", "payoff", "initial_jump", "terminal_u", "terminal_pi"],
+              np.arange(n), result.theta.astype(int), result.payoffs,
+              np.full(n, result.initial_jump), result.terminal_u, result.terminal_pi)

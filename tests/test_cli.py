@@ -1,12 +1,15 @@
 """Command layer: exit codes, artifacts, manifests, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import investlearn
 from investlearn.cli import main
 from investlearn.config import load_config
 from investlearn.discrete import discrete_verification_suite, ladder_from_spec, save_ladder
@@ -184,6 +187,49 @@ def test_verify_missing_csv_exits_2(tmp_path):
     out = tmp_path / "out"
     rc = main(["verify", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert rc == 2
+
+
+def _malform(work, fault):
+    """Apply one file-shape fault to the curve in work; returns the file it lands in."""
+    csv_path, side = work / "boundary.csv", work / "boundary.json"
+    lines = csv_path.read_text().splitlines()
+    if fault == "header":
+        lines[0] = "x,y"
+    elif fault == "one_field":
+        lines.insert(500, "0.5")
+    elif fault == "non_numeric":
+        lines.insert(500, "foo,bar")
+    elif fault == "no_model":
+        doc = json.loads(side.read_text())
+        del doc["model"]
+        side.write_text(json.dumps(doc))
+        return side
+    elif fault == "bad_json":
+        side.write_text("{not json")
+        return side
+    csv_path.write_text("\n".join(lines) + "\n")
+    return csv_path
+
+
+@pytest.mark.parametrize("command, fault", [
+    ("verify", "header"),
+    ("verify", "one_field"),
+    ("verify", "non_numeric"),
+    ("verify", "no_model"),
+    ("verify", "bad_json"),
+    ("simulate", "one_field"),
+])
+def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, fault):
+    work = tmp_path / "curve"
+    _copy_curve(solved, work)
+    bad = _malform(work, fault)
+    doc = {**BASE, "boundary_csv": str(work / "boundary.csv"),
+           "sim": {"n_paths": 10, "horizon": 1.0}}
+    cfg = write_cfg(tmp_path, doc)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(bad) in err
 
 
 def test_simulate_writes_estimates(tmp_path):
@@ -385,14 +431,19 @@ def test_plot_renders_svg(tmp_path, plot_inputs):
     assert man["outputs"] == ["boundary.svg", "ladder.svg", "trajectory.svg"]
 
 
-@pytest.mark.parametrize("content", ["", "u,b\n", "u,b\n0.0,oops\n"])
-def test_plot_bad_csv_exits_2(tmp_path, content):
+@pytest.mark.parametrize("content", ["", "u,b\n", "u,b\n0.0,oops\n", "x,y\n0.0,0.5\n"])
+def test_plot_bad_csv_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.csv"
     bad.write_text(content)
     doc = {**BASE, "plot": {"boundary": str(bad)}}
     cfg = write_cfg(tmp_path, doc)
     rc = main(["plot", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if content in ("", "x,y\n0.0,0.5\n"):
+        # an empty file or a wrong header is not a number-parsing fault
+        assert "non-numeric" not in err
 
 
 def test_plot_missing_csv_exits_2(tmp_path):
@@ -472,9 +523,10 @@ def test_bad_documents_rejected(tmp_path, doc):
 
 def test_invalid_json_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
-    assert rc == 2
+    for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+        cfg.write_bytes(content)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 2
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -511,10 +563,13 @@ def test_module_entry_point(tmp_path):
     doc = {**BASE, "grid_size": 501}
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "out"
+    # the child process finds the package where this process imported it from
+    src = str(Path(investlearn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "investlearn.cli", "solve",
          "--config", str(cfg), "--out", str(out), "--quiet"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()

@@ -143,6 +143,12 @@ def test_condition_report_routes():
     assert check_conditions(HYP, PARAMS).route == "cond1"
 
 
+def test_condition_sign_test_scales_with_gamma():
+    # cond1 holds with equality for every hyperbola; at A = 50 the roundoff of
+    # 2 gamma'^2 - gamma gamma'' (about 5e-10) exceeds SIGN_TOL in absolute terms
+    assert check_conditions(HyperbolicGamma(A=50.0, beta=0.2), PARAMS).route == "cond1"
+
+
 def test_condition_report_dict_keys():
     d = check_conditions(LINEAR, PARAMS).to_dict()
     assert "route" in d

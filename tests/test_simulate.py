@@ -218,6 +218,28 @@ def test_stop_at_c_immediate_above_threshold(linear_curve):
     assert r.frac_alive_at_horizon == 0.0
 
 
+def test_runs_without_a_step_draw_nothing(linear_curve, monkeypatch):
+    # full_now, frozen and an immediate stop_at_c are closed form: no substream is built
+    def no_streams(seed, keys):
+        raise AssertionError("substreams built for a run that takes no step")
+
+    monkeypatch.setattr(sim_mod, "_substreams", no_streams)
+    # c(0.2) is below 0.8, so stop_at_c stops at time zero
+    cfg = SimConfig(start_u=0.2, start_pi=0.8, dt=0.01, horizon=1.0, n_paths=8, seed=5)
+    for kind in ("full_now", "stop_at_c"):
+        r = simulate_baseline(linear_curve, cfg, kind)
+        assert np.all(r.payoffs == (0.8 - 0.5) * (1.0 - 0.2))
+        assert r.initial_jump == (0.8 - 0.5) * (1.0 - 0.2)
+        assert np.all(r.terminal_u == 1.0) and np.all(r.terminal_pi == 0.8)
+        assert r.frac_alive_at_horizon == 0.0
+        assert r.theta is None
+    r = simulate_baseline(linear_curve, cfg, "frozen")
+    assert np.all(r.payoffs == 0.0) and r.initial_jump == 0.0
+    assert np.all(r.terminal_u == 0.2) and np.all(r.terminal_pi == 0.8)
+    assert r.frac_alive_at_horizon == 1.0
+    assert r.theta is None
+
+
 def test_unknown_baseline_rejected(linear_curve):
     cfg = SimConfig(n_paths=4, horizon=1.0)
     with pytest.raises(ValueError):
