@@ -4,8 +4,8 @@ A firm expands capacity irreversibly while learning, from noisy demand,
 whether an unknown binary state favors investment.  The package solves the
 free boundary of the associated singular control problem, assembles the
 candidate value surface, validates it by PDE residuals and Monte Carlo,
-and solves the finite-expansion (ladder) variant with its own
-independent dynamic-programming oracle.
+and solves the finite-expansion (ladder) variant, cross-checked by an
+independent finite-difference solve of its stopping problems.
 """
 
 __version__ = "0.1.0"

@@ -289,14 +289,17 @@ def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
     and params are rebuilt from the header.  A fault in the files' shape
     raises ConfigError naming the file: a CSV read_csv rejects, a sidecar
     that is not a boundary-curve header or lacks a field, fewer than two
-    rows, or u not strictly increasing.  A well-formed curve with a knot
-    outside the strip raises IntegrationError.
+    rows, u not strictly increasing or not spanning [0, 1], or b(1) off the
+    terminal value c(1) (both within PROJECTION_TOL).  A well-formed curve
+    with a knot outside the strip raises IntegrationError.
     """
     csv_path = Path(csv_path)
     # copied into one contiguous row per column, which the interpolants search
     ug, b = read_csv(csv_path, ["u", "b"]).T.copy()
     if ug.size < 2 or not np.all(np.diff(ug) > 0):
         raise ConfigError(f"{csv_path}: u column must be strictly increasing over at least 2 rows")
+    if abs(ug[0]) > PROJECTION_TOL or abs(ug[-1] - 1.0) > PROJECTION_TOL:
+        raise ConfigError(f"{csv_path}: u column must span [0, 1], got [{ug[0]}, {ug[-1]}]")
     hpath = csv_path.with_suffix(".json")
     try:
         header = json.loads(hpath.read_text(encoding="utf-8"))
@@ -314,4 +317,8 @@ def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
         raise ConfigError(f"{hpath}: invalid header: {exc}") from exc
 
     nodes = spec.gamma_derivs(ug, params.r)[:3]
+    g1 = nodes[0][-1]
+    c1 = params.k * g1 / (params.k + g1 - 1.0)
+    if abs(b[-1] - c1) > PROJECTION_TOL:
+        raise ConfigError(f"{csv_path}: terminal condition b(1) = c(1) fails, b = {b[-1]}, c = {c1}")
     return _on_knots(spec, params, ug, b, nodes, n_projections)

@@ -18,29 +18,42 @@ A_m G_m on the level m that holds pi, so its pi-derivatives are closed form
 (G_m' = G_m (gamma_m - pi)/(pi (1-pi)), G_m'' = G_m gamma_m (gamma_m - 1)/(pi (1-pi))^2)
 and the suite differences nothing.
 
-The module also carries an independent cross-check: a brute-force value
-iteration for the same recursion on a trinomial discretization of the belief
-in log-odds space.  It shares no code with the closed-form assembly beyond
-numpy, which is the point.
+The module also carries an independent cross-check, value_iteration_oracle
+(named for the value iteration it replaced, and kept for its callers).  It
+solves each level as a discrete linear complementarity problem on a log-odds
+grid, exactly, by one Brennan-Schwartz pass, and certifies each level by its
+complementarity residual.  It reads only rho_n^2, k and r and shares no code
+with the closed-form assembly beyond numpy, which is the point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Union
 
 import numpy as np
 
 from .artifacts import write_csv
 from .model import ConfigError, G_of_gamma, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of
 
+# Bisection stops at |f_n| <= max(BISECT_F_TOL, BISECT_F_REL 2 gamma_n k):
+# 2 gamma_n k is the size of f_n's terms at its root, and their roundoff grows
+# with gamma_n.
 BISECT_F_TOL = 1e-13
+BISECT_F_REL = 1e-14
 
 TOL_BELLMAN = 1e-10
 TOL_GENERATOR = 1e-8
 TOL_SMOOTH_FIT = 1e-4
+
+# The oracle's log-odds grid [-ORACLE_PHI_MAX, ORACLE_PHI_MAX], shared by all
+# levels, and the complementarity residual it accepts per level (the test
+# ladders leave at most 3e-11).
+ORACLE_PHI_MAX = 30.0
+ORACLE_NODES = 16001
+ORACLE_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,10 +151,8 @@ def solve_ladder(gamma: np.ndarray, params: ModelParams) -> DiscreteLadder:
     for n in range(N - 1, -1, -1):
         tail = DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c)
 
-        def f(x: float, n=n, tail=tail) -> float:
-            return boundary_equation(tail, n, x)
-
-        b[n] = _bisect(f, 1e-12, c[n] - 1e-12)
+        tol = max(BISECT_F_TOL, BISECT_F_REL * 2.0 * gamma[n] * k)
+        b[n] = _bisect(partial(boundary_equation, tail, n), 1e-12, c[n] - 1e-12, tol)
         vnext = float(tail.value(n + 1, b[n]))
         A[n] = (b[n] - k + vnext) / float(G_of_gamma(gamma[n], b[n]))
         if not A[n] > 0.0:
@@ -165,15 +176,14 @@ def ladder_from_spec(spec: RateSpec, params: ModelParams, n_levels: int) -> Disc
     return solve_ladder(np.asarray(gamma_of(spec, params, u), dtype=float), params)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
         raise ArithmeticError(f"root not bracketed: f({lo})={flo}, f({hi})={fhi}")
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) <= BISECT_F_TOL:
+        if abs(fm) <= tol:
             return mid
         if fm < 0.0:
             lo = mid
@@ -181,7 +191,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
             hi = mid
         if hi - lo <= 1e-17:
             break
-    raise ArithmeticError(f"bisection stalled: |f({mid})| = {abs(f(mid))} > {BISECT_F_TOL}")
+    raise ArithmeticError(f"bisection stalled: |f({mid})| = {abs(f(mid))} > {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +215,8 @@ def check_discrete_monotone(ladder: DiscreteLadder) -> DiscreteMonotoneReport:
 
     Holds with equality when gamma_n is a sampled hyperbola.  Implies the
     thresholds come out ordered, which the report also records as observed.
+    q is tested against SIGN_TOL times the size of its terms, since their
+    roundoff grows with gamma, as in model._sign_slack.
     """
     g = ladder.gamma
     vals = []
@@ -215,11 +227,11 @@ def check_discrete_monotone(ladder: DiscreteLadder) -> DiscreteMonotoneReport:
         d2 = g[n] - 2.0 * g[n + 1] + g[n + 2]
         q = 2.0 * d1a * d1b - d2 * g[n + 1]
         vals.append(float(q))
-        holds.append(bool(q <= SIGN_TOL))
+        holds.append(bool(q <= SIGN_TOL * (2.0 * abs(d1a * d1b) + abs(d2 * g[n + 1]))))
     return DiscreteMonotoneReport(
         condition_values=vals,
         condition_holds=holds,
-        all_hold=bool(all(holds)) if holds else True,
+        all_hold=all(holds),
         b_nondecreasing=bool(np.all(np.diff(ladder.b) >= 0.0)),
     )
 
@@ -309,75 +321,58 @@ def discrete_verification_suite(ladder: DiscreteLadder, n_pi: int = 999) -> Disc
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: trinomial value iteration in log-odds space
+# independent oracle: one Brennan-Schwartz pass per level in log-odds space
 # ---------------------------------------------------------------------------
 
 
-def value_iteration_oracle(
-    ladder: DiscreteLadder,
-    n_space: int = 2000,
-    dt: float = 1e-3,
-    sup_tol: float = 1e-10,
-    max_sweeps: int = 400000,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Brute-force V_0 on a trinomial log-odds grid; returns an interpolator.
+def value_iteration_oracle(ladder: DiscreteLadder) -> Callable[[np.ndarray], np.ndarray]:
+    """V_0 from an exact one-pass solve of each level, interpolated linearly between nodes.
 
-    Each level solves sup_tau E[e^{-r tau} g_n(Pi_tau)] by successive
-    approximation: the belief's log-odds diffuse with drift
-    rho_n^2 (pi - 1/2) and variance rho_n^2 per unit time, matched by a
-    one-node trinomial with spacing sqrt(2 rho_n^2 dt).  Obstacles chain the
-    levels together exactly as in the closed-form recursion.
+    The name predates the method and is kept for its callers.  From n = N
+    down, level n solves min((r - L_h) V, V - g) = 0 on the log-odds grid,
+    with obstacle g = pi - k + V_{n+1}, L_h the central differences of the
+    generator (rho_n^2/2) V'' + rho_n^2 (pi - 1/2) V' and ends max(g, 0).
+    Thomas elimination up from the low end and back-substitution down from
+    the top with V_i = max(x_i, g_i) solve it exactly when the stopping region
+    is a half-line (Brennan and Schwartz, J. Finance 32(2), 1977; Jaillet,
+    Lamberton and Lapeyre, Acta Appl. Math. 21, 1990).  The complementarity
+    residual certifies each level; a level of another shape raises.
     """
-    N = ladder.n_levels
-    prev_phi: Optional[np.ndarray] = None
-    prev_v: Optional[np.ndarray] = None
-    disc = math.exp(-ladder.r * dt)
+    h = 2.0 * ORACLE_PHI_MAX / (ORACLE_NODES - 1)
+    pi = 1.0 / (1.0 + np.exp(-np.linspace(-ORACLE_PHI_MAX, ORACLE_PHI_MAX, ORACLE_NODES)))
+    # the sweeps run in Python over memoryviews of float64 buffers, which
+    # keeps the oracle's memory at a few grid-sized arrays
+    v, g, piv, rhs = (np.zeros(ORACLE_NODES) for _ in range(4))  # v starts as V_{N+1}
+    p_, v_, g_, piv_, rhs_ = (memoryview(a) for a in (pi, v, g, piv, rhs))
+    last = ORACLE_NODES - 1
 
-    for n in range(N, -1, -1):
-        rho2 = ladder.rho2(n)
-        step = math.sqrt(2.0 * rho2 * dt)
-        phi = (np.arange(n_space) - n_space // 2) * step
-        pi = 1.0 / (1.0 + np.exp(-phi))
-        if n == N:
-            vnext = np.zeros_like(pi)
-        else:
-            vnext = np.interp(phi, prev_phi, prev_v)
-        g = pi - ladder.k + vnext
+    for n in range(ladder.n_levels, -1, -1):
+        # row i of (r - L_h) V over s = rho_n^2 / (2 h^2), with e_i = h (pi_i - 1/2):
+        #   d V_i - (1 - e_i) V_{i-1} - (1 + e_i) V_{i+1},  d = 2 + r / s
+        s = 0.5 * ladder.rho2(n) / (h * h)
+        d = 2.0 + ladder.r / s
+        np.subtract(pi, ladder.k, out=g)
+        g += v
+        v_[0], v_[last] = max(g_[0], 0.0), max(g_[last], 0.0)
 
-        m = rho2 * (pi - 0.5) * dt
-        var = rho2 * dt
-        pu = (var + m * m) / (2.0 * step * step) + m / (2.0 * step)
-        pd = (var + m * m) / (2.0 * step * step) - m / (2.0 * step)
-        pm = 1.0 - pu - pd
-        if np.any(pu < 0) or np.any(pd < 0) or np.any(pm < 0):
-            raise ArithmeticError("trinomial probabilities left [0,1]; reduce dt")
+        piv_[1], rhs_[1] = d, (1.0 - h * (p_[1] - 0.5)) * v_[0]
+        for i in range(2, last):
+            m = (1.0 - h * (p_[i] - 0.5)) / piv_[i - 1]
+            piv_[i] = d - m * (1.0 + h * (p_[i - 1] - 0.5))
+            rhs_[i] = m * rhs_[i - 1]
+        for i in range(last - 1, 0, -1):
+            v_[i] = max((rhs_[i] + (1.0 + h * (p_[i] - 0.5)) * v_[i + 1]) / piv_[i], g_[i])
 
-        v = np.maximum(g, 0.0)
-        lo_edge = v[0]
-        hi_edge = v[-1]
-        for _ in range(max_sweeps):
-            cont = disc * (pu[1:-1] * v[2:] + pm[1:-1] * v[1:-1] + pd[1:-1] * v[:-2])
-            vn = np.empty_like(v)
-            vn[0] = lo_edge
-            vn[-1] = hi_edge
-            vn[1:-1] = np.maximum(g[1:-1], cont)
-            delta = float(np.max(np.abs(vn - v)))
-            v = vn
-            if delta < sup_tol:
-                break
-        else:
-            raise ArithmeticError("value iteration did not reach the sup-norm tolerance")
+        worst = 0.0
+        for i in range(1, last):
+            e = h * (p_[i] - 0.5)
+            lv = s * (d * v_[i] - (1.0 - e) * v_[i - 1] - (1.0 + e) * v_[i + 1])
+            worst = max(worst, abs(min(lv, v_[i] - g_[i])))
+        if worst > ORACLE_RESIDUAL_TOL:
+            raise ArithmeticError(f"oracle level {n}: complementarity residual {worst:.3e} > "
+                                  f"{ORACLE_RESIDUAL_TOL}; the half-line solve does not hold")
 
-        prev_phi, prev_v = phi, v
-
-    phi0, v0 = prev_phi, prev_v
-
-    def evaluate(pi_query: np.ndarray) -> np.ndarray:
-        pi_query = np.asarray(pi_query, dtype=float)
-        phi_q = np.log(pi_query) - np.log1p(-pi_query)
-        return np.interp(phi_q, phi0, v0)
-
-    return evaluate
+    return lambda pi_query: np.interp(pi_query, pi, v)
 
 
 # ---------------------------------------------------------------------------

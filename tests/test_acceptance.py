@@ -211,10 +211,10 @@ def test_08_discrete_oracle():
     pts = np.linspace(0.05, 0.95, 20)
     gap = float(np.max(np.abs(ladder.value(0, pts) - oracle(pts))))
     elapsed = time.perf_counter() - t0
-    ok = gap <= 2e-3 and elapsed < 60.0
-    _line(8, "discrete oracle", ok, f"max |V0 - oracle| {gap:.2e}, {elapsed:.1f}s")
-    assert gap <= 2e-3
-    assert elapsed < 60.0
+    ok = gap <= 1e-5 and elapsed < 2.0
+    _line(8, "discrete oracle", ok, f"max |V0 - oracle| {gap:.2e}, {elapsed:.2f}s")
+    assert gap <= 1e-5
+    assert elapsed < 2.0
 
 
 def _run(args):

@@ -137,16 +137,21 @@ def test_verify_spike_tamper_fails_monotone(tmp_path, solved):
     assert rep["passed"] is False
 
 
-def test_verify_scaled_tamper_fails_diagnostics(tmp_path, solved):
-    # a uniform shrink keeps the curve monotone and inside the strip, so
-    # only the smooth-fit and pasting diagnostics can catch it
-    work = tmp_path / "curve"
-    _copy_curve(solved, work)
-    lines = (work / "boundary.csv").read_text().splitlines()
+def _shrink(csv_path):
+    """Scale b by 1 - 0.001 (1 - u), which keeps it monotone and b(1) = c(1)."""
+    lines = csv_path.read_text().splitlines()
     for i in range(1, len(lines)):
         u, b = lines[i].split(",")
-        lines[i] = f"{u},{float(b) * 0.999!r}"
-    (work / "boundary.csv").write_text("\n".join(lines) + "\n")
+        lines[i] = f"{u},{float(b) * (1.0 - 0.001 * (1.0 - float(u)))!r}"
+    csv_path.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_scaled_tamper_fails_diagnostics(tmp_path, solved):
+    # the shrunk curve stays monotone, inside the strip and on its terminal
+    # value, so only the smooth-fit and pasting diagnostics can catch it
+    work = tmp_path / "curve"
+    _copy_curve(solved, work)
+    _shrink(work / "boundary.csv")
 
     doc = {**BASE, "boundary_csv": str(work / "boundary.csv")}
     cfg = write_cfg(tmp_path, doc)
@@ -199,6 +204,11 @@ def _malform(work, fault):
         lines.insert(500, "0.5")
     elif fault == "non_numeric":
         lines.insert(500, "foo,bar")
+    elif fault == "prefix":
+        del lines[len(lines) // 2 + 1:]  # u ends at 0.5
+    elif fault == "terminal":
+        u, b = lines[-1].split(",")
+        lines[-1] = f"{u},{float(b) * (1.0 - 1e-6)!r}"
     elif fault == "no_model":
         doc = json.loads(side.read_text())
         del doc["model"]
@@ -217,6 +227,8 @@ def _malform(work, fault):
     ("verify", "non_numeric"),
     ("verify", "no_model"),
     ("verify", "bad_json"),
+    ("verify", "prefix"),
+    ("verify", "terminal"),
     ("simulate", "one_field"),
 ])
 def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, fault):
@@ -260,11 +272,7 @@ def test_simulate_writes_estimates(tmp_path):
 def test_simulate_reads_boundary_csv(tmp_path, solved):
     shrunk = tmp_path / "shrunk"
     _copy_curve(solved, shrunk)
-    lines = (shrunk / "boundary.csv").read_text().splitlines()
-    for i in range(1, len(lines)):
-        u, b = lines[i].split(",")
-        lines[i] = f"{u},{float(b) * 0.999!r}"
-    (shrunk / "boundary.csv").write_text("\n".join(lines) + "\n")
+    _shrink(shrunk / "boundary.csv")
 
     sim = {"start_u": 0.0, "start_pi": 0.6, "dt": 0.01, "horizon": 5.0,
            "n_paths": 200, "seed": 4}
@@ -312,6 +320,22 @@ def test_discrete_from_levels(tmp_path):
     assert rep["passed"] is True
     man = read_manifest(out)
     assert all(man["checks"].values())
+
+
+@pytest.mark.parametrize("A, beta", [(50.0, 0.01), (200.0, 0.001)])
+def test_discrete_at_large_gamma(tmp_path, A, beta):
+    # gamma_0 = 5 000 and 200 000: f_n's terms and the monotone condition's
+    # differences are that large, and their roundoff with them
+    doc = {**BASE, "rate": {"family": "hyperbolic_gamma", "A": A, "beta": beta},
+           "ladder": {"n_levels": 5}}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    rc = main(["discrete", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 0
+    rep = json.loads((out / "discrete_report.json").read_text())
+    assert rep["passed"] is True
+    assert rep["monotone"]["all_hold"] is True
+    assert all(read_manifest(out)["checks"].values())
 
 
 def test_discrete_from_gamma_list(tmp_path):
