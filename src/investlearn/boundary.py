@@ -21,7 +21,9 @@ knot, so b is read back between knots by cubic Hermite interpolation on
 II.6), and its inverse h by the cubic Hermite interpolant on (b, u, 1/m).
 Both are fourth-order accurate between knots.  Exact slopes stay close to
 the secant slopes, where a cubic Hermite segment is monotone (Fritsch and
-Carlson, SIAM J. Numer. Anal. 17(2), 1980).
+Carlson, SIAM J. Numer. Anal. 17(2), 1980).  Each segment's cubic integrates
+in closed form, so the curve also carries the antiderivative of b, which
+prices an expansion along the boundary.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class _Hermite:
     Each segment's polynomial in s = x - x_j has its coefficients built
     once, so a query costs one search and a Horner step.  Constant end
     segments hold y_0 left of x_0 and y_n from x_n on, so the ends come out
-    exactly and nothing is extrapolated.
+    exactly and nothing is extrapolated.  `cum` holds the integral of the
+    interpolant from x_0 to each segment's base, for `integral`.
     """
 
     def __init__(self, x, y, m):
@@ -100,11 +103,22 @@ class _Hermite:
         self.c1 = np.concatenate((zero, m[:-1], zero))
         self.c2 = np.concatenate((zero, (3.0 * secant - 2.0 * m[:-1] - m[1:]) / dx, zero))
         self.c3 = np.concatenate((zero, (m[:-1] + m[1:] - 2.0 * secant) / (dx * dx), zero))
+        whole = self._segment_integral(slice(1, -1), dx)
+        self.cum = np.concatenate((zero, zero, np.cumsum(whole)))
+
+    def _segment_integral(self, i, s):
+        """Integral of segment i's cubic from its base to base + s."""
+        return s * (self.c0[i] + s * (self.c1[i] / 2.0 + s * (self.c2[i] / 3.0 + s * self.c3[i] / 4.0)))
 
     def __call__(self, q):
         i = np.searchsorted(self.x, q, side="right")
         s = q - self.base[i]
         return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+
+    def integral(self, q):
+        """Integral of the interpolant from x_0 to q, closed form per segment."""
+        i = np.searchsorted(self.x, q, side="right")
+        return self.cum[i] + self._segment_integral(i, q - self.base[i])
 
 
 @dataclass
@@ -145,6 +159,10 @@ class BoundaryCurve:
     def b_at(self, u):
         """b(u) by cubic Hermite interpolation between the knots."""
         return self._b(u)
+
+    def b_integral(self, u):
+        """Integral of b from 0 to u, exact for the cubic Hermite interpolant."""
+        return self._b.integral(u)
 
     def h_at(self, pi):
         """Inverse boundary h(pi): first capacity level whose threshold exceeds pi.

@@ -7,7 +7,8 @@ codes are a stable contract: 0 success, 1 check failure, 2 configuration or
 input error (a malformed input file included).
 
 The manifest records the tool version, the hash of the effective config,
-per-check pass/fail flags, and the output file list.  It is written
+per-check pass/fail flags, and the output file list; `simulate` adds the
+deterministic work counters of each stepped strategy.  It is written
 atomically (temp file + rename) at the end of the run; a run stopped by a
 numerical failure (exit 1) still writes one, with no outputs and the single
 check `completed: false`.  Every artifact
@@ -52,7 +53,8 @@ EXIT_CONFIG_ERROR = 2
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
-                    outputs: List[str], checks: dict, started: float) -> None:
+                    outputs: List[str], checks: dict, started: float,
+                    counters: Optional[dict] = None) -> None:
     manifest = {
         "tool": "investlearn",
         "version": __version__,
@@ -63,6 +65,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
         "checks": checks,
         "wall_clock_seconds": round(time.perf_counter() - started, 3),
     }
+    if counters is not None:
+        manifest["counters"] = counters
     tmp = out_dir / "manifest.json.tmp"
     write_json(tmp, manifest)
     os.replace(tmp, out_dir / "manifest.json")
@@ -162,6 +166,9 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     d_stop, se_stop = _paired(res, stop)
     d_full, se_full = _paired(res, full)
     err = abs(res.estimate - vhat)
+    # stop_at_c as a control variate with a known mean (Glasserman 2003, 4.1)
+    paired = ref + d_stop
+    paired_err = abs(paired - vhat)
     doc = {
         "reflecting": res.summary(),
         "stop_at_c": stop.summary(),
@@ -172,6 +179,12 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
         "error_over_se": err / res.std_error if res.std_error > 0 else 0.0,
         "diff_vs_stop_at_c": {"mean": d_stop, "se": se_stop},
         "diff_vs_full_now": {"mean": d_full, "se": se_full},
+        "paired_estimate": {
+            "estimate": paired,
+            "se": se_stop,
+            "abs_error_vs_value_hat": paired_err,
+            "error_over_se": paired_err / se_stop if se_stop > 0 else 0.0,
+        },
     }
     write_json(out / "estimates.json", doc)
     outputs = ["estimates.json", "trajectory.csv"]
@@ -182,13 +195,17 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
         outputs.append("paths.csv")
     checks = {
         "mc_within_3se": err <= 3.0 * res.std_error,
+        "mc_paired_within_3se": paired_err <= 3.0 * se_stop,
         "not_below_stop_at_c": d_stop >= -3.0 * se_stop,
         "not_below_full_now": d_full >= -3.0 * se_full,
         "stop_matches_reference": abs(stop.estimate - ref) <= 3.0 * stop.std_error,
     }
-    _write_manifest(out, "simulate", cfg, outputs, checks, started)
+    counters = {"reflecting": res.counters, "stop_at_c": stop.counters}
+    _write_manifest(out, "simulate", cfg, outputs, checks, started, counters)
     _say(quiet, f"reflecting estimate {res.estimate:.6f} +/- {res.std_error:.6f}"
-                f" vs value {vhat:.6f} ({err / res.std_error:.2f} se)")
+                f" vs value {vhat:.6f} ({doc['error_over_se']:.2f} se)")
+    _say(quiet, f"paired estimate {paired:.6f} +/- {se_stop:.6f}"
+                f" ({doc['paired_estimate']['error_over_se']:.2f} se)")
     for name, ok in checks.items():
         _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
     return EXIT_OK

@@ -116,6 +116,30 @@ class ValueSurface:
             return float(out)
         return out
 
+    def log_value(self, u, pi):
+        """log V(u, pi), -inf where V <= 0, for a sign test that survives underflow.
+
+        Below the boundary it is log A(u) + log G(u, pi), with both logs taken
+        in closed form, so it stays finite where A G underflows at large
+        gamma; above the boundary it is the log of V itself.
+        """
+        u, pi = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(pi, dtype=float))
+        out = np.empty(u.shape, dtype=float)
+        below = pi <= self.curve.b_at(u)
+        ub, pb = u[below], pi[below]
+        p = self.params
+        g, d1, _, _ = self.spec.gamma_derivs(ub, p.r)
+        b = self.curve.b_at(ub)
+
+        def log_G(x):
+            return np.log1p(-x) + g * (np.log(x) - np.log1p(-x))
+
+        with np.errstate(divide="ignore"):
+            ratio = np.maximum(0.0, ((g + p.k - 1.0) * b - g * p.k) / d1)
+            out[below] = np.log(ratio) + log_G(pb) - log_G(b)
+            out[~below] = np.log(np.maximum(0.0, self.value(u[~below], pi[~below])))
+        return out
+
     # -- u-derivative of the active branch ----------------------------------
 
     def value_u(self, u, pi):
@@ -304,14 +328,16 @@ class ValueCheckReport:
     gradient: SweepReport
     premium: SweepReport
     continuity_max: float
-    value_min: float
+    log_value_min: float
     A_terminal: float
 
     def checks(self) -> dict:
         """Per-check verdicts, as the run manifest records them.
 
-        "all" also requires continuity, a positive value and a vanishing
-        terminal coefficient, which have no entry of their own.
+        "all" also requires continuity, a positive value (a finite
+        log_value_min, so that an underflowing V still counts as positive)
+        and a vanishing terminal coefficient, which have no entry of their
+        own.
         """
         checks = {
             "pde": self.pde.passed,
@@ -324,7 +350,7 @@ class ValueCheckReport:
         checks["all"] = (
             all(checks.values())
             and self.continuity_max <= TOL_CONTINUITY
-            and self.value_min > 0.0
+            and self.log_value_min > -np.inf
             and abs(self.A_terminal) <= 1e-12
         )
         return checks
@@ -344,7 +370,7 @@ class ValueCheckReport:
             "gradient": self.gradient.to_dict(),
             "premium": self.premium.to_dict(),
             "continuity_max": self.continuity_max,
-            "value_min": self.value_min,
+            "log_value_min": self.log_value_min,
             "A_terminal": self.A_terminal,
             "tolerances": {
                 "pde_below_rel": TOL_PDE_BELOW_REL,
@@ -387,7 +413,6 @@ def verify_surface(
     continuity = float(np.max(np.abs(lo_vals - hi_vals)))
 
     u_s, pi_s = low_discrepancy_samples(n_samples)
-    vals = surface.value(u_s, pi_s)
 
     return ValueCheckReport(
         n_samples=n_samples,
@@ -399,6 +424,6 @@ def verify_surface(
         gradient=gradient_bound_check(surface, n_samples),
         premium=learning_premium_check(surface, n_samples),
         continuity_max=continuity,
-        value_min=float(np.min(vals)),
+        log_value_min=float(np.min(surface.log_value(u_s, pi_s))),
         A_terminal=float(surface.coefficient_A(1.0)),
     )

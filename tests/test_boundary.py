@@ -107,6 +107,33 @@ def test_dense_output_between_knots(spec):
     assert np.max(np.abs(coarse.h_at(b) - u)) <= 1e-10
 
 
+def _gauss(curve, lo, hi):
+    """Integral of curve.b_at over [lo, hi] by 8-point Gauss-Legendre on every
+    piece between knots, exact for the cubic segments."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    inner = curve.u_grid[(curve.u_grid > lo) & (curve.u_grid < hi)]
+    ends = np.concatenate(([lo], inner, [hi]))
+    mid, half = (ends[1:] + ends[:-1]) / 2.0, (ends[1:] - ends[:-1]) / 2.0
+    return float(np.sum(half[:, None] * w * curve.b_at(mid[:, None] + half[:, None] * x)))
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (0.30012, 0.30036),  # inside one segment
+    (0.30012, 0.30087),  # across two knots
+    (0.1234, 0.8765),    # across most of the curve
+    (0.0, 1.0),          # both ends
+], ids=["segment", "two_knots", "wide", "whole"])
+def test_b_integral_matches_quadrature(linear_curve, hyperbolic_curve, lo, hi):
+    for curve in (linear_curve, hyperbolic_curve):
+        got = curve.b_integral(hi) - curve.b_integral(lo)
+        assert abs(got - _gauss(curve, lo, hi)) <= 1e-12
+    # from 0, and vectorized
+    u = np.array([0.0, lo, hi])
+    assert np.array_equal(linear_curve.b_integral(u),
+                          [linear_curve.b_integral(x) for x in u])
+    assert linear_curve.b_integral(0.0) == 0.0
+
+
 class CountingSpec(RateSpec):
     """Wraps a rate spec and counts its gamma_derivs calls."""
 

@@ -38,7 +38,10 @@ def write_cfg(directory, doc, name="cfg.json"):
 
 def read_manifest(out_dir):
     doc = json.loads((out_dir / "manifest.json").read_text())
-    assert set(doc) == MANIFEST_KEYS
+    assert set(doc) - {"counters"} == MANIFEST_KEYS
+    # work counters come only with a simulate run that stepped its strategies
+    ran = doc["command"] == "simulate" and "mc_within_3se" in doc["checks"]
+    assert ("counters" in doc) == ran
     return doc
 
 
@@ -263,10 +266,29 @@ def test_simulate_writes_estimates(tmp_path):
     assert est["reflecting"]["n_paths"] == 400
     assert (out / "trajectory.csv").exists()
     assert (out / "paths.csv").exists()
+    paired = est["paired_estimate"]
+    assert paired["estimate"] == est["stop_at_c_reference"] + est["diff_vs_stop_at_c"]["mean"]
+    assert paired["se"] == est["diff_vs_stop_at_c"]["se"]
+    assert paired["abs_error_vs_value_hat"] == abs(paired["estimate"] - est["value_hat"])
     man = read_manifest(out)
     assert man["seed"] == 3
     assert "paths.csv" in man["outputs"]
+    assert set(man["checks"]) == {"mc_within_3se", "mc_paired_within_3se", "not_below_stop_at_c",
+                                  "not_below_full_now", "stop_matches_reference"}
     assert all(man["checks"].values())
+    # deterministic work counts, one set per stepped strategy, no timing
+    assert set(man["counters"]) == {"reflecting", "stop_at_c"}
+    for name, counts in man["counters"].items():
+        assert set(counts) == {"steps", "path_steps", "barrier_crossings", "frac_alive_at_horizon"}
+        assert counts["frac_alive_at_horizon"] == est[name]["frac_alive_at_horizon"]
+        alive = round(counts["frac_alive_at_horizon"] * 400)
+        assert counts["steps"] == 6000 if alive else counts["steps"] <= 6000
+        # every path lives at least one step, the survivors all of them
+        assert 400 + alive * (counts["steps"] - 1) <= counts["path_steps"] <= 400 * counts["steps"]
+        assert counts["barrier_crossings"] > 0
+    # a stop_at_c path crosses once, when it stops
+    stopped = round((1.0 - man["counters"]["stop_at_c"]["frac_alive_at_horizon"]) * 400)
+    assert man["counters"]["stop_at_c"]["barrier_crossings"] == stopped
 
 
 def test_simulate_reads_boundary_csv(tmp_path, solved):

@@ -8,7 +8,7 @@ import pytest
 
 import investlearn.simulate as sim_mod
 from investlearn.boundary import BoundaryCurve, solve_boundary
-from investlearn.model import LinearNoise, ModelParams, Tabulated, rho
+from investlearn.model import LinearNoise, ModelParams, Tabulated, rho, stopping_threshold_c
 from investlearn.simulate import (
     SimConfig,
     filter_calibration,
@@ -34,8 +34,9 @@ def linear_curve():
 
 @pytest.fixture(scope="module")
 def batch(linear_curve):
-    # one shared run per strategy; the strategies see common random numbers
-    cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.005, horizon=150.0, n_paths=2000, seed=1)
+    # one shared run per strategy at the shipped step; the strategies see
+    # common random numbers
+    cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_paths=2000, seed=1)
     return {
         "cfg": cfg,
         "reflect": simulate_reflecting(linear_curve, cfg),
@@ -94,36 +95,80 @@ def test_chunking_does_not_change_results(linear_curve, monkeypatch):
     assert base_filter == small_filter
 
 
-# sha1 of tobytes() of the float64 result arrays for PINNED_CFG, taken from
-# the implementation that stepped each strategy in its own loop; the shared
-# kernel must reproduce them bit for bit.  The reflecting hashes were taken
-# with a piecewise-linear inverse h, which the test puts back as a fake.
+# sha1 of tobytes() of the float64 result arrays for PINNED_CFG.  The
+# reflecting and stop_at_c hashes were taken when the kernel began to
+# monitor the barrier through the exact in-step maximum.  The frozen-capacity
+# run draws no uniforms, and its hashes come from the kernel before that
+# change: its theta and normals must not move.
 PINNED_CFG = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
 PINNED_SHA1 = {
     "reflecting": {
-        "payoffs": "b242a6ebb1b5997809d919494f8842e9426fb8cd",
-        "terminal_u": "dd7d5773e0e06efbcb3e24fcc8256de2d7c9a5bd",
-        "terminal_pi": "83c5f773f0c11e0c103bded959427018ba2dd7ab",
+        "payoffs": "bcb6cecef09ee6abdb0aa321195760ad78e20a38",
+        "terminal_u": "52c6fbfe3cbc493f6d5aa98e52c09df932a3a19d",
+        "terminal_pi": "c827403aa90644cc3b84bde7be2366405b08f831",
     },
     "stop_at_c": {
-        "payoffs": "775ce8704a67d11e71789b471169ed63a1ff540d",
-        "terminal_u": "cf7eede16d643fe90a78b31a4f9d4228940e9379",
-        "terminal_pi": "533a92b86377e4a2b7c07dbf977b3a34e010a176",
+        "payoffs": "d45cdb58854e73f10cbbb2ff91acab4142866337",
+        "terminal_u": "69be92c2450e3aa801e9b66d1f8457810b7c7193",
+        "terminal_pi": "0e17dc9e5c4e747d4be7bb1f5d5adbdf0cf60b2c",
+    },
+    "frozen_capacity": {
+        "theta": "9e86fe8a360060d08927652aaf30fa83bdb4c75f",
+        "terminal_u": "5c3eb80066420002bc3dcc7ca4ab6efad7ed4ae5",
+        "terminal_pi": "86b729e772aecba0bc5635e5911122896def0276",
     },
 }
 
 
-def test_results_pinned_bit_for_bit(linear_curve, monkeypatch):
-    monkeypatch.setattr(BoundaryCurve, "h_at", lambda self, pi: np.interp(
-        pi, self.b_values, self.u_grid, left=0.0, right=1.0))
+def test_results_pinned_bit_for_bit(linear_curve):
     runs = {
         "reflecting": simulate_reflecting(linear_curve, PINNED_CFG),
         "stop_at_c": simulate_baseline(linear_curve, PINNED_CFG, "stop_at_c"),
+        # the run behind filter_calibration
+        "frozen_capacity": sim_mod._run(LINEAR, PARAMS, PINNED_CFG,
+                                        range(PINNED_CFG.n_paths), PINNED_CFG.start_u),
     }
     for name, res in runs.items():
         for field, want in PINNED_SHA1[name].items():
             got = hashlib.sha1(getattr(res, field).astype(np.float64).tobytes()).hexdigest()
             assert got == want, (name, field)
+
+
+def test_filter_run_draws_no_uniforms(linear_curve, monkeypatch):
+    def no_streams(seed, keys):
+        raise AssertionError("uniform streams built for a run without a barrier")
+
+    monkeypatch.setattr(sim_mod, "_maximum_streams", no_streams)
+    filter_calibration(LINEAR, PARAMS, PINNED_CFG, n_bins=4)
+
+
+class _StepEnds:
+    """Uniform stream stand-in that draws U = 0, so V = 1 and the sampled
+    in-step maximum is the larger end of the step."""
+
+    def random(self, out):
+        out[:] = 0.0
+
+
+def test_stop_at_c_exact_at_coarse_step(linear_curve, monkeypatch):
+    # at dt = 0.2 the bridge maximum keeps stop_at_c on its closed form; the
+    # same kernel looking only at the step ends stops late and misses
+    cfg = SimConfig(start_u=0.0, start_pi=0.6, dt=0.2, horizon=150.0, n_paths=20000, seed=1)
+    ref = stop_at_c_reference(linear_curve, cfg)
+    bridge = simulate_baseline(linear_curve, cfg, "stop_at_c")
+    assert abs(bridge.estimate - ref) <= 3.0 * bridge.std_error
+
+    monkeypatch.setattr(sim_mod, "_maximum_streams", lambda seed, keys: [_StepEnds()] * len(keys))
+    ends = simulate_baseline(linear_curve, cfg, "stop_at_c")
+    assert ref - ends.estimate > 3.0 * ends.std_error
+
+    # a stopped path ends on the threshold and pays no overshoot
+    c0 = float(stopping_threshold_c(LINEAR, PARAMS, 0.0))
+    stopped = bridge.terminal_u == 1.0
+    assert 0.5 < np.mean(stopped) < 1.0
+    assert bridge.terminal_pi[stopped] == pytest.approx(np.full(stopped.sum(), c0), rel=1e-14)
+    assert np.all(bridge.payoffs[stopped] < c0 - PARAMS.k)
+    assert np.all(bridge.payoffs[~stopped] == 0.0)
 
 
 def test_trajectory_ends_at_its_batch_path(linear_curve):

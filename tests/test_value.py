@@ -142,13 +142,33 @@ def test_report_dict_shape(linear_report):
     assert set(d) == {
         "n_samples", "n_boundary_points", "pde", "smooth_fit_max_vu",
         "smooth_fit_max_vupi", "c1_pasting_max", "gradient", "premium",
-        "continuity_max", "value_min", "A_terminal", "tolerances", "passed"}
+        "continuity_max", "log_value_min", "A_terminal", "tolerances", "passed"}
     assert set(d["pde"]) == {
         "n_samples", "n_below", "n_above", "max_below_rel",
         "max_above_signed", "passed"}
     assert set(d["tolerances"]) == {
         "pde_below_rel", "pde_above_signed", "smooth_fit", "c1_pasting",
         "gradient", "premium", "continuity"}
+
+
+def test_log_value_matches_value(linear_surface):
+    u = np.array([0.0, 0.2, 0.5, 0.9, 0.5])
+    pi = np.array([0.3, 0.6, 0.95, 0.5, 0.01])
+    assert np.allclose(linear_surface.log_value(u, pi), np.log(linear_surface.value(u, pi)),
+                       rtol=0.0, atol=1e-12)
+
+
+def test_positivity_survives_underflow():
+    # at A = 50 gamma is so large that A G underflows to 0 in the sample
+    # sweep; in log space the value is still positive.  This surface fails
+    # c1_pasting, a separate matter the positivity test does not touch.
+    surface = build_surface(HyperbolicGamma(A=50.0, beta=0.2), PARAMS)
+    report = verify_surface(surface)
+    assert surface.value(0.0, 0.01) == 0.0
+    assert -np.inf < surface.log_value(0.0, 0.01) < -1000.0
+    assert -np.inf < report.log_value_min < -1000.0
+    assert abs(report.A_terminal) <= 1e-12 and report.continuity_max <= 1e-12
+    assert report.pde.passed and report.checks()["gradient_bound"]
 
 
 def test_premium_strictly_positive_inside(linear_surface):
