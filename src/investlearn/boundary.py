@@ -98,6 +98,7 @@ class _Hermite:
         secant = np.diff(y) / dx
         zero = np.zeros(1)
         self.x = x
+        self.m_last = m[-1]
         self.base = np.concatenate((x[:1], x))
         self.c0 = np.concatenate((y[:1], y))
         self.c1 = np.concatenate((zero, m[:-1], zero))
@@ -114,6 +115,14 @@ class _Hermite:
         i = np.searchsorted(self.x, q, side="right")
         s = q - self.base[i]
         return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+
+    def derivative(self, q):
+        """Slope of the interpolant: m_j exactly at every knot x_j (the left
+        limit m_n at x_n), 0 on the constant ends outside [x_0, x_n]."""
+        i = np.searchsorted(self.x, q, side="right")
+        s = q - self.base[i]
+        slope = self.c1[i] + s * (2.0 * self.c2[i] + 3.0 * s * self.c3[i])
+        return np.where(q == self.x[-1], self.m_last, slope)
 
     def integral(self, q):
         """Integral of the interpolant from x_0 to q, closed form per segment."""
@@ -160,6 +169,10 @@ class BoundaryCurve:
         """b(u) by cubic Hermite interpolation between the knots."""
         return self._b(u)
 
+    def b_slope(self, u):
+        """b'(u) of the interpolant: the ODE's own F(u_j, b_j) at the knots."""
+        return self._b.derivative(u)
+
     def b_integral(self, u):
         """Integral of b from 0 to u, exact for the cubic Hermite interpolant."""
         return self._b.integral(u)
@@ -173,6 +186,12 @@ class BoundaryCurve:
         if not self.monotone:
             raise ValueError("boundary is not strictly increasing; inverse undefined")
         return self._h(pi)
+
+    def h_slope(self, pi):
+        """h'(pi) of the inverse interpolant, 1 / F(u_j, b_j) at the knots."""
+        if not self.monotone:
+            raise ValueError("boundary is not strictly increasing; inverse undefined")
+        return self._h.derivative(pi)
 
     @property
     def grid_size(self) -> int:

@@ -8,23 +8,22 @@ expansion problem is assembled in closed form:
 
 where A(u) = ((gamma + k - 1) b(u) - gamma k) / (gamma'(u) G(u, b(u))) and
 h is the inverse boundary.  The diagnostics in this module do not trust the
-construction: they re-check, by finite differences on the assembled surface,
-the variational characterization (generator residual zero below the boundary
-and nonpositive above it, smooth fit along the boundary, the gradient bound
-V_u <= k - pi, and dominance over the no-learning stopping value).
+construction: they re-check, on the assembled surface, the variational
+characterization (generator residual zero below the boundary and nonpositive
+above it, smooth fit along the boundary, the gradient bound V_u <= k - pi,
+and dominance over the no-learning stopping value).
 
-Finite-difference policy.  Every pi-derivative of a continuation branch
-A(u) G(u, .) is taken in closed form from G_pi = G (gamma - pi)/(pi (1-pi))
+Derivatives.  No derivative is a finite difference.  The pi-derivatives of
+a continuation branch A(u) G(u, .) come from G_pi = G (gamma - pi)/(pi (1-pi))
 and G_pipi = G gamma (gamma - 1)/(pi (1-pi))^2; above the boundary the
 curvature is that of the branch at the pull-back level u0 = h(pi), where the
-surface is C2-pasted.  Finite differences remain only where b or h enters,
-since only they see the solved boundary: the u-derivatives, by fixed 1e-4
-stencils on the branch the base point belongs to (the pasting is C1, so the
-branch derivative is the derivative), and the above-side slope of the C1
-pasting check, by a one-sided 1e-4 pi-stencil (shrunk near the ends) on the
-assembled surface.  b and h are read back by cubic Hermite dense output,
-whose error between knots is fourth order in the grid spacing, far below
-what a 1e-4 step can see.
+surface is C2-pasted.  The u-derivatives of a branch follow by the chain
+rule through A = N / D, N = (gamma + k - 1) b - gamma k, D = gamma' G(u, b),
+with b' the slope of the curve's cubic Hermite dense output (see
+`ValueSurface.branch_u_derivatives`).  At a knot that slope is the ODE's own
+F(u, b), where smooth fit holds by algebra, so the pasting checks run at the
+knot-segment midpoints: there they measure how far the interpolated curve
+is from solving the boundary ODE.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ import numpy as np
 
 from .boundary import BoundaryCurve
 from .model import fundamental_G, gamma, stopping_value_v
-
-PI_STEP = 1e-4
-U_STEP = 1e-4
 
 TOL_PDE_BELOW_REL = 1e-6
 TOL_PDE_ABOVE = 1e-8
@@ -91,11 +87,6 @@ class ValueSurface:
     def _below(self, u, pi):
         return self.coefficient_A(u) * fundamental_G(self.spec, self.params, u, pi)
 
-    def _below_pi(self, u, pi):
-        """pi-derivative A(u) G_pi(u, pi) of the continuation branch, closed form."""
-        g = gamma(self.spec, self.params, u)
-        return self._below(u, pi) * (g - pi) / (pi * (1.0 - pi))
-
     def value(self, u, pi):
         """V(u, pi), vectorized over broadcastable arguments."""
         u = np.asarray(u, dtype=float)
@@ -131,54 +122,63 @@ class ValueSurface:
         g, d1, _, _ = self.spec.gamma_derivs(ub, p.r)
         b = self.curve.b_at(ub)
 
-        def log_G(x):
-            return np.log1p(-x) + g * (np.log(x) - np.log1p(-x))
-
         with np.errstate(divide="ignore"):
             ratio = np.maximum(0.0, ((g + p.k - 1.0) * b - g * p.k) / d1)
-            out[below] = np.log(ratio) + log_G(pb) - log_G(b)
+            out[below] = np.log(ratio) + _log_G(g, pb) - _log_G(g, b)
             out[~below] = np.log(np.maximum(0.0, self.value(u[~below], pi[~below])))
         return out
 
-    # -- u-derivative of the active branch ----------------------------------
+    # -- u-derivatives ------------------------------------------------------
+
+    def branch_u_derivatives(self, u, pi):
+        """(W_u, W_upi) of the continuation branch W = A(u) G(u, pi), closed form.
+
+        With A = N / D, N = (gamma + k - 1) b - gamma k and D = gamma' G(u, b):
+
+            N' = gamma' (b - k) + (gamma + k - 1) b'
+            D' = gamma'' G(u, b) + gamma' (G_u(u, b) + G_pi(u, b) b')
+            G_u = gamma' L G,  G_upi = gamma' G (L (gamma - pi) + 1) / (pi (1-pi))
+
+        where L = logit(pi) and b' is the slope of the curve's dense output.
+        Everything is scaled by the ratio G(u, pi) / G(u, b), as in
+        log_value, so that no G overflows or underflows on its own at large
+        gamma.
+        """
+        p = self.params
+        g, d1, d2, _ = self.spec.gamma_derivs(u, p.r)
+        b = self.curve.b_at(u)
+        db = self.curve.b_slope(u)
+        num = (g + p.k - 1.0) * b - g * p.k
+        # A' D = N' - N D'/D
+        a_u = d1 * (b - p.k) + (g + p.k - 1.0) * db - num * (
+            d2 / d1 + d1 * _logit(b) + db * (g - b) / (b * (1.0 - b)))
+        scale = np.exp(_log_G(g, pi) - _log_G(g, b)) / d1  # G(u, pi) / D
+        lpi = _logit(pi)
+        w_u = scale * (a_u + num * d1 * lpi)
+        w_upi = scale * (a_u * (g - pi) + num * d1 * (lpi * (g - pi) + 1.0)) / (pi * (1.0 - pi))
+        return w_u, w_upi
 
     def value_u(self, u, pi):
-        """dV/du of the branch owning (u, pi).
-
-        Below the boundary, a second-order FD of the continuation branch;
-        above it, k - pi exactly, since that branch is linear in u.
-        """
+        """dV/du of the branch owning (u, pi): W_u below the boundary, k - pi
+        above it, where that branch is linear in u."""
         scalar = np.ndim(u) == 0 and np.ndim(pi) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        pi = np.atleast_1d(np.asarray(pi, dtype=float))
-        u, pi = np.broadcast_arrays(u, pi)
-        out = np.empty(u.shape, dtype=float)
-        b_u = self.curve.b_at(u)
-        below = pi <= b_u
-        if np.any(below):
-            out[below] = self._fd_u(self._below, u[below], pi[below])
-        out[~below] = self.params.k - pi[~below]
+        u, pi = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
+                                    np.atleast_1d(np.asarray(pi, dtype=float)))
+        out = self.params.k - pi
+        below = pi <= self.curve.b_at(u)
+        out[below] = self.branch_u_derivatives(u[below], pi[below])[0]
         if scalar:
             return float(out[0])
         return out
 
-    def _fd_u(self, fn, u, pi):
-        """Second-order difference of fn(u, pi) in u; central where possible."""
-        d = U_STEP
-        res = np.empty(u.shape, dtype=float)
-        lo = u < d
-        hi = u > 1.0 - d
-        mid = ~(lo | hi)
-        if np.any(mid):
-            um, pm = u[mid], pi[mid]
-            res[mid] = (fn(um + d, pm) - fn(um - d, pm)) / (2.0 * d)
-        if np.any(lo):
-            ul, pl = u[lo], pi[lo]
-            res[lo] = (-3.0 * fn(ul, pl) + 4.0 * fn(ul + d, pl) - fn(ul + 2.0 * d, pl)) / (2.0 * d)
-        if np.any(hi):
-            uh, ph = u[hi], pi[hi]
-            res[hi] = (3.0 * fn(uh, ph) - 4.0 * fn(uh - d, ph) + fn(uh - 2.0 * d, ph)) / (2.0 * d)
-        return res
+
+def _logit(x):
+    return np.log(x) - np.log1p(-x)
+
+
+def _log_G(g, pi):
+    """log G = log(1 - pi) + g logit(pi), finite where G itself under- or overflows."""
+    return np.log1p(-pi) + g * _logit(pi)
 
 
 def build_surface(spec, params, grid_size: int = 2001) -> ValueSurface:
@@ -191,10 +191,6 @@ def build_surface(spec, params, grid_size: int = 2001) -> ValueSurface:
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
-
-
-def _pi_step(pi):
-    return np.minimum(PI_STEP, np.minimum(pi, 1.0 - pi) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -237,49 +233,40 @@ def pde_residual_sweep(surface: ValueSurface, n_samples: int = 10000) -> PdeResi
     val[above] += (pi[above] - p.k) * (lev[above] - u[above])
     res = 0.5 * surface.spec.rho2(u, p.r) * pi**2 * (1.0 - pi) ** 2 * v_pipi - p.r * val
     rel = np.abs(res[below]) / np.maximum(1.0, p.r * np.abs(val[below]))
+    # a boundary close to 0 or 1 can leave one side without samples; its max reads 0
     return PdeResidualReport(
         n_samples=n_samples,
         n_below=int(np.count_nonzero(below)),
         n_above=int(np.count_nonzero(above)),
-        max_below_rel=float(np.max(rel)),
-        max_above_signed=float(np.max(res[above])),
+        max_below_rel=float(np.max(rel, initial=0.0)),
+        max_above_signed=float(np.max(res[above])) if np.any(above) else 0.0,
     )
 
 
-def smooth_fit_residuals(surface: ValueSurface, u: float) -> Tuple[float, float]:
-    """|V_u + pi - k| and |V_upi + 1| at (u, b(u)), one-sided from below in u.
+def smooth_fit_residuals(surface: ValueSurface, u) -> Tuple[np.ndarray, np.ndarray]:
+    """|V_u + pi - k| and |V_upi + 1| at (u, b(u)), vectorized over u.
 
-    One second-order u-stencil toward smaller u (forward variant only when
-    u < 2 steps from 0), applied to the continuation branch A G and to its
-    closed-form pi-derivative A G_pi at pi0 = b(u).
+    Both read the continuation branch's closed-form u-derivatives, so they
+    measure how well b solves the boundary ODE at u.
     """
-    d = U_STEP
-    pi0 = float(surface.curve.b_at(u))
-    if u >= 2.0 * d:
-        pts, w = u - d * np.arange(3.0), np.array([3.0, -4.0, 1.0])
-    else:
-        pts, w = u + d * np.arange(3.0), np.array([-3.0, 4.0, -1.0])
-    v_u = float(w @ surface._below(pts, pi0)) / (2.0 * d)
-    v_upi = float(w @ surface._below_pi(pts, pi0)) / (2.0 * d)
-    return abs(v_u - (surface.params.k - pi0)), abs(v_upi + 1.0)
+    pi0 = surface.curve.b_at(u)
+    w_u, w_upi = surface.branch_u_derivatives(u, pi0)
+    return np.abs(w_u + pi0 - surface.params.k), np.abs(w_upi + 1.0)
 
 
-def c1_pasting_gap(surface: ValueSurface, u: float) -> float:
-    """|dV/dpi from below - dV/dpi from above| at pi = b(u).
+def c1_pasting_gap(surface: ValueSurface, u) -> np.ndarray:
+    """|dV/dpi from below - dV/dpi from above| at pi = b(u), vectorized over u.
 
-    Below, the closed-form slope A G_pi of the continuation branch; above,
-    a one-sided three-point stencil with step 1e-4 (shrunk near the ends)
-    on the assembled surface, which reads the pull-back level h.
+    Above the boundary V = W(h(pi), pi) + (pi - k)(h(pi) - u) with W = A G,
+    so as pi falls to b(u) its slope tends to W_pi + h'(b)(W_u + b - k),
+    while the slope from below is W_pi.  The gap is therefore h'(b(u))
+    times the signed smooth-fit V_u residual: an h'-weighted smooth fit,
+    with its own tolerance, since h' = 1/b' is large where b is flat.
     """
-    pi0 = float(surface.curve.b_at(u))
-    hp = float(_pi_step(np.asarray(pi0)))
-    lo = float(surface._below_pi(u, pi0))
-    hi = (
-        -3.0 * float(surface._below(u, pi0))
-        + 4.0 * float(surface.value(u, pi0 + hp))
-        - float(surface.value(u, pi0 + 2.0 * hp))
-    ) / (2.0 * hp)
-    return abs(lo - hi)
+    curve = surface.curve
+    pi0 = curve.b_at(u)
+    w_u = surface.branch_u_derivatives(u, pi0)[0]
+    return np.abs(curve.h_slope(pi0) * (w_u + pi0 - surface.params.k))
 
 
 @dataclass(frozen=True)
@@ -325,6 +312,10 @@ class ValueCheckReport:
     smooth_fit_max_vu: float
     smooth_fit_max_vupi: float
     c1_pasting_max: float
+    # (u, pi = b(u)) where each boundary maximum occurred
+    smooth_fit_max_vu_at: Tuple[float, float]
+    smooth_fit_max_vupi_at: Tuple[float, float]
+    c1_pasting_max_at: Tuple[float, float]
     gradient: SweepReport
     premium: SweepReport
     continuity_max: float
@@ -367,6 +358,9 @@ class ValueCheckReport:
             "smooth_fit_max_vu": self.smooth_fit_max_vu,
             "smooth_fit_max_vupi": self.smooth_fit_max_vupi,
             "c1_pasting_max": self.c1_pasting_max,
+            "smooth_fit_max_vu_at": list(self.smooth_fit_max_vu_at),
+            "smooth_fit_max_vupi_at": list(self.smooth_fit_max_vupi_at),
+            "c1_pasting_max_at": list(self.c1_pasting_max_at),
             "gradient": self.gradient.to_dict(),
             "premium": self.premium.to_dict(),
             "continuity_max": self.continuity_max,
@@ -385,42 +379,39 @@ class ValueCheckReport:
         }
 
 
-def boundary_check_points(surface: ValueSurface, n_points: int = 50) -> np.ndarray:
-    """Boundary u-values for the pasting checks: grid nodes away from the ends.
+def verify_surface(surface: ValueSurface, n_samples: int = 10000) -> ValueCheckReport:
+    """Run every diagnostic; the CLI `verify` subcommand serializes this.
 
-    Starts at the first node where the backward u-stencil of the smooth-fit
-    check fits above u = 0 and stops two nodes short of u = 1.
+    The boundary checks run at every knot-segment midpoint of the curve.
     """
     ug = surface.curve.u_grid
-    i0 = int(np.searchsorted(ug, 2.0 * U_STEP))
-    idx = np.unique(np.linspace(i0, ug.size - 3, n_points).round().astype(int))
-    return ug[idx]
+    us = 0.5 * (ug[:-1] + ug[1:])
+    vu, vupi = smooth_fit_residuals(surface, us)
+    c1 = c1_pasting_gap(surface, us)
 
-
-def verify_surface(
-    surface: ValueSurface, n_samples: int = 10000, n_boundary_points: int = 50
-) -> ValueCheckReport:
-    """Run every diagnostic; the CLI `verify` subcommand serializes this."""
-    us = boundary_check_points(surface, n_boundary_points)
-    sf = np.array([smooth_fit_residuals(surface, float(x)) for x in us])
-    c1 = np.array([c1_pasting_gap(surface, float(x)) for x in us])
-
-    # two-branch continuity at the boundary nodes
+    # two-branch continuity at the same points
     pi_b = surface.curve.b_at(us)
     lo_vals = surface._below(us, pi_b)
     u0 = surface.curve.h_at(pi_b)
     hi_vals = surface._below(u0, pi_b) + (pi_b - surface.params.k) * (u0 - us)
     continuity = float(np.max(np.abs(lo_vals - hi_vals)))
 
+    def at_max(x):
+        i = int(np.argmax(x))
+        return float(us[i]), float(pi_b[i])
+
     u_s, pi_s = low_discrepancy_samples(n_samples)
 
     return ValueCheckReport(
         n_samples=n_samples,
-        n_boundary_points=len(us),
+        n_boundary_points=us.size,
         pde=pde_residual_sweep(surface, n_samples),
-        smooth_fit_max_vu=float(np.max(sf[:, 0])),
-        smooth_fit_max_vupi=float(np.max(sf[:, 1])),
+        smooth_fit_max_vu=float(np.max(vu)),
+        smooth_fit_max_vupi=float(np.max(vupi)),
         c1_pasting_max=float(np.max(c1)),
+        smooth_fit_max_vu_at=at_max(vu),
+        smooth_fit_max_vupi_at=at_max(vupi),
+        c1_pasting_max_at=at_max(c1),
         gradient=gradient_bound_check(surface, n_samples),
         premium=learning_premium_check(surface, n_samples),
         continuity_max=continuity,

@@ -107,6 +107,23 @@ def test_dense_output_between_knots(spec):
     assert np.max(np.abs(coarse.h_at(b) - u)) <= 1e-10
 
 
+def test_slopes_at_knots(linear_curve):
+    # at the knots the dense output's slope is the ODE's own F(u_j, b_j),
+    # and the inverse's slope its reciprocal
+    ug, b = linear_curve.u_grid, linear_curve.b_values
+    assert np.array_equal(linear_curve.b_slope(ug), linear_curve.slopes)
+    assert np.max(np.abs(linear_curve.b_slope(ug) * linear_curve.h_slope(b) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [LINEAR, HYP], ids=["linear", "hyperbolic"])
+def test_b_slope_between_knots(spec):
+    curve = solve_boundary(spec, PARAMS, grid_size=2001)
+    ug = curve.u_grid
+    u, d = 0.5 * (ug[:-1] + ug[1:]), 1e-6
+    central = (curve.b_at(u + d) - curve.b_at(u - d)) / (2.0 * d)
+    assert np.max(np.abs(curve.b_slope(u) - central)) <= 1e-9
+
+
 def _gauss(curve, lo, hi):
     """Integral of curve.b_at over [lo, hi] by 8-point Gauss-Legendre on every
     piece between knots, exact for the cubic segments."""

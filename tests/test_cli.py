@@ -166,6 +166,7 @@ def test_verify_scaled_tamper_fails_diagnostics(tmp_path, solved):
     assert "monotone" not in man["checks"]
     assert man["checks"]["all"] is False
     assert man["checks"]["smooth_fit"] is False
+    assert man["checks"]["c1_pasting"] is False
 
 
 def test_verify_knot_outside_strip_writes_manifest(tmp_path, solved, capsys):

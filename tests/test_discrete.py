@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from investlearn.discrete import (
+    ORACLE_NODES,
+    ORACLE_PHI_MAX,
+    ORACLE_RESIDUAL_TOL,
     DiscreteLadder,
     boundary_equation,
     check_discrete_monotone,
     discrete_verification_suite,
     ladder_from_spec,
+    oracle_residual_tol,
     save_ladder,
     solve_ladder,
     value_iteration_oracle,
@@ -219,6 +223,26 @@ def test_oracle_rejects_scaled_coefficients(oracle3):
     pis = np.linspace(0.05, 0.95, 20)
     gap = np.max(np.abs(_with(lad, lad.b, lad.A * 0.9999).value(0, pis) - oracle(pis)))
     assert gap > 1e-5
+
+
+@pytest.mark.parametrize("gammas", [[1.5, 1.0001], [1.5, 1.00001], [3.0, 2.0, 1.00001]])
+def test_oracle_accepts_terminal_gamma_near_one(gammas):
+    # rho_N^2 / (2 h^2) reaches 7e8, and the roundoff of the rows (1.6e-7 at
+    # 1.00001) would trip an absolute 1e-8 gate
+    lad = solve_ladder(np.array(gammas), PARAMS)
+    pis = np.linspace(0.05, 0.95, 20)
+    assert np.max(np.abs(lad.value(0, pis) - value_iteration_oracle(lad)(pis))) <= 1e-5
+
+
+def test_oracle_gate_absolute_on_test_ladders():
+    # the relative term stays below the floor on every level of the test
+    # ladders, since V_n <= (N + 1 - n)(1 - k)
+    h = 2.0 * ORACLE_PHI_MAX / (ORACLE_NODES - 1)
+    for lad in (ladder_from_spec(HYP, PARAMS, 3), ladder_from_spec(HYP, PARAMS, 5)):
+        for n in range(lad.n_levels + 1):
+            s = 0.5 * lad.rho2(n) / (h * h)
+            v_max = (lad.n_levels + 1 - n) * (1.0 - lad.k)
+            assert oracle_residual_tol(s, 2.0 + lad.r / s, v_max) == ORACLE_RESIDUAL_TOL
 
 
 def test_save_ladder_roundtrip(hyp_ladder, tmp_path):

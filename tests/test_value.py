@@ -8,6 +8,7 @@ from investlearn.model import (
     HyperbolicGamma,
     LinearNoise,
     ModelParams,
+    SqrtExpansion,
     Tabulated,
     fundamental_G,
     stopping_threshold_c,
@@ -22,6 +23,7 @@ from investlearn.value import (
     TOL_SMOOTH_FIT,
     ValueSurface,
     build_surface,
+    pde_residual_sweep,
     verify_surface,
 )
 
@@ -123,26 +125,50 @@ def test_continuity_across_boundary(linear_report):
     assert linear_report.continuity_max <= 1e-12
 
 
-@pytest.mark.parametrize("spec", [
-    LinearNoise(C=0.25, D=0.999),
-    HyperbolicGamma(A=1.2001, beta=0.2),
-], ids=["linear_D0.999", "hyperbolic_A1.2001"])
-def test_verify_passes_near_family_edges(spec):
+@pytest.mark.parametrize("spec,params", [
+    (LinearNoise(C=0.25, D=0.999), PARAMS),
+    (HyperbolicGamma(A=1.2001, beta=0.2), PARAMS),
+    (LinearNoise(C=0.5, D=0.6), ModelParams(r=0.1, k=0.98)),
+    (LinearNoise(C=0.5, D=0.6), ModelParams(r=1e-3, k=0.5)),
+    (SqrtExpansion(C=0.3, eps=1e-3), PARAMS),
+    (HyperbolicGamma(A=50.0, beta=0.2), PARAMS),
+], ids=["linear_D0.999", "hyperbolic_A1.2001", "linear_D0.6_k0.98", "linear_D0.6_r1e-3",
+        "sqrt_eps1e-3", "hyperbolic_A50"])
+def test_verify_passes_near_family_edges(spec, params):
     # correct surfaces near the edge of each family's admissible range
-    # (D -> 1, A -> 1 + beta), where V_upi is hardest to resolve
-    report = verify_surface(build_surface(spec, PARAMS, grid_size=2001))
+    # (D -> 1, A -> 1 + beta, steep gamma near u = 0, huge gamma) or of the
+    # model's (k -> 1, r -> 0), where the boundary derivatives are hardest
+    # to resolve
+    report = verify_surface(build_surface(spec, params, grid_size=2001))
     assert report.checks() == {
         "pde": True, "smooth_fit": True, "c1_pasting": True,
         "gradient_bound": True, "learning_premium": True, "all": True}
 
 
-def test_report_dict_shape(linear_report):
+def test_pde_sweep_with_no_sample_above():
+    # b >= 0.99989 everywhere, beyond the sweep's 1 - 1e-3 reach in pi
+    surface = build_surface(LinearNoise(C=0.5, D=0.3), ModelParams(r=1e-3, k=0.98))
+    assert float(surface.curve.b_values[0]) > 0.999
+    pde = pde_residual_sweep(surface)
+    assert pde.n_above == 0 and pde.max_above_signed == 0.0
+    assert pde.n_below == pde.n_samples and pde.passed
+
+
+def test_report_dict_shape(linear_surface, linear_report):
     d = linear_report.to_dict()
     assert d["passed"] is True
     assert set(d) == {
         "n_samples", "n_boundary_points", "pde", "smooth_fit_max_vu",
-        "smooth_fit_max_vupi", "c1_pasting_max", "gradient", "premium",
+        "smooth_fit_max_vupi", "c1_pasting_max", "smooth_fit_max_vu_at",
+        "smooth_fit_max_vupi_at", "c1_pasting_max_at", "gradient", "premium",
         "continuity_max", "log_value_min", "A_terminal", "tolerances", "passed"}
+    # each boundary maximum is located at (u, b(u)) on a knot-segment midpoint
+    ug = linear_surface.curve.u_grid
+    assert d["n_boundary_points"] == ug.size - 1
+    for key in ("smooth_fit_max_vu_at", "smooth_fit_max_vupi_at", "c1_pasting_max_at"):
+        u, pi = d[key]
+        assert np.min(np.abs(0.5 * (ug[:-1] + ug[1:]) - u)) == 0.0
+        assert pi == float(linear_surface.curve.b_at(u))
     assert set(d["pde"]) == {
         "n_samples", "n_below", "n_above", "max_below_rel",
         "max_above_signed", "passed"}
@@ -160,8 +186,7 @@ def test_log_value_matches_value(linear_surface):
 
 def test_positivity_survives_underflow():
     # at A = 50 gamma is so large that A G underflows to 0 in the sample
-    # sweep; in log space the value is still positive.  This surface fails
-    # c1_pasting, a separate matter the positivity test does not touch.
+    # sweep; in log space the value is still positive.
     surface = build_surface(HyperbolicGamma(A=50.0, beta=0.2), PARAMS)
     report = verify_surface(surface)
     assert surface.value(0.0, 0.01) == 0.0
