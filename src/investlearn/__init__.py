@@ -49,6 +49,7 @@ from .simulate import (
     filter_calibration,
     sample_trajectory,
     simulate_baseline,
+    simulate_paired,
     simulate_reflecting,
     stop_at_c_reference,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "sample_trajectory",
     "save_curve",
     "simulate_baseline",
+    "simulate_paired",
     "simulate_reflecting",
     "solve_boundary",
     "solve_ladder",

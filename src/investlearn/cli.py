@@ -37,11 +37,13 @@ from .discrete import (
 )
 from .model import ConfigError, stopping_threshold_c, zero_level_B
 from .plots import plot_boundary, plot_ladder, plot_trajectory
+# simulate_reflecting is unused here but stays bound: bench/spans.py wraps it by name
 from .simulate import (
     sample_trajectory,
     save_paths,
     save_trajectory,
     simulate_baseline,
+    simulate_paired,
     simulate_reflecting,
     stop_at_c_reference,
 )
@@ -153,8 +155,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     surface = ValueSurface(curve)
     vhat = float(surface.value(cfg.sim.start_u, cfg.sim.start_pi))
 
-    res = simulate_reflecting(curve, cfg.sim)
-    stop = simulate_baseline(curve, cfg.sim, "stop_at_c")
+    res, stop = simulate_paired(curve, cfg.sim)
     full = simulate_baseline(curve, cfg.sim, "full_now")
     ref = stop_at_c_reference(curve, cfg.sim)
 

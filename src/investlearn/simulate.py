@@ -33,12 +33,19 @@ check runs with no hook.  A trajectory is a one-key run of the reflecting
 strategy with recording on, so a plotted path is by construction one of the
 batch paths.
 
+Several strategies ("legs") can share one pass of the kernel: their rows are
+stacked, each row knows its leg, and each step hands every leg's hook its
+own crossing rows.  `simulate_paired` steps the reflecting and stop_at_c
+legs together, so the random numbers of each path are drawn once for both;
+`simulate_reflecting` and `simulate_baseline` are one-leg passes.
+
 Each path owns a counter-based substream keyed (seed, path index), so results
-are reproducible bit for bit, independent of chunking, and paths are common
-random numbers across strategies with the same seed.  Draw 0 of each stream
-is the uniform that decides theta; normals follow.  A run with a hook draws
-the uniforms of the in-step maxima from a second stream of the same key, so
-theta and the normals of a path do not depend on whether it is monitored.
+are reproducible bit for bit, independent of chunking and of which legs
+share a pass, and paths are common random numbers across strategies with
+the same seed.  Draw 0 of each stream is the uniform that decides theta;
+normals follow.  A run with a hook draws the uniforms of the in-step maxima
+from a second stream of the same key, so theta and the normals of a path do
+not depend on whether it is monitored.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +63,7 @@ from .boundary import BoundaryCurve
 from .model import ModelParams, RateSpec, rho, stopping_threshold_c, stopping_value_v
 
 # Steps drawn at a time: the normals and the uniforms of a chunk together
-# take 2 * CHUNK_STEPS float64 per live path.
+# take 2 * CHUNK_STEPS float64 per live stream.
 CHUNK_STEPS = 256
 DRAW_BLOCK = 256  # streams per transposed block in _draws
 
@@ -172,13 +179,25 @@ def _draws(method: str, gens: List[np.random.Generator], pos: np.ndarray, span: 
 
 
 # A strategy hook: hook(t, rows, idx, peak) -> (grew, died).  It sees the
-# live rows idx of the batch whose in-step maximum of Phi, peak, reached
-# their barrier during the step whose midpoint is t.  It may book payoffs,
-# move rows.u and rows.barrier, and returns the subsets of idx whose U grew
-# and of those that died, or None for either.  A dying row's phi is set to
-# the level at which it died.
+# live rows idx of its leg whose in-step maximum of Phi, peak, reached their
+# barrier during the step whose midpoint is t.  It may book payoffs, move
+# rows.u and rows.barrier, and returns the subsets of idx whose U grew and
+# of those that died, or None for either.  A dying row's phi is set to the
+# level at which it died.
 Hook = Callable[[float, SimpleNamespace, np.ndarray, np.ndarray],
                 Tuple[Optional[np.ndarray], Optional[np.ndarray]]]
+
+
+class _Leg(NamedTuple):
+    """One strategy stepped by `_run`: its rows start at capacity u0 with the
+    barrier `barrier` in log odds, and `hook` acts on their crossings,
+    booking into `payoffs`, which start at the time-zero payoff `jump`."""
+
+    u0: float
+    hook: Optional[Hook] = None
+    barrier: float = math.inf
+    payoffs: Optional[np.ndarray] = None
+    jump: float = 0.0
 
 
 @dataclass
@@ -188,43 +207,57 @@ class _Run:
     terminal_pi: np.ndarray
     n_alive: int
     trace: Optional[dict]  # (t, U, Pi) of the first key when recording
-    steps: int = 0  # steps taken
+    steps: int = 0  # steps taken, up to the death of the leg's last path
     path_steps: int = 0  # steps summed over paths, each up to its death
     crossings: int = 0  # (row, step) pairs handed to the hook
 
 
 def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int],
-         u0: float, hook: Optional[Hook] = None, barrier: float = math.inf,
-         record: bool = False) -> _Run:
-    """Step the belief of the paths keyed `keys` from (u0, start_pi).
+         legs: Sequence[_Leg], record: bool = False) -> List[_Run]:
+    """Step the belief of the paths keyed `keys` from (u0, start_pi) under
+    each of `legs` in one pass; one _Run per leg.
 
-    Rows carry their output position `pos`, log odds `phi`, capacity `u`,
-    `theta`, the cached `drift`, `vol` and variance `var` = vol^2 of a step,
-    and the `barrier` in log odds that the hook acts on, `barrier` for every
-    row at the start.  With a hook, every step also samples the exact
-    maximum M of Phi over the step given both ends (a Brownian bridge with
-    drift: Glasserman 2003, section 6.4),
+    A leg with u0 < 1 has a row per key, and the rows of all legs are
+    stacked in leg order; a leg with u0 >= 1 has no rows, its paths being
+    finished before the first step.  A row carries its leg `leg`, output
+    position `pos`, log odds `phi`, capacity `u`, `theta`, the cached
+    `drift`, `vol` and variance `var` = vol^2 of a step, and the `barrier`
+    in log odds that its leg's hook acts on.  With a hook, every step also
+    samples the exact maximum M of Phi over the step given both ends (a
+    Brownian bridge with drift: Glasserman 2003, section 6.4),
 
         M = (a + b + sqrt((b - a)^2 - 2 var ln V)) / 2,   V ~ U(0, 1],
 
-    and the hook sees the rows with M >= barrier.  A path that starts at
-    u0 >= 1 is finished before its first step.  A dead row is frozen (zero
-    drift and volatility, infinite barrier) until the chunk ends, when the
-    batch is compacted.
+    and each leg's hook sees its rows with M >= barrier.  A dead row is
+    frozen (zero drift and volatility, infinite barrier) until the chunk
+    ends, when the batch is compacted.
+
+    The legs share the substreams: the generators are built and theta is
+    drawn once, and each chunk's normals (and uniforms, if a leg has a hook)
+    are drawn once for the streams still live in any leg, one column per
+    stream; a row reads its stream's column `col`.  Every path's streams
+    are read in the order of a one-leg run, so each leg's result is bit
+    for bit what it would be alone.  With `record`, the path of the first
+    key of the first leg is traced.
     """
     gens = _substreams(cfg.seed, keys)
     theta = _draw_theta(gens, cfg.start_pi)
-    ugens = _maximum_streams(cfg.seed, keys) if hook else None
-    n = theta.size
-    terminal_u = np.full(n, u0)
-    terminal_pi = np.full(n, cfg.start_pi)
-    times, us, phis = [0.0], [u0], []
+    hooked = any(leg.hook for leg in legs)
+    ugens = _maximum_streams(cfg.seed, keys) if hooked else None
+    n, n_legs = theta.size, len(legs)
+    terminal_u = [np.full(n, leg.u0) for leg in legs]
+    terminal_pi = [np.full(n, cfg.start_pi) for _ in legs]
+    times, us, phis = [0.0], [legs[0].u0], []
     dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
     n_steps = cfg.n_steps
-    m = n if u0 < 1.0 else 0
-    rows = SimpleNamespace(pos=np.arange(m), phi=np.full(m, _logit(cfg.start_pi)),
-                           u=np.full(m, u0), theta=theta[:m].copy(), drift=np.empty(m),
-                           vol=np.empty(m), var=np.empty(m), barrier=np.full(m, barrier))
+    stepped = np.array([j for j, leg in enumerate(legs) if leg.u0 < 1.0], dtype=int)
+    m = n * stepped.size
+    rows = SimpleNamespace(leg=np.repeat(stepped, n), pos=np.tile(np.arange(n), stepped.size),
+                           phi=np.full(m, _logit(cfg.start_pi)),
+                           u=np.repeat([legs[j].u0 for j in stepped], n),
+                           theta=np.tile(theta, stepped.size), drift=np.empty(m),
+                           vol=np.empty(m), var=np.empty(m),
+                           barrier=np.repeat([legs[j].barrier for j in stepped], n))
 
     def refresh(sel):
         rv = rho(spec, params, rows.u[sel])
@@ -233,62 +266,81 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         rows.var[sel] = rows.vol[sel] * rows.vol[sel]
 
     refresh(slice(None))
-    steps_done = dead_steps = crossings = 0
-    n_live = m
-    while steps_done < n_steps and n_live:
+    n_live = [n if leg.u0 < 1.0 else 0 for leg in legs]
+    steps, dead_steps, crossings = [0] * n_legs, [0] * n_legs, [0] * n_legs
+    steps_done = 0
+    while steps_done < n_steps and any(n_live):
         span = min(CHUNK_STEPS, n_steps - steps_done)
-        z = _draws("standard_normal", gens, rows.pos, span)
-        if hook:
+        streams, col = np.unique(rows.pos, return_inverse=True)
+        if np.array_equal(streams, rows.pos):
+            col = slice(None)  # the rows are the streams in order: read in place
+        starts = np.searchsorted(rows.leg, np.arange(n_legs + 1))
+        z = _draws("standard_normal", gens, streams, span)
+        if hooked:
             # e = -2 ln V, with V = 1 - U in (0, 1], in place
-            e = _draws("random", ugens, rows.pos, span)
+            e = _draws("random", ugens, streams, span)
             np.negative(e, out=e)
             np.log1p(e, out=e)
             e *= -2.0
-        alive = np.ones(n_live, dtype=bool)
+        alive = np.ones(rows.pos.size, dtype=bool)
 
         for step in range(span):
-            t = (steps_done + step + 1) * dt
-            tracing = record and rows.pos[0] == 0 and alive[0]
+            done = steps_done + step + 1
+            t = done * dt
+            tracing = record and alive[0] and rows.leg[0] == 0 and rows.pos[0] == 0
             start = rows.phi
-            rows.phi = start + rows.drift + rows.vol * z[step]
-            if hook:
+            rows.phi = start + rows.drift + rows.vol * z[step][col]
+            if hooked:
                 d = rows.phi - start
-                peak = start + 0.5 * (d + np.sqrt(d * d + rows.var * e[step]))
-                idx = np.flatnonzero(peak >= rows.barrier)
-                if idx.size:
-                    crossings += idx.size
-                    grew, died = hook(t - 0.5 * dt, rows, idx, peak[idx])
+                peak = start + 0.5 * (d + np.sqrt(d * d + rows.var * e[step][col]))
+                crossed = np.flatnonzero(peak >= rows.barrier)
+                cuts = np.searchsorted(crossed, starts)
+                for j in range(n_legs):
+                    idx = crossed[cuts[j]:cuts[j + 1]]
+                    if not idx.size:
+                        continue
+                    crossings[j] += idx.size
+                    grew, died = legs[j].hook(t - 0.5 * dt, rows, idx, peak[idx])
                     if died is not None and died.size:
-                        terminal_u[rows.pos[died]] = rows.u[died]
-                        terminal_pi[rows.pos[died]] = _expit(rows.phi[died])
+                        terminal_u[j][rows.pos[died]] = rows.u[died]
+                        terminal_pi[j][rows.pos[died]] = _expit(rows.phi[died])
                         alive[died] = False
                         rows.drift[died] = rows.vol[died] = rows.var[died] = 0.0
                         rows.barrier[died] = math.inf
-                        dead_steps += died.size * (steps_done + step + 1)
-                        n_live -= died.size
+                        dead_steps[j] += died.size * done
+                        n_live[j] -= died.size
+                        if not n_live[j]:
+                            steps[j] = done
                     if grew is not None and grew.size:
                         refresh(grew)
             if tracing:
                 times.append(t)
                 us.append(rows.u[0])
                 phis.append(rows.phi[0])
-            if not n_live:
+            if not any(n_live):
                 span = step + 1
                 break
 
         steps_done += span
         z = e = None  # free this chunk's draws before the next chunk's are made
         if not alive.all():
-            rows = SimpleNamespace(**{name: col[alive] for name, col in vars(rows).items()})
+            rows = SimpleNamespace(**{name: c[alive] for name, c in vars(rows).items()})
 
-    terminal_u[rows.pos] = rows.u
-    terminal_pi[rows.pos] = _expit(rows.phi)
     trace = None
     if record:
         pis = np.concatenate(([cfg.start_pi], _expit(np.array(phis))))
         trace = {"t": np.array(times), "u": np.array(us, dtype=float), "pi": pis}
-    return _Run(theta, terminal_u, terminal_pi, n_live, trace, steps_done,
-                dead_steps + n_live * steps_done, crossings)
+    runs = []
+    for j in range(n_legs):
+        mine = rows.leg == j
+        terminal_u[j][rows.pos[mine]] = rows.u[mine]
+        terminal_pi[j][rows.pos[mine]] = _expit(rows.phi[mine])
+        if n_live[j]:
+            steps[j] = steps_done
+        runs.append(_Run(theta, terminal_u[j], terminal_pi[j], n_live[j],
+                         trace if j == 0 else None, steps[j],
+                         dead_steps[j] + n_live[j] * steps[j], crossings[j]))
+    return runs
 
 
 def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, run: _Run) -> SimResult:
@@ -313,9 +365,8 @@ def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, run: _Run
     )
 
 
-def _reflect(curve: BoundaryCurve, cfg: SimConfig, keys: Sequence[int],
-             record: bool = False) -> Tuple[float, np.ndarray, _Run]:
-    """Reflecting strategy on the paths keyed `keys`: (jump, payoffs, run).
+def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> _Leg:
+    """The reflecting strategy as a leg of n paths.
 
     A row's barrier is logit(b(U)).  When the step's maximum M passes it,
     U grows to h(expit(M)); Pi rode the boundary meanwhile, so the step pays
@@ -326,7 +377,7 @@ def _reflect(curve: BoundaryCurve, cfg: SimConfig, keys: Sequence[int],
     r, k = curve.params.r, curve.params.k
     u_start = max(cfg.start_u, float(curve.h_at(cfg.start_pi)))
     jump = (cfg.start_pi - k) * (u_start - cfg.start_u) if u_start > cfg.start_u else 0.0
-    payoffs = np.full(len(keys), jump)
+    payoffs = np.full(n, jump)
     phi_full = _logit(float(curve.b_values[-1]))  # where U reaches 1
 
     def hook(t, rows, idx, peak):
@@ -345,8 +396,36 @@ def _reflect(curve: BoundaryCurve, cfg: SimConfig, keys: Sequence[int],
         return grew, died
 
     barrier = _logit(float(curve.b_at(u_start))) if u_start < 1.0 else math.inf
-    run = _run(curve.spec, curve.params, cfg, keys, u_start, hook, barrier, record)
-    return jump, payoffs, run
+    return _Leg(u_start, hook, barrier, payoffs, jump)
+
+
+def _stop_leg(curve: BoundaryCurve, cfg: SimConfig) -> Optional[_Leg]:
+    """stop_at_c as a leg, or None when pi0 >= c(u0) and every path stops at
+    time zero.  The barrier is logit(c(u0)); a crossing pays (c - k)(1 - u0)
+    discounted at the step midpoint and ends the path on the threshold."""
+    spec, params = curve.spec, curve.params
+    r, k = params.r, params.k
+    cbar = float(stopping_threshold_c(spec, params, cfg.start_u))
+    if cfg.start_pi >= cbar:
+        return None
+    scale = 1.0 - cfg.start_u
+    payoffs = np.zeros(cfg.n_paths)
+    phi_c = _logit(cbar)
+
+    def hook(t, rows, idx, peak):
+        payoffs[rows.pos[idx]] = math.exp(-r * t) * (cbar - k) * scale
+        rows.u[idx] = 1.0
+        rows.phi[idx] = phi_c
+        return None, idx
+
+    return _Leg(cfg.start_u, hook, phi_c, payoffs)
+
+
+def _simulate(curve: BoundaryCurve, cfg: SimConfig, legs: Sequence[_Leg]) -> List[SimResult]:
+    """The legs stepped together over the keys 0 .. n_paths - 1."""
+    runs = _run(curve.spec, curve.params, cfg, range(cfg.n_paths), legs)
+    return [_finish(cfg, curve.params, leg.jump, leg.payoffs, run)
+            for leg, run in zip(legs, runs)]
 
 
 def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
@@ -358,8 +437,7 @@ def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
     reaches 1 or the horizon runs out; the reported truncation bound caps
     what the horizon cut can have discarded per path.
     """
-    jump, payoffs, run = _reflect(curve, cfg, range(cfg.n_paths))
-    return _finish(cfg, curve.params, jump, payoffs, run)
+    return _simulate(curve, cfg, [_reflect_leg(curve, cfg, cfg.n_paths)])[0]
 
 
 def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimResult:
@@ -379,35 +457,36 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
     A run that takes no step (full_now, frozen, stop_at_c from pi0 >= c(u0))
     is closed form: it draws nothing, and its theta is None.
     """
-    spec, params = curve.spec, curve.params
-    r, k = params.r, params.k
     if kind not in ("full_now", "frozen", "stop_at_c"):
         raise ValueError(f"unknown baseline {kind!r}")
-    n = cfg.n_paths
+    if kind == "stop_at_c":
+        leg = _stop_leg(curve, cfg)
+        if leg is not None:
+            return _simulate(curve, cfg, [leg])[0]
+    params, n = curve.params, cfg.n_paths
     if kind == "frozen":
         run = _Run(None, np.full(n, cfg.start_u), np.full(n, cfg.start_pi), n, None)
         return _finish(cfg, params, 0.0, np.zeros(n), run)
+    # full_now, or stop_at_c from pi0 >= c(u0): everything is installed at
+    # time zero, and no path takes a step
+    pay = (cfg.start_pi - params.k) * (1.0 - cfg.start_u)
+    run = _Run(None, np.ones(n), np.full(n, cfg.start_pi), 0, None)
+    return _finish(cfg, params, pay, np.full(n, pay), run)
 
-    # full_now is stop_at_c with the threshold 0
-    cbar = float(stopping_threshold_c(spec, params, cfg.start_u)) if kind == "stop_at_c" else 0.0
-    scale = 1.0 - cfg.start_u
-    if cfg.start_pi >= cbar:
-        # everything is installed at time zero: no path takes a step
-        pay = (cfg.start_pi - k) * scale
-        run = _Run(None, np.ones(n), np.full(n, cfg.start_pi), 0, None)
-        return _finish(cfg, params, pay, np.full(n, pay), run)
 
-    payoffs = np.zeros(n)
-    phi_c = _logit(cbar)
+def simulate_paired(curve: BoundaryCurve, cfg: SimConfig) -> Tuple[SimResult, SimResult]:
+    """(reflecting, stop_at_c): the two strategies stepped in one pass.
 
-    def hook(t, rows, idx, peak):
-        payoffs[rows.pos[idx]] = math.exp(-r * t) * (cbar - k) * scale
-        rows.u[idx] = 1.0
-        rows.phi[idx] = phi_c
-        return None, idx
-
-    run = _run(spec, params, cfg, range(n), cfg.start_u, hook, phi_c)
-    return _finish(cfg, params, 0.0, payoffs, run)
+    The results equal, bit for bit, simulate_reflecting(curve, cfg) and
+    simulate_baseline(curve, cfg, "stop_at_c"), whose payoffs are common
+    random numbers; the pass builds each path's generators and draws its
+    random numbers once for both.
+    """
+    reflecting = _reflect_leg(curve, cfg, cfg.n_paths)
+    stop = _stop_leg(curve, cfg)
+    if stop is None:
+        return _simulate(curve, cfg, [reflecting])[0], simulate_baseline(curve, cfg, "stop_at_c")
+    return tuple(_simulate(curve, cfg, [reflecting, stop]))
 
 
 def stop_at_c_reference(curve: BoundaryCurve, cfg: SimConfig) -> float:
@@ -456,7 +535,7 @@ def filter_calibration(
     fraction of paths with theta = 1 matches the mean belief (the filter is
     calibrated).  Both at three standard errors.
     """
-    run = _run(spec, params, cfg, range(cfg.n_paths), cfg.start_u)
+    run, = _run(spec, params, cfg, range(cfg.n_paths), [_Leg(cfg.start_u)])
     theta, pi_end = run.theta, run.terminal_pi
     mean_pi = float(np.mean(pi_end))
     se_pi = float(np.std(pi_end, ddof=1) / math.sqrt(cfg.n_paths))
@@ -510,7 +589,8 @@ def sample_trajectory(
     on, so for path_index < n_paths it ends exactly where that batch path
     ends.
     """
-    _, _, run = _reflect(curve, cfg, [path_index], record=True)
+    run, = _run(curve.spec, curve.params, cfg, [path_index],
+                [_reflect_leg(curve, cfg, 1)], record=True)
     return dict(run.trace, theta=float(run.theta[0]), path_index=path_index)
 
 

@@ -32,7 +32,7 @@ from investlearn.simulate import (
     SimConfig,
     filter_calibration,
     simulate_baseline,
-    simulate_reflecting,
+    simulate_paired,
     stop_at_c_reference,
 )
 from investlearn.value import build_surface, verify_surface
@@ -143,8 +143,7 @@ def test_05_monte_carlo_optimality():
     surface = build_surface(LINEAR, PARAMS)
     v_hat = surface.value(cfg.start_u, cfg.start_pi)
 
-    reflect = simulate_reflecting(surface.curve, cfg)
-    stop = simulate_baseline(surface.curve, cfg, "stop_at_c")
+    reflect, stop = simulate_paired(surface.curve, cfg)
     full = simulate_baseline(surface.curve, cfg, "full_now")
 
     gap = abs(reflect.estimate - v_hat)

@@ -16,6 +16,7 @@ from investlearn.simulate import (
     save_paths,
     save_trajectory,
     simulate_baseline,
+    simulate_paired,
     simulate_reflecting,
     stop_at_c_reference,
 )
@@ -35,12 +36,13 @@ def linear_curve():
 @pytest.fixture(scope="module")
 def batch(linear_curve):
     # one shared run per strategy at the shipped step; the strategies see
-    # common random numbers
+    # common random numbers, and reflecting and stop_at_c share one pass
     cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_paths=2000, seed=1)
+    reflect, stop = simulate_paired(linear_curve, cfg)
     return {
         "cfg": cfg,
-        "reflect": simulate_reflecting(linear_curve, cfg),
-        "stop": simulate_baseline(linear_curve, cfg, "stop_at_c"),
+        "reflect": reflect,
+        "stop": stop,
         "full": simulate_baseline(linear_curve, cfg, "full_now"),
     }
 
@@ -125,13 +127,72 @@ def test_results_pinned_bit_for_bit(linear_curve):
         "reflecting": simulate_reflecting(linear_curve, PINNED_CFG),
         "stop_at_c": simulate_baseline(linear_curve, PINNED_CFG, "stop_at_c"),
         # the run behind filter_calibration
-        "frozen_capacity": sim_mod._run(LINEAR, PARAMS, PINNED_CFG,
-                                        range(PINNED_CFG.n_paths), PINNED_CFG.start_u),
+        "frozen_capacity": sim_mod._run(LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
+                                        [sim_mod._Leg(PINNED_CFG.start_u)])[0],
     }
     for name, res in runs.items():
         for field, want in PINNED_SHA1[name].items():
             got = hashlib.sha1(getattr(res, field).astype(np.float64).tobytes()).hexdigest()
             assert got == want, (name, field)
+
+
+C0 = float(stopping_threshold_c(LINEAR, PARAMS, 0.0))
+PAIRED_CASES = {
+    "pinned": PINNED_CFG,
+    # every stop_at_c path has stopped by step 13; the reflecting leg runs on
+    "stop_finishes_early": SimConfig(start_u=0.0, start_pi=C0 - 0.01, dt=0.05, horizon=150.0,
+                                     n_paths=20, seed=3),
+    # the live paths of the two legs part, so the stacked rows leave stream order
+    "legs_on_disjoint_paths": SimConfig(start_u=0.0, start_pi=0.7, dt=0.05, horizon=30.0,
+                                        n_paths=4, seed=24),
+    # above b(1): the reflecting leg installs everything at time zero and has
+    # no rows, and since c(0) < b(1) = c(1) stop_at_c is closed form
+    "reflecting_without_rows": SimConfig(start_u=0.0, start_pi=0.95, dt=0.05, horizon=150.0,
+                                         n_paths=20, seed=3),
+}
+
+
+def _assert_same_result(a, b):
+    for field in ("payoffs", "theta", "terminal_u", "terminal_pi"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x is None and y is None) or np.array_equal(x, y), field
+    assert a.counters == b.counters
+    assert a.summary() == b.summary()
+
+
+@pytest.mark.parametrize("chunk", [sim_mod.CHUNK_STEPS, 7])
+@pytest.mark.parametrize("case", list(PAIRED_CASES))
+def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, chunk):
+    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    cfg = PAIRED_CASES[case]
+    reflect, stop = simulate_paired(linear_curve, cfg)
+    _assert_same_result(reflect, simulate_reflecting(linear_curve, cfg))
+    _assert_same_result(stop, simulate_baseline(linear_curve, cfg, "stop_at_c"))
+    if case == "pinned":
+        for name, res in (("reflecting", reflect), ("stop_at_c", stop)):
+            for field, want in PINNED_SHA1[name].items():
+                got = hashlib.sha1(getattr(res, field).tobytes()).hexdigest()
+                assert got == want, (name, field)
+    elif case == "stop_finishes_early":
+        # each leg counts its steps up to the death of its own last path
+        assert stop.counters["steps"] == 13
+        assert reflect.counters["steps"] == cfg.n_steps
+    elif case == "reflecting_without_rows":
+        assert reflect.initial_jump > 0.0 and reflect.counters["path_steps"] == 0
+        assert stop.theta is None
+
+
+def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
+    # the empty leg comes first, so every stacked row belongs to leg 1
+    cfg = PAIRED_CASES["stop_finishes_early"]
+    keys = range(cfg.n_paths)
+    alone, = sim_mod._run(LINEAR, PARAMS, cfg, keys, [sim_mod._stop_leg(linear_curve, cfg)])
+    empty, stop = sim_mod._run(LINEAR, PARAMS, cfg, keys,
+                               [sim_mod._Leg(1.0), sim_mod._stop_leg(linear_curve, cfg)])
+    for name, value in vars(alone).items():
+        assert np.array_equal(getattr(stop, name), value), name
+    assert (empty.steps, empty.path_steps, empty.crossings, empty.n_alive) == (0, 0, 0, 0)
+    assert np.all(empty.terminal_u == 1.0) and np.all(empty.terminal_pi == cfg.start_pi)
 
 
 def test_filter_run_draws_no_uniforms(linear_curve, monkeypatch):
@@ -255,7 +316,7 @@ def test_frozen_pays_nothing(linear_curve):
 
 
 def test_stop_at_c_immediate_above_threshold(linear_curve):
-    # c(0) is about 0.635 here, so 0.8 stops at time zero
+    # c(0) is about 0.744 here, so 0.8 stops at time zero
     cfg = SimConfig(start_u=0.0, start_pi=0.8, dt=0.01, horizon=1.0, n_paths=8, seed=5)
     r = simulate_baseline(linear_curve, cfg, "stop_at_c")
     assert r.estimate == pytest.approx(0.3, abs=1e-15)
