@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -188,16 +188,10 @@ Hook = Callable[[float, SimpleNamespace, np.ndarray, np.ndarray],
                 Tuple[Optional[np.ndarray], Optional[np.ndarray]]]
 
 
-class _Leg(NamedTuple):
-    """One strategy stepped by `_run`: its rows start at capacity u0 with the
-    barrier `barrier` in log odds, and `hook` acts on their crossings,
-    booking into `payoffs`, which start at the time-zero payoff `jump`."""
-
-    u0: float
-    hook: Optional[Hook] = None
-    barrier: float = math.inf
-    payoffs: Optional[np.ndarray] = None
-    jump: float = 0.0
+# A leg, one strategy stepped by `_run`: (u0, hook, barrier).  Its rows start
+# at capacity u0 with the barrier in log odds, and the hook acts on their
+# crossings; a leg with no hook is (u0, None, inf).
+Leg = Tuple[float, Optional[Hook], float]
 
 
 @dataclass
@@ -213,7 +207,7 @@ class _Run:
 
 
 def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int],
-         legs: Sequence[_Leg], record: bool = False) -> List[_Run]:
+         legs: Sequence[Leg], record: bool = False) -> List[_Run]:
     """Step the belief of the paths keyed `keys` from (u0, start_pi) under
     each of `legs` in one pass; one _Run per leg.
 
@@ -242,22 +236,23 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     """
     gens = _substreams(cfg.seed, keys)
     theta = _draw_theta(gens, cfg.start_pi)
-    hooked = any(leg.hook for leg in legs)
+    u0s, hooks, barriers = zip(*legs)
+    hooked = any(hooks)
     ugens = _maximum_streams(cfg.seed, keys) if hooked else None
     n, n_legs = theta.size, len(legs)
-    terminal_u = [np.full(n, leg.u0) for leg in legs]
+    terminal_u = [np.full(n, u0) for u0 in u0s]
     terminal_pi = [np.full(n, cfg.start_pi) for _ in legs]
-    times, us, phis = [0.0], [legs[0].u0], []
+    times, us, phis = [0.0], [u0s[0]], []
     dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
     n_steps = cfg.n_steps
-    stepped = np.array([j for j, leg in enumerate(legs) if leg.u0 < 1.0], dtype=int)
+    stepped = np.array([j for j, u0 in enumerate(u0s) if u0 < 1.0], dtype=int)
     m = n * stepped.size
     rows = SimpleNamespace(leg=np.repeat(stepped, n), pos=np.tile(np.arange(n), stepped.size),
                            phi=np.full(m, _logit(cfg.start_pi)),
-                           u=np.repeat([legs[j].u0 for j in stepped], n),
+                           u=np.repeat([u0s[j] for j in stepped], n),
                            theta=np.tile(theta, stepped.size), drift=np.empty(m),
                            vol=np.empty(m), var=np.empty(m),
-                           barrier=np.repeat([legs[j].barrier for j in stepped], n))
+                           barrier=np.repeat([barriers[j] for j in stepped], n))
 
     def refresh(sel):
         rv = rho(spec, params, rows.u[sel])
@@ -266,14 +261,12 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         rows.var[sel] = rows.vol[sel] * rows.vol[sel]
 
     refresh(slice(None))
-    n_live = [n if leg.u0 < 1.0 else 0 for leg in legs]
+    n_live = [n if u0 < 1.0 else 0 for u0 in u0s]
     steps, dead_steps, crossings = [0] * n_legs, [0] * n_legs, [0] * n_legs
     steps_done = 0
     while steps_done < n_steps and any(n_live):
         span = min(CHUNK_STEPS, n_steps - steps_done)
         streams, col = np.unique(rows.pos, return_inverse=True)
-        if np.array_equal(streams, rows.pos):
-            col = slice(None)  # the rows are the streams in order: read in place
         starts = np.searchsorted(rows.leg, np.arange(n_legs + 1))
         z = _draws("standard_normal", gens, streams, span)
         if hooked:
@@ -300,7 +293,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                     if not idx.size:
                         continue
                     crossings[j] += idx.size
-                    grew, died = legs[j].hook(t - 0.5 * dt, rows, idx, peak[idx])
+                    grew, died = hooks[j](t - 0.5 * dt, rows, idx, peak[idx])
                     if died is not None and died.size:
                         terminal_u[j][rows.pos[died]] = rows.u[died]
                         terminal_pi[j][rows.pos[died]] = _expit(rows.phi[died])
@@ -365,8 +358,10 @@ def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, run: _Run
     )
 
 
-def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> _Leg:
-    """The reflecting strategy as a leg of n paths.
+def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
+                 n: int) -> Tuple[Leg, float, np.ndarray]:
+    """The reflecting strategy on n paths: (leg, jump, payoffs), the hook
+    booking into payoffs, which start at the time-zero payoff jump.
 
     A row's barrier is logit(b(U)).  When the step's maximum M passes it,
     U grows to h(expit(M)); Pi rode the boundary meanwhile, so the step pays
@@ -396,20 +391,22 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> _Leg:
         return grew, died
 
     barrier = _logit(float(curve.b_at(u_start))) if u_start < 1.0 else math.inf
-    return _Leg(u_start, hook, barrier, payoffs, jump)
+    return (u_start, hook, barrier), jump, payoffs
 
 
-def _stop_leg(curve: BoundaryCurve, cfg: SimConfig) -> Optional[_Leg]:
-    """stop_at_c as a leg, or None when pi0 >= c(u0) and every path stops at
-    time zero.  The barrier is logit(c(u0)); a crossing pays (c - k)(1 - u0)
-    discounted at the step midpoint and ends the path on the threshold."""
+def _stop_leg(curve: BoundaryCurve, cfg: SimConfig,
+              n: int) -> Optional[Tuple[Leg, float, np.ndarray]]:
+    """stop_at_c on n paths as (leg, jump, payoffs), like `_reflect_leg`, or
+    None when pi0 >= c(u0) and every path stops at time zero.  The barrier
+    is logit(c(u0)); a crossing pays (c - k)(1 - u0) discounted at the step
+    midpoint and ends the path on the threshold."""
     spec, params = curve.spec, curve.params
     r, k = params.r, params.k
     cbar = float(stopping_threshold_c(spec, params, cfg.start_u))
     if cfg.start_pi >= cbar:
         return None
     scale = 1.0 - cfg.start_u
-    payoffs = np.zeros(cfg.n_paths)
+    payoffs = np.zeros(n)
     phi_c = _logit(cbar)
 
     def hook(t, rows, idx, peak):
@@ -418,14 +415,17 @@ def _stop_leg(curve: BoundaryCurve, cfg: SimConfig) -> Optional[_Leg]:
         rows.phi[idx] = phi_c
         return None, idx
 
-    return _Leg(cfg.start_u, hook, phi_c, payoffs)
+    return (cfg.start_u, hook, phi_c), 0.0, payoffs
 
 
-def _simulate(curve: BoundaryCurve, cfg: SimConfig, legs: Sequence[_Leg]) -> List[SimResult]:
-    """The legs stepped together over the keys 0 .. n_paths - 1."""
-    runs = _run(curve.spec, curve.params, cfg, range(cfg.n_paths), legs)
-    return [_finish(cfg, curve.params, leg.jump, leg.payoffs, run)
-            for leg, run in zip(legs, runs)]
+def _simulate(curve: BoundaryCurve, cfg: SimConfig,
+              strategies: Sequence[Tuple[Leg, float, np.ndarray]]) -> List[SimResult]:
+    """The (leg, jump, payoffs) strategies stepped together over the keys
+    0 .. n_paths - 1."""
+    runs = _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
+                [leg for leg, _, _ in strategies])
+    return [_finish(cfg, curve.params, jump, payoffs, run)
+            for (_, jump, payoffs), run in zip(strategies, runs)]
 
 
 def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
@@ -460,9 +460,9 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
     if kind not in ("full_now", "frozen", "stop_at_c"):
         raise ValueError(f"unknown baseline {kind!r}")
     if kind == "stop_at_c":
-        leg = _stop_leg(curve, cfg)
-        if leg is not None:
-            return _simulate(curve, cfg, [leg])[0]
+        stop = _stop_leg(curve, cfg, cfg.n_paths)
+        if stop is not None:
+            return _simulate(curve, cfg, [stop])[0]
     params, n = curve.params, cfg.n_paths
     if kind == "frozen":
         run = _Run(None, np.full(n, cfg.start_u), np.full(n, cfg.start_pi), n, None)
@@ -483,7 +483,7 @@ def simulate_paired(curve: BoundaryCurve, cfg: SimConfig) -> Tuple[SimResult, Si
     random numbers once for both.
     """
     reflecting = _reflect_leg(curve, cfg, cfg.n_paths)
-    stop = _stop_leg(curve, cfg)
+    stop = _stop_leg(curve, cfg, cfg.n_paths)
     if stop is None:
         return _simulate(curve, cfg, [reflecting])[0], simulate_baseline(curve, cfg, "stop_at_c")
     return tuple(_simulate(curve, cfg, [reflecting, stop]))
@@ -535,7 +535,7 @@ def filter_calibration(
     fraction of paths with theta = 1 matches the mean belief (the filter is
     calibrated).  Both at three standard errors.
     """
-    run, = _run(spec, params, cfg, range(cfg.n_paths), [_Leg(cfg.start_u)])
+    run, = _run(spec, params, cfg, range(cfg.n_paths), [(cfg.start_u, None, math.inf)])
     theta, pi_end = run.theta, run.terminal_pi
     mean_pi = float(np.mean(pi_end))
     se_pi = float(np.std(pi_end, ddof=1) / math.sqrt(cfg.n_paths))
@@ -590,7 +590,7 @@ def sample_trajectory(
     ends.
     """
     run, = _run(curve.spec, curve.params, cfg, [path_index],
-                [_reflect_leg(curve, cfg, 1)], record=True)
+                [_reflect_leg(curve, cfg, 1)[0]], record=True)
     return dict(run.trace, theta=float(run.theta[0]), path_index=path_index)
 
 

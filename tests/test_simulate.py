@@ -128,7 +128,7 @@ def test_results_pinned_bit_for_bit(linear_curve):
         "stop_at_c": simulate_baseline(linear_curve, PINNED_CFG, "stop_at_c"),
         # the run behind filter_calibration
         "frozen_capacity": sim_mod._run(LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
-                                        [sim_mod._Leg(PINNED_CFG.start_u)])[0],
+                                        [(PINNED_CFG.start_u, None, math.inf)])[0],
     }
     for name, res in runs.items():
         for field, want in PINNED_SHA1[name].items():
@@ -186,9 +186,9 @@ def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
     # the empty leg comes first, so every stacked row belongs to leg 1
     cfg = PAIRED_CASES["stop_finishes_early"]
     keys = range(cfg.n_paths)
-    alone, = sim_mod._run(LINEAR, PARAMS, cfg, keys, [sim_mod._stop_leg(linear_curve, cfg)])
-    empty, stop = sim_mod._run(LINEAR, PARAMS, cfg, keys,
-                               [sim_mod._Leg(1.0), sim_mod._stop_leg(linear_curve, cfg)])
+    leg, _, _ = sim_mod._stop_leg(linear_curve, cfg, cfg.n_paths)
+    alone, = sim_mod._run(LINEAR, PARAMS, cfg, keys, [leg])
+    empty, stop = sim_mod._run(LINEAR, PARAMS, cfg, keys, [(1.0, None, math.inf), leg])
     for name, value in vars(alone).items():
         assert np.array_equal(getattr(stop, name), value), name
     assert (empty.steps, empty.path_steps, empty.crossings, empty.n_alive) == (0, 0, 0, 0)
