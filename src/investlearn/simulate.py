@@ -45,7 +45,10 @@ share a pass, and paths are common random numbers across strategies with
 the same seed.  Draw 0 of each stream is the uniform that decides theta;
 normals follow.  A run with a hook draws the uniforms of the in-step maxima
 from a second stream of the same key, so theta and the normals of a path do
-not depend on whether it is monitored.
+not depend on whether it is monitored.  The stream of key (seed, i) is
+Philox(key=[seed, i]) (the second one started at counter [0, 0, 1, 0]),
+built from a seed-sequence holder whose state is that key, so that no
+generator gathers OS entropy it would then discard.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ def _logit(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters.
@@ -104,8 +111,13 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.horizon < 0.0:
             raise ValueError("horizon must be nonnegative")
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
+        if not _is_int(self.n_paths) or self.n_paths < 1:
+            raise ValueError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+        # the first word of each path's Philox key; Philox(key=[seed, i])
+        # rounded a seed from 2^63 up through float64, so such seeds never
+        # had a key of their own
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 63:
+            raise ValueError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -142,18 +154,42 @@ class SimResult:
         }
 
 
+def _streams(seed: int, keys: Sequence[int], counter=None) -> List[np.random.Generator]:
+    """Generator(Philox(key=[seed, i], counter=counter)) for each i in keys.
+
+    Philox(key=...) first gathers OS entropy for a SeedSequence() that the
+    key then overrides.  Handed a seed sequence instead, Philox takes its
+    generate_state(2, uint64) as the key and gathers nothing; the holder
+    below returns [seed, i].  Philox copies the key when it is built, so one
+    holder serves the whole set.  The holder's class is made here, not at
+    import, because numpy loads numpy.random on first use only, and the
+    commands that never simulate should not pay for loading it.
+    """
+
+    class Key(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return key
+
+    key = np.array([seed, 0], dtype=np.uint64)
+    holder = Key()
+    gens = []
+    for i in keys:
+        key[1] = i
+        gens.append(np.random.Generator(np.random.Philox(holder, counter=counter)))
+    return gens
+
+
 def _substreams(seed: int, keys: Sequence[int]) -> List[np.random.Generator]:
-    return [np.random.Generator(np.random.Philox(key=[seed, i])) for i in keys]
+    return _streams(seed, keys)
 
 
 def _maximum_streams(seed: int, keys: Sequence[int]) -> List[np.random.Generator]:
     """Second substream of each path, for the uniforms of its in-step maxima.
 
     It is Philox(key=[seed, i]).jumped(), 2^128 draws past the path's first
-    stream, built directly at that counter (a third of the set-up cost).
+    stream, built directly at that counter rather than built and jumped.
     """
-    return [np.random.Generator(np.random.Philox(key=[seed, i], counter=[0, 0, 1, 0]))
-            for i in keys]
+    return _streams(seed, keys, counter=[0, 0, 1, 0])
 
 
 def _draw_theta(gens: List[np.random.Generator], start_pi: float) -> np.ndarray:
@@ -589,6 +625,8 @@ def sample_trajectory(
     on, so for path_index < n_paths it ends exactly where that batch path
     ends.
     """
+    if path_index < 0:
+        raise ValueError(f"path_index must be nonnegative, got {path_index}")
     run, = _run(curve.spec, curve.params, cfg, [path_index],
                 [_reflect_leg(curve, cfg, 1)[0]], record=True)
     return dict(run.trace, theta=float(run.theta[0]), path_index=path_index)

@@ -568,6 +568,28 @@ def test_bad_documents_rejected(tmp_path, doc):
     assert rc == 2
 
 
+@pytest.mark.parametrize("sim, override, reason", [
+    ({"seed": 1.5}, [], "seed"),
+    ({"seed": True}, [], "seed"),
+    ({"seed": "3"}, [], "seed"),
+    ({"seed": 2 ** 63}, [], "seed"),
+    ({"seed": 2 ** 64 - 1}, [], "seed"),
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-1"], "seed"),
+    ({"n_paths": 100.0}, [], "n_paths"),
+    ({"n_paths": True}, [], "n_paths"),
+], ids=["seed_float", "seed_bool", "seed_str", "seed_2^63", "seed_2^64-1", "seed_-1",
+        "seed_override_-1", "n_paths_float", "n_paths_bool"])
+def test_bad_sim_seed_or_paths_exit_2(tmp_path, capsys, sim, override, reason):
+    cfg = write_cfg(tmp_path, {**BASE, "sim": {"horizon": 1.0, **sim}})
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet",
+               *override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_json_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
@@ -606,17 +628,32 @@ def test_quiet_suppresses_output(tmp_path, capsys):
     assert "monotone=True" in capsys.readouterr().out
 
 
+def child_env():
+    # a child process finds the package where this process imported it from
+    src = str(Path(investlearn.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point(tmp_path):
     doc = {**BASE, "grid_size": 501}
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "out"
-    # the child process finds the package where this process imported it from
-    src = str(Path(investlearn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "investlearn.cli", "solve",
          "--config", str(cfg), "--out", str(out), "--quiet"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use only; a command that never
+    # simulates should not pay its import time and resident memory
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, investlearn.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

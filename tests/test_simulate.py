@@ -195,6 +195,22 @@ def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
     assert np.all(empty.terminal_u == 1.0) and np.all(empty.terminal_pi == cfg.start_pi)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1])
+def test_streams_draw_what_their_keys_draw(seed):
+    # every generator of a set is built before any draws, from one shared
+    # key holder, so a generator that aliased the holder would draw another
+    # key's numbers; the repeated key must give two equal, separate streams
+    keys = [7999, 0, 5, 5]
+    first = sim_mod._substreams(seed, keys)
+    second = sim_mod._maximum_streams(seed, keys)
+    for i, gen, ugen in zip(keys, first, second):
+        want = np.random.Generator(np.random.Philox(key=[seed, i]))
+        assert gen.random() == want.random()
+        assert np.array_equal(gen.standard_normal(8), want.standard_normal(8))
+        want = np.random.Generator(np.random.Philox(key=[seed, i], counter=[0, 0, 1, 0]))
+        assert np.array_equal(ugen.random(8), want.random(8))
+
+
 def test_filter_run_draws_no_uniforms(linear_curve, monkeypatch):
     def no_streams(seed, keys):
         raise AssertionError("uniform streams built for a run without a barrier")
@@ -413,6 +429,12 @@ def test_nonmonotone_curve_rejected():
         simulate_reflecting(curve, cfg)
     with pytest.raises(ValueError):
         sample_trajectory(curve, cfg)
+
+
+def test_trajectory_rejects_negative_path_index(linear_curve):
+    cfg = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=0.5, n_paths=1, seed=9)
+    with pytest.raises(ValueError, match="path_index"):
+        sample_trajectory(linear_curve, cfg, path_index=-1)
 
 
 def test_trajectory_shape_and_determinism(linear_curve):
