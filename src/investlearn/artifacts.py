@@ -2,8 +2,12 @@
 
 A CSV is written by column, one row per index, each cell the repr of the
 Python scalar (ints stay ints, floats come out in shortest round-trip form),
-so identical data gives identical bytes and reads back bit for bit.  A JSON
-document is indented, key-sorted and ends in a newline.
+so identical data gives identical bytes and reads back bit for bit.  The
+bytes are those of csv.writer's default dialect on these cells: the header
+names and the cells joined by commas, unquoted (no repr of a number or bool
+holds a comma, quote or line break), each line ending in \r\n.  write_csv
+formats the lines itself, without csv.writer's per-cell quoting checks.  A
+JSON document is indented, key-sorted and ends in a newline.
 """
 
 import csv
@@ -20,11 +24,10 @@ PathLike = Union[str, Path]
 
 def write_csv(path: PathLike, header: Sequence[str], *columns) -> None:
     """Write the header, then one row per index of the equal-length columns."""
-    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    row = ",".join(["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*cells))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row.__mod__, zip(*(np.asarray(col).tolist() for col in columns))))
 
 
 def read_csv(path: PathLike, header: Sequence[str]) -> np.ndarray:

@@ -13,7 +13,10 @@ the frozen-rate stopping threshold.  The denominator is bounded away from
 zero on the strip 0 < b <= c(u), so fixed-step classical RK4 is enough; a
 guard aborts if the iterate ever leaves the strip by more than float noise.
 F sees the rate only through gamma, gamma' and gamma'' at u, so the solve
-tabulates them once at the grid nodes and once at the stage midpoints.
+tabulates them once at the grid nodes and once at the stage midpoints, and F
+reads them as seven stage constants (g k, g + k - 1, -g, (g - 1)(1 - k),
+gamma', gamma'', c): as arrays for the knot slopes, and as Python floats,
+converted one block of nodes at a time, in the scalar RK4 stages.
 
 The curve carries its slopes: m_j = F(u_j, b_j) is the exact b' at every
 knot, so b is read back between knots by cubic Hermite interpolation on
@@ -51,36 +54,50 @@ from .model import (
 # assumptions and the solve aborts.
 PROJECTION_TOL = 1e-9
 _STRIP_EPS = 1e-12
+# nodes per block of stage constants the RK4 loop holds as Python floats:
+# large enough that the per-block numpy calls cost little against the steps,
+# small enough that a block's floats take a few tens of kilobytes
+_BLOCK = 128
 
 
 class IntegrationError(RuntimeError):
     """The boundary iterate left the admissible strip 0 < b <= c(u)."""
 
 
-def _slope(k, u, g, d1, d2, b):
-    """Guarded F(u, b) from gamma, gamma', gamma'' at u.
+def _stage_constants(k, g, d1, d2):
+    """The constants F needs at points with gamma, gamma', gamma'' = g, d1, d2:
+    (g k, g + k - 1, -g, (g - 1)(1 - k), gamma', gamma'', c), with the
+    threshold c = g k / (g + k - 1).  Floats or arrays alike."""
+    gk = g * k
+    gk1 = g + k - 1.0
+    return gk, gk1, -g, (g - 1.0) * (1.0 - k), d1, d2, gk / gk1
+
+
+def _slope(k, u, t, b):
+    """Guarded F(u, b) from the stage constants t of u (see _stage_constants).
 
     Floats in the stepping loop, arrays for the knot slopes.  Raises
     IntegrationError unless gamma' < 0 (F divides by it) and b lies in
     (0, c(u) + PROJECTION_TOL].
     """
-    c = k * g / (k + g - 1.0)
+    gk, gk1, mg, g1k, d1, d2, c = t
     bad = (d1 >= 0.0) | (b <= 0.0) | (b - c > PROJECTION_TOL)
-    if bad if isinstance(bad, bool) else bad.any():
+    # a float stage gives the bool False when it is good, an array never does
+    if bad is not False and np.any(bad):
         j = int(np.argmax(np.ravel(bad)))
         u, d1, b, c = (float(np.ravel(np.broadcast_to(x, np.shape(bad)))[j]) for x in (u, d1, b, c))
         raise IntegrationError(f"boundary ODE undefined at u={u}: needs gamma' < 0 and "
                                f"0 < b <= c, got gamma'={d1}, b={b}, c={c}")
-    lin = g * k - (g + k - 1.0) * b
+    lin = gk - gk1 * b
     num = 2.0 * (b - k) * d1 * d1 + lin * d2
-    den = -g * lin - (g - 1.0) * (1.0 - k) * b
+    den = mg * lin - g1k * b
     return num / den * b * (1.0 - b) / d1
 
 
 def boundary_rhs(spec: RateSpec, params: ModelParams, u: float, b: float) -> float:
     """Right-hand side F(u, b) of the boundary ODE, guarded as in _slope."""
     g, d1, d2, _ = spec.gamma_derivs(u, params.r)
-    return _slope(params.k, u, float(g), float(d1), float(d2), b)
+    return _slope(params.k, u, _stage_constants(params.k, float(g), float(d1), float(d2)), b)
 
 
 class _Hermite:
@@ -216,17 +233,21 @@ class BoundaryCurve:
 
 def _on_knots(spec, params, ug, b, nodes, n_projections) -> BoundaryCurve:
     """The curve through (ug, b); nodes holds gamma, gamma', gamma'' at ug."""
-    g, d1, d2 = nodes
-    k = params.k
+    t = _stage_constants(params.k, *nodes)
     return BoundaryCurve(
         u_grid=ug,
         b_values=b,
-        c_values=k * g / (k + g - 1.0),
-        slopes=_slope(k, ug, g, d1, d2, b),
+        c_values=t[6],
+        slopes=_slope(params.k, ug, t, b),
         spec=spec,
         params=params,
         n_projections=n_projections,
     )
+
+
+def _float_block(k, g, d1, d2, lo, hi):
+    """Stage-constant tuples of points lo..hi-1, in Python floats."""
+    return list(zip(*(x.tolist() for x in _stage_constants(k, g[lo:hi], d1[lo:hi], d2[lo:hi]))))
 
 
 def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -> BoundaryCurve:
@@ -236,6 +257,11 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     is checked against the strip (0, c(u)); excursions within PROJECTION_TOL
     are projected back (counted on the returned curve), larger ones raise
     IntegrationError.
+
+    gamma, gamma', gamma'' are tabulated as arrays at the nodes and the stage
+    midpoints; the steps read them as the Python floats of _stage_constants,
+    converted one block of _BLOCK nodes at a time, so scalar stepping never
+    indexes an array and never holds the whole grid as Python objects.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -245,10 +271,11 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     um = ug[1:] + 0.5 * (ug[:-1] - ug[1:])
     g, d1, d2 = nodes = spec.gamma_derivs(ug, params.r)[:3]
     gm, d1m, d2m = spec.gamma_derivs(um, params.r)[:3]
-    cg = k * g / (k + g - 1.0)
+    last = grid_size - 1
+    t0 = _float_block(k, g, d1, d2, last, grid_size)[0]
     b = np.empty(grid_size)
-    b[-1] = b0 = cg.item(-1)
-    u0, gam0 = ug.item(-1), (g.item(-1), d1.item(-1), d2.item(-1))
+    b[-1] = b0 = t0[6]
+    u0 = 1.0  # == ug[-1]: linspace ends exactly on its stop
     n_proj = 0
 
     # compensated summation: in near-degenerate regimes (rho almost constant)
@@ -256,35 +283,40 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     # would bury b - c under rounding noise that the 1/gamma' division in the
     # value coefficient then amplifies
     comp = 0.0
-    for i in range(grid_size - 1, 0, -1):
-        u1 = ug.item(i - 1)
-        gam1 = g.item(i - 1), d1.item(i - 1), d2.item(i - 1)
-        gamh = gm.item(i - 1), d1m.item(i - 1), d2m.item(i - 1)
-        dt = u1 - u0  # negative
-        uh = u0 + 0.5 * dt  # == um[i - 1]
-        k1 = _slope(k, u0, *gam0, b0)
-        k2 = _slope(k, uh, *gamh, b0 + 0.5 * dt * k1)
-        k3 = _slope(k, uh, *gamh, b0 + 0.5 * dt * k2)
-        k4 = _slope(k, u1, *gam1, b0 + dt * k3)
-        incr = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) + comp
-        b1 = b0 + incr
-        comp = incr - (b1 - b0)
-        c1 = cg.item(i - 1)
-        if b1 >= c1:
-            if b1 - c1 > PROJECTION_TOL:
-                raise IntegrationError(f"boundary left the strip at u={u1}: b={b1}, c={c1}")
-            b1 = c1 - _STRIP_EPS
-            comp = 0.0
-            n_proj += 1
-        if b1 <= 0.0:
-            if b1 < -PROJECTION_TOL:
-                raise IntegrationError(f"boundary left the strip at u={u1}: b={b1}")
-            b1 = _STRIP_EPS
-            comp = 0.0
-            n_proj += 1
-        b[i - 1] = b0 = b1
-        u0, gam0 = u1, gam1
+    for hi in range(last, 0, -_BLOCK):
+        lo = max(hi - _BLOCK, 0)
+        # node j and midpoint j (between nodes j and j + 1) for j in lo..hi-1
+        block = zip(ug[lo:hi].tolist(), _float_block(k, g, d1, d2, lo, hi),
+                    _float_block(k, gm, d1m, d2m, lo, hi))
+        stepped = []
+        for u1, t1, th in reversed(list(block)):
+            dt = u1 - u0  # negative
+            uh = u0 + 0.5 * dt  # == um[j], this step's midpoint
+            k1 = _slope(k, u0, t0, b0)
+            k2 = _slope(k, uh, th, b0 + 0.5 * dt * k1)
+            k3 = _slope(k, uh, th, b0 + 0.5 * dt * k2)
+            k4 = _slope(k, u1, t1, b0 + dt * k3)
+            incr = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) + comp
+            b1 = b0 + incr
+            comp = incr - (b1 - b0)
+            c1 = t1[6]
+            if b1 >= c1:
+                if b1 - c1 > PROJECTION_TOL:
+                    raise IntegrationError(f"boundary left the strip at u={u1}: b={b1}, c={c1}")
+                b1 = c1 - _STRIP_EPS
+                comp = 0.0
+                n_proj += 1
+            if b1 <= 0.0:
+                if b1 < -PROJECTION_TOL:
+                    raise IntegrationError(f"boundary left the strip at u={u1}: b={b1}")
+                b1 = _STRIP_EPS
+                comp = 0.0
+                n_proj += 1
+            stepped.append(b1)
+            b0, u0, t0 = b1, u1, t1
+        b[lo:hi] = stepped[::-1]
 
+    del um, gm, d1m, d2m  # before the knot slopes allocate their temporaries
     return _on_knots(spec, params, ug, b, nodes, n_proj)
 
 

@@ -108,8 +108,8 @@ def _surface_csv(surface: ValueSurface, path: Path, n: int = 101) -> None:
     """Value samples as (u, pi, value) triples on an interior grid."""
     us = np.linspace(0.0, 1.0 - 1e-6, n)
     pis = np.linspace(1e-3, 1.0 - 1e-3, n)
-    vals = [surface.value(np.full(pis.shape, u), pis) for u in us]
-    write_csv(path, ["u", "pi", "value"], np.repeat(us, n), np.tile(pis, n), np.concatenate(vals))
+    u, pi = np.repeat(us, n), np.tile(pis, n)
+    write_csv(path, ["u", "pi", "value"], u, pi, surface.value(u, pi))
 
 
 def _load_or_solve(cfg: RunConfig, quiet: bool):

@@ -85,6 +85,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite_real(v) -> bool:
+    # compared rather than passed to math.isfinite, which overflows on a huge int
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and -math.inf < v < math.inf)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters.
@@ -103,6 +109,9 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("start_u", "start_pi", "dt", "horizon"):
+            if not _is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not 0.0 <= self.start_u < 1.0:
             raise ValueError(f"start_u must lie in [0, 1), got {self.start_u}")
         if not 0.0 < self.start_pi < 1.0:

@@ -1,11 +1,14 @@
 """Free-boundary integration: terminal data, strip bounds, regressions."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
+import investlearn.boundary
 from investlearn.boundary import (
+    IntegrationError,
     boundary_rhs,
     load_curve,
     save_curve,
@@ -230,3 +233,74 @@ def test_load_rejects_malformed(tmp_path, linear_curve):
 def test_solver_rejects_tiny_grid():
     with pytest.raises(Exception):
         solve_boundary(LINEAR, PARAMS, grid_size=2)
+
+
+# sha1 of b_values.tobytes() and n_projections, taken with the RK4 loop that
+# read the tabulated gamma arrays one item at a time; any change to the
+# order of the stepping arithmetic moves them
+PINNED_B = {
+    ("linear", 2001): ("79afdeb47bd18728f4c15e696192245f06a4cc1a", 0),
+    ("linear", 20001): ("2e42f830b11c2a1046d80fb6f549da4946640a86", 0),
+    ("hyperbolic", 2001): ("6d2d724ba2f08222c04ed9ecaf8fc9486242fa35", 0),
+    ("hyperbolic", 20001): ("e1cdb0b57a7ca6269478790e964fd216dc449f42", 0),
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(PINNED_B))
+def test_solve_pinned_bit_for_bit(family, n):
+    curve = solve_boundary({"linear": LINEAR, "hyperbolic": HYP}[family], PARAMS, grid_size=n)
+    got = hashlib.sha1(curve.b_values.tobytes()).hexdigest(), curve.n_projections
+    assert got == PINNED_B[(family, n)]
+
+
+@pytest.mark.parametrize("n", [5, 11, 2001])
+@pytest.mark.parametrize("block", [1, 7, 2000])
+def test_block_size_does_not_change_solve(monkeypatch, block, n):
+    # blocks of one node, of seven (longer than the 4 steps of a 5-node grid,
+    # leaving a partial block of the 10 of an 11-node one) and spanning all
+    # 2 000 steps of the default grid
+    want = solve_boundary(HYP, PARAMS, grid_size=n).b_values
+    monkeypatch.setattr(investlearn.boundary, "_BLOCK", block)
+    assert np.array_equal(solve_boundary(HYP, PARAMS, grid_size=n).b_values, want)
+
+
+class FlatSpec(RateSpec):
+    """HYP with gamma' = 0 below u = 0.3, where F is undefined."""
+
+    def gamma_derivs(self, u, r):
+        g, d1, d2, d3 = HYP.gamma_derivs(u, r)
+        return g, np.where(np.asarray(u) < 0.3, 0.0, d1), d2, d3
+
+
+class SpikeSpec(RateSpec):
+    """HYP with gamma' shrunk by 1e-9 at the node u = 0.5 and gamma'' there
+    of the given sign: F at that node is of order 1e9 with that sign, so the
+    last RK4 stage of the step onto u = 0.5 throws the iterate far out of the
+    strip while every stage is evaluated inside it."""
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    def gamma_derivs(self, u, r):
+        g, d1, d2, d3 = HYP.gamma_derivs(u, r)
+        at = np.asarray(u) == 0.5
+        return g, np.where(at, 1e-9 * d1, d1), np.where(at, self.sign * d2, d2), d3
+
+
+def test_rk4_rejects_gamma_prime_not_negative():
+    # the first stage below u = 0.3 is the midpoint of the step 0.30 -> 0.29
+    with pytest.raises(IntegrationError) as exc:
+        solve_boundary(FlatSpec(), PARAMS, grid_size=101)
+    assert str(exc.value) == (
+        "boundary ODE undefined at u=0.295: needs gamma' < 0 and 0 < b <= c, "
+        "got gamma'=0.0, b=0.5068716171414751, c=0.6234413965087282")
+
+
+@pytest.mark.parametrize("sign, message", [
+    (1.0, "boundary left the strip at u=0.5: b=-360363.317072189"),
+    (-1.0, "boundary left the strip at u=0.5: b=360364.4651001567, c=0.6944444444444445"),
+], ids=["below", "above"])
+def test_rk4_rejects_iterate_leaving_strip(sign, message):
+    with pytest.raises(IntegrationError) as exc:
+        solve_boundary(SpikeSpec(sign), PARAMS, grid_size=101)
+    assert str(exc.value) == message

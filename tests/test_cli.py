@@ -1,5 +1,6 @@
 """Command layer: exit codes, artifacts, manifests, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -578,8 +579,15 @@ def test_bad_documents_rejected(tmp_path, doc):
     ({}, ["--seed", "-1"], "seed"),
     ({"n_paths": 100.0}, [], "n_paths"),
     ({"n_paths": True}, [], "n_paths"),
+    ({"horizon": float("nan")}, [], "horizon"),
+    ({"horizon": float("inf")}, [], "horizon"),
+    ({"dt": float("inf")}, [], "dt"),
+    ({"dt": True}, [], "dt"),
+    ({"horizon": True}, [], "horizon"),
+    ({"start_u": False}, [], "start_u"),
 ], ids=["seed_float", "seed_bool", "seed_str", "seed_2^63", "seed_2^64-1", "seed_-1",
-        "seed_override_-1", "n_paths_float", "n_paths_bool"])
+        "seed_override_-1", "n_paths_float", "n_paths_bool", "horizon_nan", "horizon_inf",
+        "dt_inf", "dt_bool", "horizon_bool", "start_u_bool"])
 def test_bad_sim_seed_or_paths_exit_2(tmp_path, capsys, sim, override, reason):
     cfg = write_cfg(tmp_path, {**BASE, "sim": {"horizon": 1.0, **sim}})
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet",
@@ -588,6 +596,24 @@ def test_bad_sim_seed_or_paths_exit_2(tmp_path, capsys, sim, override, reason):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and reason in err
     assert not (tmp_path / "o").exists()
+
+
+# sha1 of the CSVs that solve and verify write on configs/linear_noise.json,
+# taken with the csv.writer-based writer, the item-by-item RK4 loop and one
+# surface evaluation per u-row
+SHIPPED_LINEAR_SHA1 = {
+    "boundary.csv": "679cd7b9abdf46f2024c139124453fe067969eb4",
+    "surface.csv": "9f760b8f11163fbe65eb5c0b4cf5fb5a943d4eea",
+}
+
+
+def test_shipped_linear_csvs_pinned(tmp_path):
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "linear_noise.json")
+    for command in ("solve", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    got = {name: hashlib.sha1((tmp_path / name).read_bytes()).hexdigest()
+           for name in SHIPPED_LINEAR_SHA1}
+    assert got == SHIPPED_LINEAR_SHA1
 
 
 def test_invalid_json_exits_2(tmp_path):

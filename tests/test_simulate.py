@@ -407,11 +407,24 @@ def test_filter_calibration(linear_curve):
         {"dt": 0.0},
         {"horizon": -1.0},
         {"n_paths": 0},
+        {"horizon": float("nan")},
+        {"horizon": float("inf")},
+        {"dt": float("inf")},
+        {"dt": True},
+        {"horizon": True},
+        {"start_u": False},
+        {"dt": "0.05"},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
+
+
+def test_config_accepts_ints_and_numpy_scalars():
+    cfg = SimConfig(start_u=0, start_pi=np.float32(0.5), dt=np.float64(0.05),
+                    horizon=np.int64(2), n_paths=1)
+    assert cfg.n_steps == 40
 
 
 def test_n_steps_rounds():
