@@ -55,9 +55,10 @@ from .model import (
 PROJECTION_TOL = 1e-9
 _STRIP_EPS = 1e-12
 # nodes per block of stage constants the RK4 loop holds as Python floats:
-# large enough that the per-block numpy calls cost little against the steps,
-# small enough that a block's floats take a few tens of kilobytes
-_BLOCK = 128
+# the per-block numpy calls cost little against 64 steps, and at 64 repeated
+# solves keep the resident memory where item-by-item reads kept it (128 and
+# more raise it by 0.1 MB and up)
+_BLOCK = 64
 
 
 class IntegrationError(RuntimeError):
@@ -246,8 +247,8 @@ def _on_knots(spec, params, ug, b, nodes, n_projections) -> BoundaryCurve:
 
 
 def _float_block(k, g, d1, d2, lo, hi):
-    """Stage-constant tuples of points lo..hi-1, in Python floats."""
-    return list(zip(*(x.tolist() for x in _stage_constants(k, g[lo:hi], d1[lo:hi], d2[lo:hi]))))
+    """Stage constants of points lo..hi-1, one list of Python floats per point."""
+    return np.array(_stage_constants(k, g[lo:hi], d1[lo:hi], d2[lo:hi])).T.tolist()
 
 
 def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -> BoundaryCurve:
