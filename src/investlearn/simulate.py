@@ -26,12 +26,15 @@ the kernel calls once per step on the live rows whose in-step maximum
 reached their barrier; the hook books payoffs and says which rows grew (U
 moved) and which died (U reached 1).  The kernel caches the drift
 (theta - 1/2) rho^2 dt and the volatility rho sqrt(dt) per path and calls
-rho again only on rows whose U grew.  The reflecting strategy's barrier is
-logit(b(U)), and its hook moves U to h at the maximum and books the integral
-of b - k over the growth; stop_at_c's barrier is logit(c(u0)); the filter
-check runs with no hook.  A trajectory is a one-key run of the reflecting
-strategy with recording on, so a plotted path is by construction one of the
-batch paths.
+rho again only on rows whose U grew.  It samples a row's in-step maximum
+only when the row is within reach of its barrier: the maximum exceeds the
+larger end of the step by at most a fixed multiple of the volatility, so a
+row further below its barrier than that cannot cross.  The reflecting
+strategy's barrier is logit(b(U)), and its hook moves U to h at the maximum
+and books the integral of b - k over the growth; stop_at_c's barrier is
+logit(c(u0)); the filter check runs with no hook.  A trajectory is a
+one-key run of the reflecting strategy with recording on, so a plotted path
+is by construction one of the batch paths.
 
 Several strategies ("legs") can share one pass of the kernel: their rows are
 stacked, each row knows its leg, and each step hands every leg's hook its
@@ -45,7 +48,11 @@ share a pass, and paths are common random numbers across strategies with
 the same seed.  Draw 0 of each stream is the uniform that decides theta;
 normals follow.  A run with a hook draws the uniforms of the in-step maxima
 from a second stream of the same key, so theta and the normals of a path do
-not depend on whether it is monitored.  The stream of key (seed, i) is
+not depend on whether it is monitored.  A path draws a chunk's uniforms only
+when its normals over the chunk can bring it within reach of its barrier;
+the uniforms it did not draw are owed, and skipped when it next draws, so
+the uniform of step s is always number s of its stream and the results are
+those of drawing them all.  The stream of key (seed, i) is
 Philox(key=[seed, i]) (the second one started at counter [0, 0, 1, 0]),
 built from a seed-sequence holder whose state is that key, so that no
 generator gathers OS entropy it would then discard.
@@ -65,10 +72,18 @@ from .artifacts import write_csv
 from .boundary import BoundaryCurve
 from .model import ModelParams, RateSpec, rho, stopping_threshold_c, stopping_value_v
 
-# Steps drawn at a time: the normals and the uniforms of a chunk together
-# take 2 * CHUNK_STEPS float64 per live stream.
+# Steps drawn at a time: the normals of a chunk take CHUNK_STEPS float64
+# per live stream, and its uniforms as many per stream within reach.
 CHUNK_STEPS = 256
 DRAW_BLOCK = 256  # streams per transposed block in _draws
+
+# The reach screen of `_run`.  A sampled maximum is at most the larger end
+# of its step plus vol * sqrt(e) / 2, and e = -2 ln(1 - U) <= 106 ln 2 < 74,
+# since random() is a multiple of 2^-53 below 1.  ROUNDING covers the
+# rounding of the kernel's sums; it is absolute, as every barrier is the
+# logit of a float in (0, 1) and so less than 745 in size.
+SQRT_E_CAP = math.sqrt(74.0)
+ROUNDING = 1e-9
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -120,6 +135,13 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.horizon < 0.0:
             raise ValueError("horizon must be nonnegative")
+        try:
+            ratio = float(self.horizon) / float(self.dt)
+        except OverflowError:  # an int too large for a float
+            ratio = math.inf
+        if not math.isfinite(ratio):
+            raise ValueError(f"horizon / dt must be a finite step count, got horizon "
+                             f"{self.horizon!r} and dt {self.dt!r}")
         if not _is_int(self.n_paths) or self.n_paths < 1:
             raise ValueError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         # the first word of each path's Philox key; Philox(key=[seed, i])
@@ -223,6 +245,25 @@ def _draws(method: str, gens: List[np.random.Generator], pos: np.ndarray, span: 
     return out
 
 
+def _skip(gen: np.random.Generator, drawn: int, n: int) -> None:
+    """Move a uniform stream that has drawn `drawn` numbers past its next n.
+
+    Philox makes its words four at a time, and random() takes one word per
+    number.  The words left in the current block are drawn, whole blocks
+    are skipped by `advance`, which also empties the block buffer, and the
+    rest are drawn.
+    """
+    head = min(n, -drawn % 4)
+    blocks, tail = divmod(n - head, 4)
+    discard = np.empty(3)
+    if head:
+        gen.random(out=discard[:head])
+    if blocks:
+        gen.bit_generator.advance(blocks)
+    if tail:
+        gen.random(out=discard[:tail])
+
+
 # A strategy hook: hook(t, rows, idx, peak) -> (grew, died).  It sees the
 # live rows idx of its leg whose in-step maximum of Phi, peak, reached their
 # barrier during the step whose midpoint is t.  It may book payoffs, move
@@ -249,6 +290,7 @@ class _Run:
     steps: int = 0  # steps taken, up to the death of the leg's last path
     path_steps: int = 0  # steps summed over paths, each up to its death
     crossings: int = 0  # (row, step) pairs handed to the hook
+    bridged: int = 0  # (row, step) pairs whose in-step maximum was sampled
 
 
 def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int],
@@ -260,21 +302,31 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     stacked in leg order; a leg with u0 >= 1 has no rows, its paths being
     finished before the first step.  A row carries its leg `leg`, output
     position `pos`, log odds `phi`, capacity `u`, `theta`, the cached
-    `drift`, `vol` and variance `var` = vol^2 of a step, and the `barrier`
-    in log odds that its leg's hook acts on.  With a hook, every step also
-    samples the exact maximum M of Phi over the step given both ends (a
-    Brownian bridge with drift: Glasserman 2003, section 6.4),
+    `drift`, `vol` and variance `var` = vol^2 of a step, the `barrier` in
+    log odds that its leg's hook acts on, and its `floor`.  With a hook, the
+    kernel samples the exact maximum M of Phi over a step given both ends a
+    and b (a Brownian bridge with drift: Glasserman 2003, section 6.4),
 
         M = (a + b + sqrt((b - a)^2 - 2 var ln V)) / 2,   V ~ U(0, 1],
 
-    and each leg's hook sees its rows with M >= barrier.  A dead row is
-    frozen (zero drift and volatility, infinite barrier) until the chunk
-    ends, when the batch is compacted.
+    and each leg's hook sees its rows with M >= barrier.  M is at most
+    max(a, b) + SQRT_E_CAP vol / 2, so a row's floor is barrier -
+    (SQRT_E_CAP vol / 2 + ROUNDING), and M is sampled (and counted in
+    `bridged`) only on rows with max(a, b) >= floor; a row below its floor
+    cannot cross.  A dead row is frozen (zero drift and volatility,
+    infinite barrier and floor) until the chunk ends, when the batch is
+    compacted.
 
     The legs share the substreams: the generators are built and theta is
-    drawn once, and each chunk's normals (and uniforms, if a leg has a hook)
-    are drawn once for the streams still live in any leg, one column per
-    stream; a row reads its stream's column `col`.  Every path's streams
+    drawn once, and each chunk's normals are drawn once for the streams
+    still live in any leg, one column per stream; a row reads its stream's
+    column `col`.  Over a chunk of `span` steps a row's log odds stay below
+    phi + max(0, span drift) + vol max(0, S), with S the largest partial
+    sum of its stream's normals in the chunk.  Only the streams with a row
+    whose bound reaches its floor draw the chunk's uniforms; the others owe
+    them, and skip what they owe when they next draw (`_skip`), so step s
+    always reads the uniform numbered s of its stream.  A row within reach
+    whose stream drew none raises ArithmeticError.  Every path's streams
     are read in the order of a one-leg run, so each leg's result is bit
     for bit what it would be alone.  With `record`, the path of the first
     key of the first leg is traced.
@@ -285,6 +337,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     hooked = any(hooks)
     ugens = _maximum_streams(cfg.seed, keys) if hooked else None
     n, n_legs = theta.size, len(legs)
+    udrawn = np.zeros(n, dtype=int)  # uniforms drawn or skipped by each key's stream
     terminal_u = [np.full(n, u0) for u0 in u0s]
     terminal_pi = [np.full(n, cfg.start_pi) for _ in legs]
     times, us, phis = [0.0], [u0s[0]], []
@@ -297,17 +350,20 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                            u=np.repeat([u0s[j] for j in stepped], n),
                            theta=np.tile(theta, stepped.size), drift=np.empty(m),
                            vol=np.empty(m), var=np.empty(m),
-                           barrier=np.repeat([barriers[j] for j in stepped], n))
+                           barrier=np.repeat([barriers[j] for j in stepped], n),
+                           floor=np.empty(m))
 
     def refresh(sel):
         rv = rho(spec, params, rows.u[sel])
         rows.drift[sel] = (rows.theta[sel] - 0.5) * rv * rv * dt
         rows.vol[sel] = rv * sqdt
         rows.var[sel] = rows.vol[sel] * rows.vol[sel]
+        rows.floor[sel] = rows.barrier[sel] - (0.5 * SQRT_E_CAP * rows.vol[sel] + ROUNDING)
 
     refresh(slice(None))
     n_live = [n if u0 < 1.0 else 0 for u0 in u0s]
     steps, dead_steps, crossings = [0] * n_legs, [0] * n_legs, [0] * n_legs
+    bridged = np.zeros(n_legs, dtype=int)
     steps_done = 0
     while steps_done < n_steps and any(n_live):
         span = min(CHUNK_STEPS, n_steps - steps_done)
@@ -315,11 +371,22 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         starts = np.searchsorted(rows.leg, np.arange(n_legs + 1))
         z = _draws("standard_normal", gens, streams, span)
         if hooked:
-            # e = -2 ln V, with V = 1 - U in (0, 1], in place
-            e = _draws("random", ugens, streams, span)
-            np.negative(e, out=e)
-            np.log1p(e, out=e)
-            e *= -2.0
+            total, top = np.zeros(streams.size), np.zeros(streams.size)
+            for zk in z:
+                total += zk
+                np.maximum(top, total, out=top)
+            bound = rows.phi + np.maximum(span * rows.drift, 0.0) + rows.vol * top[col]
+            need = np.zeros(streams.size, dtype=bool)
+            need[col[bound >= rows.floor - ROUNDING]] = True
+            drawing = streams[need]
+            for i, drawn in zip(drawing.tolist(), udrawn[drawing].tolist()):
+                if drawn < steps_done:
+                    _skip(ugens[i], drawn, steps_done - drawn)
+            udrawn[drawing] = steps_done + span
+            uniforms = _draws("random", ugens, drawing, span)
+            ucol = np.full(streams.size, -1)
+            ucol[need] = np.arange(drawing.size)
+            ucol = ucol[col]  # each row's column of `uniforms`, -1 if none
         alive = np.ones(rows.pos.size, dtype=bool)
 
         for step in range(span):
@@ -328,23 +395,37 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             tracing = record and alive[0] and rows.leg[0] == 0 and rows.pos[0] == 0
             start = rows.phi
             rows.phi = start + rows.drift + rows.vol * z[step][col]
-            if hooked:
-                d = rows.phi - start
-                peak = start + 0.5 * (d + np.sqrt(d * d + rows.var * e[step][col]))
-                crossed = np.flatnonzero(peak >= rows.barrier)
+            near = np.flatnonzero(np.maximum(start, rows.phi) >= rows.floor) if hooked else ()
+            if len(near):
+                cols = ucol[near]
+                if cols.min() < 0:
+                    raise ArithmeticError(
+                        f"path {rows.pos[near[cols.argmin()]]} came within reach of its barrier "
+                        f"at step {done}, but its chunk bound ruled that out")
+                # e = -2 ln V, with V = 1 - U in (0, 1], in place
+                e = uniforms[step][cols]
+                np.negative(e, out=e)
+                np.log1p(e, out=e)
+                e *= -2.0
+                a = start[near]
+                d = rows.phi[near] - a
+                peak = a + 0.5 * (d + np.sqrt(d * d + rows.var[near] * e))
+                hit = peak >= rows.barrier[near]
+                crossed, peak = near[hit], peak[hit]
+                bridged += np.diff(np.searchsorted(near, starts))
                 cuts = np.searchsorted(crossed, starts)
                 for j in range(n_legs):
                     idx = crossed[cuts[j]:cuts[j + 1]]
                     if not idx.size:
                         continue
                     crossings[j] += idx.size
-                    grew, died = hooks[j](t - 0.5 * dt, rows, idx, peak[idx])
+                    grew, died = hooks[j](t - 0.5 * dt, rows, idx, peak[cuts[j]:cuts[j + 1]])
                     if died is not None and died.size:
                         terminal_u[j][rows.pos[died]] = rows.u[died]
                         terminal_pi[j][rows.pos[died]] = _expit(rows.phi[died])
                         alive[died] = False
                         rows.drift[died] = rows.vol[died] = rows.var[died] = 0.0
-                        rows.barrier[died] = math.inf
+                        rows.barrier[died] = rows.floor[died] = math.inf
                         dead_steps[j] += died.size * done
                         n_live[j] -= died.size
                         if not n_live[j]:
@@ -360,7 +441,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                 break
 
         steps_done += span
-        z = e = None  # free this chunk's draws before the next chunk's are made
+        z = uniforms = None  # free this chunk's draws before the next chunk's are made
         if not alive.all():
             rows = SimpleNamespace(**{name: c[alive] for name, c in vars(rows).items()})
 
@@ -377,7 +458,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             steps[j] = steps_done
         runs.append(_Run(theta, terminal_u[j], terminal_pi[j], n_live[j],
                          trace if j == 0 else None, steps[j],
-                         dead_steps[j] + n_live[j] * steps[j], crossings[j]))
+                         dead_steps[j] + n_live[j] * steps[j], crossings[j], int(bridged[j])))
     return runs
 
 
@@ -399,7 +480,8 @@ def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, run: _Run
         terminal_u=run.terminal_u,
         terminal_pi=run.terminal_pi,
         counters={"steps": run.steps, "path_steps": run.path_steps,
-                  "barrier_crossings": run.crossings, "frac_alive_at_horizon": frac_alive},
+                  "barrier_crossings": run.crossings, "bridge_rows": run.bridged,
+                  "frac_alive_at_horizon": frac_alive},
     )
 
 

@@ -281,13 +281,16 @@ def test_simulate_writes_estimates(tmp_path):
     # deterministic work counts, one set per stepped strategy, no timing
     assert set(man["counters"]) == {"reflecting", "stop_at_c"}
     for name, counts in man["counters"].items():
-        assert set(counts) == {"steps", "path_steps", "barrier_crossings", "frac_alive_at_horizon"}
+        assert set(counts) == {"steps", "path_steps", "barrier_crossings", "bridge_rows",
+                               "frac_alive_at_horizon"}
         assert counts["frac_alive_at_horizon"] == est[name]["frac_alive_at_horizon"]
         alive = round(counts["frac_alive_at_horizon"] * 400)
         assert counts["steps"] == 6000 if alive else counts["steps"] <= 6000
         # every path lives at least one step, the survivors all of them
         assert 400 + alive * (counts["steps"] - 1) <= counts["path_steps"] <= 400 * counts["steps"]
         assert counts["barrier_crossings"] > 0
+        # a crossing is found by sampling the row's in-step maximum
+        assert counts["bridge_rows"] >= counts["barrier_crossings"]
     # a stop_at_c path crosses once, when it stops
     stopped = round((1.0 - man["counters"]["stop_at_c"]["frac_alive_at_horizon"]) * 400)
     assert man["counters"]["stop_at_c"]["barrier_crossings"] == stopped
@@ -585,9 +588,12 @@ def test_bad_documents_rejected(tmp_path, doc):
     ({"dt": True}, [], "dt"),
     ({"horizon": True}, [], "horizon"),
     ({"start_u": False}, [], "start_u"),
+    ({"horizon": 1e308}, [], "horizon"),
+    ({"horizon": 10 ** 400}, [], "horizon"),
 ], ids=["seed_float", "seed_bool", "seed_str", "seed_2^63", "seed_2^64-1", "seed_-1",
         "seed_override_-1", "n_paths_float", "n_paths_bool", "horizon_nan", "horizon_inf",
-        "dt_inf", "dt_bool", "horizon_bool", "start_u_bool"])
+        "dt_inf", "dt_bool", "horizon_bool", "start_u_bool", "horizon_1e308",
+        "horizon_int_10^400"])
 def test_bad_sim_seed_or_paths_exit_2(tmp_path, capsys, sim, override, reason):
     cfg = write_cfg(tmp_path, {**BASE, "sim": {"horizon": 1.0, **sim}})
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet",
@@ -614,6 +620,27 @@ def test_shipped_linear_csvs_pinned(tmp_path):
     got = {name: hashlib.sha1((tmp_path / name).read_bytes()).hexdigest()
            for name in SHIPPED_LINEAR_SHA1}
     assert got == SHIPPED_LINEAR_SHA1
+
+
+# sha1 of the files simulate writes on configs/linear_noise.json at 2 000
+# paths, taken when every row's in-step maximum was sampled and every live
+# stream drew its uniforms
+SHIPPED_SIMULATE_SHA1 = {
+    "estimates.json": "8686b0989f75f0ca9f5b8e49e3550067dcdd0a14",
+    "trajectory.csv": "a345814f99b60eef74ba3ddc79de68153077d9e4",
+}
+
+
+def test_shipped_linear_simulate_pinned(tmp_path):
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "linear_noise.json").read_text())
+    doc["sim"]["n_paths"] = 2000
+    assert (doc["sim"]["horizon"], doc["sim"]["seed"]) == (150.0, 1)
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    got = {name: hashlib.sha1((tmp_path / "o" / name).read_bytes()).hexdigest()
+           for name in SHIPPED_SIMULATE_SHA1}
+    assert got == SHIPPED_SIMULATE_SHA1
 
 
 def test_invalid_json_exits_2(tmp_path):

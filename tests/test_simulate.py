@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,9 +220,59 @@ def test_filter_run_draws_no_uniforms(linear_curve, monkeypatch):
     filter_calibration(LINEAR, PARAMS, PINNED_CFG, n_bins=4)
 
 
+SCREEN_CFGS = [SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_paths=400, seed=s)
+               for s in (1, 2)]
+
+
+@pytest.mark.parametrize("chunk", [256, 7])
+@pytest.mark.parametrize("cfg", SCREEN_CFGS, ids=["seed1", "seed2"])
+def test_reach_screen_matches_unscreened_kernel(linear_curve, monkeypatch, cfg, chunk):
+    # with an infinite cap on sqrt(e) every row is in reach at every step,
+    # so every live stream draws its uniforms: the kernel without the screen
+    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    skips = []
+    skip = sim_mod._skip
+    monkeypatch.setattr(sim_mod, "_skip", lambda gen, drawn, n: skips.append(n) or skip(gen, drawn, n))
+    screened = simulate_paired(linear_curve, cfg)
+    assert skips and sum(skips) > 0
+    skips.clear()
+    monkeypatch.setattr(sim_mod, "SQRT_E_CAP", math.inf)
+    unscreened = simulate_paired(linear_curve, cfg)
+    assert not skips
+    for a, b in zip(screened, unscreened):
+        for field in ("payoffs", "theta", "terminal_u", "terminal_pi"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        bridged = a.counters.pop("bridge_rows")
+        assert b.counters.pop("bridge_rows") == b.counters["path_steps"]
+        assert a.counters == b.counters
+        assert a.counters["barrier_crossings"] <= bridged < a.counters["path_steps"]
+
+
+def test_row_in_reach_without_uniforms_raises(linear_curve, monkeypatch):
+    # a negative margin lets the chunk screen pass over streams whose rows
+    # then come within reach; the kernel must refuse rather than sample M
+    monkeypatch.setattr(sim_mod, "ROUNDING", -0.5)
+    with pytest.raises(ArithmeticError, match="within reach of its barrier"):
+        simulate_paired(linear_curve, SCREEN_CFGS[0])
+
+
+@pytest.mark.parametrize("start", [0, 1, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 184, 256])
+def test_skipping_uniforms_equals_drawing_them(start, n):
+    skipped, = sim_mod._maximum_streams(5, [17])
+    drawn, = sim_mod._maximum_streams(5, [17])
+    skipped.random(start)
+    sim_mod._skip(skipped, start, n)
+    drawn.random(start + n)
+    assert np.array_equal(skipped.random(12), drawn.random(12))
+
+
 class _StepEnds:
     """Uniform stream stand-in that draws U = 0, so V = 1 and the sampled
-    in-step maximum is the larger end of the step."""
+    in-step maximum is the larger end of the step.  Skipping ahead leaves
+    it as it is."""
+
+    bit_generator = SimpleNamespace(advance=lambda blocks: None)
 
     def random(self, out):
         out[:] = 0.0
@@ -414,6 +465,9 @@ def test_filter_calibration(linear_curve):
         {"horizon": True},
         {"start_u": False},
         {"dt": "0.05"},
+        {"horizon": 1e308},
+        {"horizon": 10 ** 400},
+        {"dt": 5e-324},
     ],
 )
 def test_config_validation(kwargs):
