@@ -358,14 +358,17 @@ def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
     the data (a tampered file must not ride on a stale certificate); spec
     and params are rebuilt from the header.  A fault in the files' shape
     raises ConfigError naming the file: a CSV read_csv rejects, a sidecar
-    that is not a boundary-curve header or lacks a field, fewer than two
-    rows, u not strictly increasing or not spanning [0, 1], or b(1) off the
-    terminal value c(1) (both within PROJECTION_TOL).  A well-formed curve
-    with a knot outside the strip raises IntegrationError.
+    that is not a boundary-curve header or lacks a field, a non-finite u or
+    b, fewer than two rows, u not strictly increasing or not spanning
+    [0, 1], or b(1) off the terminal value c(1) (both within
+    PROJECTION_TOL).  A well-formed curve with a knot outside the strip
+    raises IntegrationError.
     """
     csv_path = Path(csv_path)
     # copied into one contiguous row per column, which the interpolants search
     ug, b = read_csv(csv_path, ["u", "b"]).T.copy()
+    if not (np.all(np.isfinite(ug)) and np.all(np.isfinite(b))):
+        raise ConfigError(f"{csv_path}: u and b must be finite numbers")
     if ug.size < 2 or not np.all(np.diff(ug) > 0):
         raise ConfigError(f"{csv_path}: u column must be strictly increasing over at least 2 rows")
     if abs(ug[0]) > PROJECTION_TOL or abs(ug[-1] - 1.0) > PROJECTION_TOL:

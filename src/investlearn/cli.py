@@ -53,6 +53,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
+SURFACE_CSV_GRID = 101  # values of u, and of pi, in surface.csv
+
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
                     outputs: List[str], checks: dict, started: float,
@@ -104,11 +106,11 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _surface_csv(surface: ValueSurface, path: Path, n: int = 101) -> None:
+def _surface_csv(surface: ValueSurface, path: Path) -> None:
     """Value samples as (u, pi, value) triples on an interior grid."""
-    us = np.linspace(0.0, 1.0 - 1e-6, n)
-    pis = np.linspace(1e-3, 1.0 - 1e-3, n)
-    u, pi = np.repeat(us, n), np.tile(pis, n)
+    us = np.linspace(0.0, 1.0 - 1e-6, SURFACE_CSV_GRID)
+    pis = np.linspace(1e-3, 1.0 - 1e-3, SURFACE_CSV_GRID)
+    u, pi = np.repeat(us, SURFACE_CSV_GRID), np.tile(pis, SURFACE_CSV_GRID)
     write_csv(path, ["u", "pi", "value"], u, pi, surface.value(u, pi))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .model import ConfigError, ModelParams, RateSpec, spec_from_dict
+from .model import ConfigError, ModelParams, RateSpec, _number, spec_from_dict
 from .simulate import SimConfig
 
 SCHEMA_VERSION = 1
@@ -113,25 +113,21 @@ def load_config(path, seed: Optional[int] = None,
         raise ConfigError("config needs a 'model' object")
     if "r" not in model_doc:
         raise ConfigError("model needs a discount rate 'r'")
-    try:
-        if "k" in model_doc:
-            extra = set(model_doc) - {"r", "k"}
-            if extra:
-                raise ConfigError(f"unknown model keys: {sorted(extra)}")
-            model = ModelParams(r=float(model_doc["r"]), k=float(model_doc["k"]))
-        elif "mu0" in model_doc and "mu1" in model_doc:
-            extra = set(model_doc) - {"r", "mu0", "mu1"}
-            if extra:
-                raise ConfigError(f"unknown model keys: {sorted(extra)}")
-            model = ModelParams.from_drifts(
-                mu0=float(model_doc["mu0"]), mu1=float(model_doc["mu1"]),
-                r=float(model_doc["r"]))
-        else:
-            raise ConfigError("model needs 'k' or the drift pair 'mu0', 'mu1'")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model parameters: {exc}") from exc
+    if "k" in model_doc:
+        extra = set(model_doc) - {"r", "k"}
+        if extra:
+            raise ConfigError(f"unknown model keys: {sorted(extra)}")
+        model = ModelParams(r=_number(model_doc["r"], "model.r"),
+                            k=_number(model_doc["k"], "model.k"))
+    elif "mu0" in model_doc and "mu1" in model_doc:
+        extra = set(model_doc) - {"r", "mu0", "mu1"}
+        if extra:
+            raise ConfigError(f"unknown model keys: {sorted(extra)}")
+        model = ModelParams.from_drifts(
+            mu0=_number(model_doc["mu0"], "model.mu0"),
+            mu1=_number(model_doc["mu1"], "model.mu1"), r=_number(model_doc["r"], "model.r"))
+    else:
+        raise ConfigError("model needs 'k' or the drift pair 'mu0', 'mu1'")
 
     rate_doc = doc.get("rate")
     if not isinstance(rate_doc, dict):

@@ -47,6 +47,7 @@ BISECT_F_REL = 1e-14
 TOL_BELLMAN = 1e-10
 TOL_GENERATOR = 1e-8
 TOL_SMOOTH_FIT = 1e-4
+N_PI = 999  # beliefs of the verification suite's grid
 
 # The oracle's log-odds grid [-ORACLE_PHI_MAX, ORACLE_PHI_MAX], shared by all
 # levels, and the complementarity residual it accepts per level (see
@@ -279,7 +280,7 @@ class DiscreteCheckReport:
         }
 
 
-def discrete_verification_suite(ladder: DiscreteLadder, n_pi: int = 999) -> DiscreteCheckReport:
+def discrete_verification_suite(ladder: DiscreteLadder) -> DiscreteCheckReport:
     """Re-check the solved ladder against its own Bellman characterization.
 
     (i)  stepping up one level never beats the value, V_n >= pi - k + V_{n+1},
@@ -290,7 +291,7 @@ def discrete_verification_suite(ladder: DiscreteLadder, n_pi: int = 999) -> Disc
     (iii) smooth fit: the held slope A_n G_n'(b_n) equals the stopped slope
          1 + V_{n+1}'(b_n).
     """
-    pis = np.linspace(0.001, 0.999, n_pi)
+    pis = np.linspace(0.001, 0.999, N_PI)
     N = ladder.n_levels
 
     b, g = ladder.b, ladder.gamma
@@ -313,7 +314,7 @@ def discrete_verification_suite(ladder: DiscreteLadder, n_pi: int = 999) -> Disc
         fit = max(fit, abs(float(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0])))
 
     return DiscreteCheckReport(
-        n_pi=n_pi,
+        n_pi=N_PI,
         bellman_max_violation=bellman,
         generator_max_residual=gen,
         smooth_fit_max_gap=fit,

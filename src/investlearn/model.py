@@ -43,6 +43,8 @@ SIGN_TOL = 1e-10
 # rate specs below this floor are rejected at construction.
 RHO_FLOOR = 1e-8
 
+CONDITION_GRID = 1001  # nodes of check_conditions' validation grid
+
 
 class ConfigError(ValueError):
     """Invalid model or rate-spec parameters."""
@@ -424,22 +426,10 @@ class ConditionReport:
     max_gamma_second: float
 
     def to_dict(self) -> dict:
-        return {
-            "grid_size": self.grid_size,
-            "rho_increasing": self.rho_increasing,
-            "gamma_decreasing": self.gamma_decreasing,
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "gamma_concave": self.gamma_concave,
-            "B_increasing": self.B_increasing,
-            "curvature_growth": self.curvature_growth,
-            "route": self.route,
-            "max_cond1_lhs": self.max_cond1_lhs,
-            "max_gamma_second": self.max_gamma_second,
-        }
+        return dict(self.__dict__)
 
 
-def check_conditions(spec: RateSpec, params: ModelParams, grid_size: int = 1001) -> ConditionReport:
+def check_conditions(spec: RateSpec, params: ModelParams) -> ConditionReport:
     """Evaluate the monotonicity conditions on a uniform validation grid.
 
     cond1:  2 gamma'^2 - gamma gamma'' <= 0 everywhere (holds with equality for
@@ -449,7 +439,7 @@ def check_conditions(spec: RateSpec, params: ModelParams, grid_size: int = 1001)
     Both sign tests allow the relative slack of _sign_slack at each point.
     The combination gamma concave + B increasing certifies b > k as well.
     """
-    ug = np.linspace(0.0, 1.0, grid_size)
+    ug = np.linspace(0.0, 1.0, CONDITION_GRID)
     g, d1, d2, d3 = spec.gamma_derivs(ug, params.r)
     r2 = spec.rho2(ug, params.r)
 
@@ -482,7 +472,7 @@ def check_conditions(spec: RateSpec, params: ModelParams, grid_size: int = 1001)
         route = "unverified"
 
     return ConditionReport(
-        grid_size=grid_size,
+        grid_size=CONDITION_GRID,
         rho_increasing=rho_increasing,
         gamma_decreasing=gamma_decreasing,
         cond1=cond1,
@@ -496,25 +486,46 @@ def check_conditions(spec: RateSpec, params: ModelParams, grid_size: int = 1001)
     )
 
 
+def _number(value, name: str) -> float:
+    """A number of a config document as a float; a string or a boolean
+    raises ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
 def spec_from_dict(d: dict) -> RateSpec:
     """Deserialize a rate spec from a config mapping (see README for the schema)."""
     if "family" not in d:
         raise ConfigError("rate spec needs a 'family' field")
     fam = d["family"]
     extra = {key: val for key, val in d.items() if key != "family"}
+
+    def num(key):
+        return _number(extra.pop(key), f"rate.{key}")
+
+    def nums(key):
+        vals = extra.pop(key)
+        if not isinstance(vals, (list, tuple, np.ndarray)):
+            raise ConfigError(f"rate.{key} must be a list of numbers, got {vals!r}")
+        return np.array([_number(v, f"rate.{key}") for v in vals])
+
     try:
         if fam == "linear_noise":
-            return LinearNoise(C=float(extra.pop("C")), D=float(extra.pop("D")), **_none(extra))
+            return LinearNoise(C=num("C"), D=num("D"), **_none(extra))
         if fam == "sqrt_expansion":
-            eps = float(extra.pop("eps", 1e-3))
-            return SqrtExpansion(C=float(extra.pop("C")), eps=eps, **_none(extra))
+            eps = num("eps") if "eps" in extra else 1e-3
+            return SqrtExpansion(C=num("C"), eps=eps, **_none(extra))
         if fam == "hyperbolic_gamma":
-            return HyperbolicGamma(A=float(extra.pop("A")), beta=float(extra.pop("beta")), **_none(extra))
+            return HyperbolicGamma(A=num("A"), beta=num("beta"), **_none(extra))
         if fam == "tabulated":
             if "rho" in extra:
-                return Tabulated(np.asarray(extra.pop("rho"), dtype=float))
+                return Tabulated(nums("rho"))
             if "rho2" in extra:
-                return Tabulated.from_rho2(np.asarray(extra.pop("rho2"), dtype=float))
+                return Tabulated.from_rho2(nums("rho2"))
             raise ConfigError("tabulated rate spec needs 'rho' or 'rho2' values")
         raise ConfigError(f"unknown rate family {fam!r}")
     except (KeyError, TypeError) as exc:

@@ -19,12 +19,14 @@ and left again inside a step is not missed.  The discretization effects left
 are that rho stays at its start-of-step value while U grows within a step,
 and that a step's payoff is discounted at the step's midpoint.
 
-Every stepped simulation runs through one kernel, `_run`.  It owns the
-random numbers, the update above, and the bookkeeping of live and finished
-paths.  A strategy gives every row a barrier in log odds and a hook, which
-the kernel calls once per step on the live rows whose in-step maximum
-reached their barrier; the hook books payoffs and says which rows grew (U
-moved) and which died (U reached 1).  The kernel caches the drift
+Every simulation runs through one kernel, `_run`.  It owns the random
+numbers, the update above, and the bookkeeping of live and finished paths,
+and it returns one result per strategy.  A strategy is a leg, its payoff at
+time zero and the payoff array its hook books into.  The leg gives every
+row a start capacity, a barrier in log odds and a hook, which the kernel
+calls once per step on the live rows whose in-step maximum reached their
+barrier; the hook books payoffs and says which rows grew (U moved) and
+which died (U reached 1).  The kernel caches the drift
 (theta - 1/2) rho^2 dt and the volatility rho sqrt(dt) per path and calls
 rho again only on rows whose U grew.  It samples a row's in-step maximum
 only when the row is within reach of its barrier: the maximum exceeds the
@@ -32,15 +34,17 @@ larger end of the step by at most a fixed multiple of the volatility, so a
 row further below its barrier than that cannot cross.  The reflecting
 strategy's barrier is logit(b(U)), and its hook moves U to h at the maximum
 and books the integral of b - k over the growth; stop_at_c's barrier is
-logit(c(u0)); the filter check runs with no hook.  A trajectory is a
-one-key run of the reflecting strategy with recording on, so a plotted path
+logit(c(u0)); the filter check runs with no hook.  A leg that starts at
+capacity 1 with no hook is closed form and draws nothing: full_now, and
+stop_at_c from pi0 >= c(u0).  A trajectory is a one-key run of the
+reflecting strategy that hands the kernel a trace list, so a plotted path
 is by construction one of the batch paths.
 
-Several strategies ("legs") can share one pass of the kernel: their rows are
+Several strategies can share one pass of the kernel: their rows are
 stacked, each row knows its leg, and each step hands every leg's hook its
 own crossing rows.  `simulate_paired` steps the reflecting and stop_at_c
 legs together, so the random numbers of each path are drawn once for both;
-`simulate_reflecting` and `simulate_baseline` are one-leg passes.
+`simulate_reflecting` and `simulate_baseline` are one-strategy passes.
 
 Each path owns a counter-based substream keyed (seed, path index), so results
 are reproducible bit for bit, independent of chunking and of which legs
@@ -164,7 +168,7 @@ class SimResult:
     frac_alive_at_horizon: float
     config: SimConfig
     payoffs: np.ndarray
-    theta: Optional[np.ndarray]  # None for runs that take no step
+    theta: Optional[np.ndarray]  # None for a closed-form strategy
     terminal_u: np.ndarray
     terminal_pi: np.ndarray
     counters: dict  # deterministic work counts of the run, for the manifest
@@ -274,36 +278,29 @@ Hook = Callable[[float, SimpleNamespace, np.ndarray, np.ndarray],
                 Tuple[Optional[np.ndarray], Optional[np.ndarray]]]
 
 
-# A leg, one strategy stepped by `_run`: (u0, hook, barrier).  Its rows start
-# at capacity u0 with the barrier in log odds, and the hook acts on their
+# A leg, the rows of one strategy: (u0, hook, barrier).  Its rows start at
+# capacity u0 with the barrier in log odds, and the hook acts on their
 # crossings; a leg with no hook is (u0, None, inf).
 Leg = Tuple[float, Optional[Hook], float]
 
-
-@dataclass
-class _Run:
-    theta: Optional[np.ndarray]
-    terminal_u: np.ndarray
-    terminal_pi: np.ndarray
-    n_alive: int
-    trace: Optional[dict]  # (t, U, Pi) of the first key when recording
-    steps: int = 0  # steps taken, up to the death of the leg's last path
-    path_steps: int = 0  # steps summed over paths, each up to its death
-    crossings: int = 0  # (row, step) pairs handed to the hook
-    bridged: int = 0  # (row, step) pairs whose in-step maximum was sampled
+# A strategy stepped by `_run`: (leg, jump, payoffs), jump the payoff of
+# each path at time zero and payoffs the array its hook books into.
+Strategy = Tuple[Leg, float, np.ndarray]
 
 
 def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int],
-         legs: Sequence[Leg], record: bool = False) -> List[_Run]:
+         strategies: Sequence[Strategy], trace: Optional[list] = None) -> List[SimResult]:
     """Step the belief of the paths keyed `keys` from (u0, start_pi) under
-    each of `legs` in one pass; one _Run per leg.
+    each of `strategies` in one pass; one SimResult per strategy.
 
     A leg with u0 < 1 has a row per key, and the rows of all legs are
     stacked in leg order; a leg with u0 >= 1 has no rows, its paths being
-    finished before the first step.  A row carries its leg `leg`, output
-    position `pos`, log odds `phi`, capacity `u`, `theta`, the cached
-    `drift`, `vol` and variance `var` = vol^2 of a step, the `barrier` in
-    log odds that its leg's hook acts on, and its `floor`.  With a hook, the
+    finished before the first step.  A leg with no rows and no hook is
+    closed form: its theta is None, and a pass of such legs alone builds no
+    substreams.  A row carries its leg `leg`, output position `pos`, log
+    odds `phi`, capacity `u`, `theta`, the cached `drift`, `vol` and
+    variance `var` = vol^2 of a step, the `barrier` in log odds that its
+    leg's hook acts on, and its `floor`.  With a hook, the
     kernel samples the exact maximum M of Phi over a step given both ends a
     and b (a Brownian bridge with drift: Glasserman 2003, section 6.4),
 
@@ -328,22 +325,23 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     always reads the uniform numbered s of its stream.  A row within reach
     whose stream drew none raises ArithmeticError.  Every path's streams
     are read in the order of a one-leg run, so each leg's result is bit
-    for bit what it would be alone.  With `record`, the path of the first
-    key of the first leg is traced.
+    for bit what it would be alone.  Given a `trace` list, the kernel
+    appends (t, U, phi) of the first key of the first leg after each step
+    it lives.
     """
-    gens = _substreams(cfg.seed, keys)
-    theta = _draw_theta(gens, cfg.start_pi)
-    u0s, hooks, barriers = zip(*legs)
-    hooked = any(hooks)
+    u0s, hooks, barriers = zip(*(leg for leg, _, _ in strategies))
+    closed = [u0 >= 1.0 and hook is None for u0, hook in zip(u0s, hooks)]
+    n, n_legs = len(keys), len(strategies)
+    gens = None if all(closed) else _substreams(cfg.seed, keys)
+    theta = np.zeros(n) if gens is None else _draw_theta(gens, cfg.start_pi)
+    stepped = np.array([j for j, u0 in enumerate(u0s) if u0 < 1.0], dtype=int)
+    hooked = any(hooks[j] for j in stepped)
     ugens = _maximum_streams(cfg.seed, keys) if hooked else None
-    n, n_legs = theta.size, len(legs)
     udrawn = np.zeros(n, dtype=int)  # uniforms drawn or skipped by each key's stream
     terminal_u = [np.full(n, u0) for u0 in u0s]
-    terminal_pi = [np.full(n, cfg.start_pi) for _ in legs]
-    times, us, phis = [0.0], [u0s[0]], []
+    terminal_pi = [np.full(n, cfg.start_pi) for _ in strategies]
     dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
     n_steps = cfg.n_steps
-    stepped = np.array([j for j, u0 in enumerate(u0s) if u0 < 1.0], dtype=int)
     m = n * stepped.size
     rows = SimpleNamespace(leg=np.repeat(stepped, n), pos=np.tile(np.arange(n), stepped.size),
                            phi=np.full(m, _logit(cfg.start_pi)),
@@ -392,7 +390,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         for step in range(span):
             done = steps_done + step + 1
             t = done * dt
-            tracing = record and alive[0] and rows.leg[0] == 0 and rows.pos[0] == 0
+            tracing = trace is not None and alive[0] and rows.leg[0] == 0 and rows.pos[0] == 0
             start = rows.phi
             rows.phi = start + rows.drift + rows.vol * z[step][col]
             near = np.flatnonzero(np.maximum(start, rows.phi) >= rows.floor) if hooked else ()
@@ -433,9 +431,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                     if grew is not None and grew.size:
                         refresh(grew)
             if tracing:
-                times.append(t)
-                us.append(rows.u[0])
-                phis.append(rows.phi[0])
+                trace.append((t, rows.u[0], rows.phi[0]))
             if not any(n_live):
                 span = step + 1
                 break
@@ -445,48 +441,36 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         if not alive.all():
             rows = SimpleNamespace(**{name: c[alive] for name, c in vars(rows).items()})
 
-    trace = None
-    if record:
-        pis = np.concatenate(([cfg.start_pi], _expit(np.array(phis))))
-        trace = {"t": np.array(times), "u": np.array(us, dtype=float), "pi": pis}
-    runs = []
-    for j in range(n_legs):
+    truncation = math.exp(-params.r * cfg.horizon) * (1.0 - params.k)
+    results = []
+    for j, (_, jump, payoffs) in enumerate(strategies):
         mine = rows.leg == j
         terminal_u[j][rows.pos[mine]] = rows.u[mine]
         terminal_pi[j][rows.pos[mine]] = _expit(rows.phi[mine])
         if n_live[j]:
             steps[j] = steps_done
-        runs.append(_Run(theta, terminal_u[j], terminal_pi[j], n_live[j],
-                         trace if j == 0 else None, steps[j],
-                         dead_steps[j] + n_live[j] * steps[j], crossings[j], int(bridged[j])))
-    return runs
-
-
-def _finish(cfg: SimConfig, params: ModelParams, jump: float, payoffs, run: _Run) -> SimResult:
-    est = float(np.sum(payoffs) / cfg.n_paths)
-    # a single path carries no spread information; report zero, not NaN
-    se = float(np.std(payoffs, ddof=1) / math.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
-    bound = math.exp(-params.r * cfg.horizon) * (1.0 - params.k)
-    frac_alive = run.n_alive / cfg.n_paths
-    return SimResult(
-        estimate=est,
-        std_error=se,
-        initial_jump=jump,
-        truncation_bound=bound,
-        frac_alive_at_horizon=frac_alive,
-        config=cfg,
-        payoffs=payoffs,
-        theta=run.theta,
-        terminal_u=run.terminal_u,
-        terminal_pi=run.terminal_pi,
-        counters={"steps": run.steps, "path_steps": run.path_steps,
-                  "barrier_crossings": run.crossings, "bridge_rows": run.bridged,
-                  "frac_alive_at_horizon": frac_alive},
-    )
+        frac_alive = n_live[j] / n
+        results.append(SimResult(
+            estimate=float(np.sum(payoffs) / n),
+            # a single path carries no spread information; report zero, not NaN
+            std_error=float(np.std(payoffs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            initial_jump=jump,
+            truncation_bound=truncation,
+            frac_alive_at_horizon=frac_alive,
+            config=cfg,
+            payoffs=payoffs,
+            theta=None if closed[j] else theta,
+            terminal_u=terminal_u[j],
+            terminal_pi=terminal_pi[j],
+            counters={"steps": steps[j], "path_steps": dead_steps[j] + n_live[j] * steps[j],
+                      "barrier_crossings": crossings[j], "bridge_rows": int(bridged[j]),
+                      "frac_alive_at_horizon": frac_alive},
+        ))
+    return results
 
 
 def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
-                 n: int) -> Tuple[Leg, float, np.ndarray]:
+                 n: int) -> Strategy:
     """The reflecting strategy on n paths: (leg, jump, payoffs), the hook
     booking into payoffs, which start at the time-zero payoff jump.
 
@@ -521,17 +505,23 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
     return (u_start, hook, barrier), jump, payoffs
 
 
-def _stop_leg(curve: BoundaryCurve, cfg: SimConfig,
-              n: int) -> Optional[Tuple[Leg, float, np.ndarray]]:
-    """stop_at_c on n paths as (leg, jump, payoffs), like `_reflect_leg`, or
-    None when pi0 >= c(u0) and every path stops at time zero.  The barrier
-    is logit(c(u0)); a crossing pays (c - k)(1 - u0) discounted at the step
+def _full_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Strategy:
+    """full_now on n paths: everything is installed at time zero, paying
+    (pi0 - k)(1 - u0), so the leg has no rows and no hook."""
+    jump = (cfg.start_pi - curve.params.k) * (1.0 - cfg.start_u)
+    return (1.0, None, math.inf), jump, np.full(n, jump)
+
+
+def _stop_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Strategy:
+    """stop_at_c on n paths, like `_reflect_leg`; when pi0 >= c(u0) every
+    path stops at time zero, and it is `_full_leg`.  The barrier is
+    logit(c(u0)); a crossing pays (c - k)(1 - u0) discounted at the step
     midpoint and ends the path on the threshold."""
     spec, params = curve.spec, curve.params
     r, k = params.r, params.k
     cbar = float(stopping_threshold_c(spec, params, cfg.start_u))
     if cfg.start_pi >= cbar:
-        return None
+        return _full_leg(curve, cfg, n)
     scale = 1.0 - cfg.start_u
     payoffs = np.zeros(n)
     phi_c = _logit(cbar)
@@ -545,14 +535,7 @@ def _stop_leg(curve: BoundaryCurve, cfg: SimConfig,
     return (cfg.start_u, hook, phi_c), 0.0, payoffs
 
 
-def _simulate(curve: BoundaryCurve, cfg: SimConfig,
-              strategies: Sequence[Tuple[Leg, float, np.ndarray]]) -> List[SimResult]:
-    """The (leg, jump, payoffs) strategies stepped together over the keys
-    0 .. n_paths - 1."""
-    runs = _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
-                [leg for leg, _, _ in strategies])
-    return [_finish(cfg, curve.params, jump, payoffs, run)
-            for (_, jump, payoffs), run in zip(strategies, runs)]
+_BASELINES = {"full_now": _full_leg, "stop_at_c": _stop_leg}
 
 
 def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
@@ -564,7 +547,8 @@ def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
     reaches 1 or the horizon runs out; the reported truncation bound caps
     what the horizon cut can have discarded per path.
     """
-    return _simulate(curve, cfg, [_reflect_leg(curve, cfg, cfg.n_paths)])[0]
+    return _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
+                [_reflect_leg(curve, cfg, cfg.n_paths)])[0]
 
 
 def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimResult:
@@ -572,7 +556,6 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
 
     "full_now":  invest to capacity 1 immediately; deterministic payoff
                  (pi0 - k)(1 - u0).
-    "frozen":    never invest; payoff zero.
     "stop_at_c": keep rho frozen at the start capacity and invest everything
                  the first time Pi reaches the one-shot threshold c(u0),
                  paying (c - k)(1 - u0) discounted at the midpoint of the
@@ -581,24 +564,13 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
                  the discounting within a step.  It steps the same random
                  numbers as the reflecting run.
 
-    A run that takes no step (full_now, frozen, stop_at_c from pi0 >= c(u0))
-    is closed form: it draws nothing, and its theta is None.
+    full_now, and stop_at_c from pi0 >= c(u0), are closed form: they draw
+    nothing, and their theta is None.
     """
-    if kind not in ("full_now", "frozen", "stop_at_c"):
+    if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
-    if kind == "stop_at_c":
-        stop = _stop_leg(curve, cfg, cfg.n_paths)
-        if stop is not None:
-            return _simulate(curve, cfg, [stop])[0]
-    params, n = curve.params, cfg.n_paths
-    if kind == "frozen":
-        run = _Run(None, np.full(n, cfg.start_u), np.full(n, cfg.start_pi), n, None)
-        return _finish(cfg, params, 0.0, np.zeros(n), run)
-    # full_now, or stop_at_c from pi0 >= c(u0): everything is installed at
-    # time zero, and no path takes a step
-    pay = (cfg.start_pi - params.k) * (1.0 - cfg.start_u)
-    run = _Run(None, np.ones(n), np.full(n, cfg.start_pi), 0, None)
-    return _finish(cfg, params, pay, np.full(n, pay), run)
+    return _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
+                [_BASELINES[kind](curve, cfg, cfg.n_paths)])[0]
 
 
 def simulate_paired(curve: BoundaryCurve, cfg: SimConfig) -> Tuple[SimResult, SimResult]:
@@ -609,11 +581,8 @@ def simulate_paired(curve: BoundaryCurve, cfg: SimConfig) -> Tuple[SimResult, Si
     random numbers; the pass builds each path's generators and draws its
     random numbers once for both.
     """
-    reflecting = _reflect_leg(curve, cfg, cfg.n_paths)
-    stop = _stop_leg(curve, cfg, cfg.n_paths)
-    if stop is None:
-        return _simulate(curve, cfg, [reflecting])[0], simulate_baseline(curve, cfg, "stop_at_c")
-    return tuple(_simulate(curve, cfg, [reflecting, stop]))
+    return tuple(_run(curve.spec, curve.params, cfg, range(cfg.n_paths),
+                      [_reflect_leg(curve, cfg, cfg.n_paths), _stop_leg(curve, cfg, cfg.n_paths)]))
 
 
 def stop_at_c_reference(curve: BoundaryCurve, cfg: SimConfig) -> float:
@@ -662,10 +631,11 @@ def filter_calibration(
     fraction of paths with theta = 1 matches the mean belief (the filter is
     calibrated).  Both at three standard errors.
     """
-    run, = _run(spec, params, cfg, range(cfg.n_paths), [(cfg.start_u, None, math.inf)])
-    theta, pi_end = run.theta, run.terminal_pi
+    n = cfg.n_paths
+    res, = _run(spec, params, cfg, range(n), [((cfg.start_u, None, math.inf), 0.0, np.zeros(n))])
+    theta, pi_end = res.theta, res.terminal_pi
     mean_pi = float(np.mean(pi_end))
-    se_pi = float(np.std(pi_end, ddof=1) / math.sqrt(cfg.n_paths))
+    se_pi = float(np.std(pi_end, ddof=1) / math.sqrt(n))
     martingale_ok = abs(mean_pi - cfg.start_pi) <= 3.0 * se_pi
 
     order = np.argsort(pi_end)
@@ -712,15 +682,17 @@ def sample_trajectory(
 ) -> dict:
     """One path of (t, U, Pi) under the reflecting strategy, for inspection.
 
-    This is the batch run restricted to the key `path_index`, with recording
-    on, so for path_index < n_paths it ends exactly where that batch path
-    ends.
+    This is the batch run restricted to the key `path_index`, traced, so for
+    path_index < n_paths it ends exactly where that batch path ends.
     """
     if path_index < 0:
         raise ValueError(f"path_index must be nonnegative, got {path_index}")
-    run, = _run(curve.spec, curve.params, cfg, [path_index],
-                [_reflect_leg(curve, cfg, 1)[0]], record=True)
-    return dict(run.trace, theta=float(run.theta[0]), path_index=path_index)
+    strategy = _reflect_leg(curve, cfg, 1)
+    trace = []
+    res, = _run(curve.spec, curve.params, cfg, [path_index], [strategy], trace)
+    t, u, phi = np.array([(0.0, strategy[0][0], 0.0)] + trace).T
+    pi = np.concatenate(([cfg.start_pi], _expit(phi[1:])))
+    return {"t": t, "u": u, "pi": pi, "theta": float(res.theta[0]), "path_index": path_index}
 
 
 def save_trajectory(traj: dict, csv_path: Union[str, Path]) -> None:

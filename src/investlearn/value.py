@@ -44,19 +44,23 @@ TOL_PREMIUM = 1e-8
 TOL_CONTINUITY = 1e-12
 TOL_C1_PASTING = 1e-5
 
+# the interior sweeps read N_SAMPLES points, SAMPLE_MARGIN away from the edges
+N_SAMPLES = 10000
+SAMPLE_MARGIN = 1e-3
 
-def low_discrepancy_samples(n: int, margin: float = 1e-3) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic low-discrepancy (u, pi) samples over the interior.
 
-    Additive recurrence driven by the plastic number; u covers [0, 1-margin),
-    pi covers (margin, 1-margin).
+def low_discrepancy_samples() -> Tuple[np.ndarray, np.ndarray]:
+    """The N_SAMPLES deterministic low-discrepancy (u, pi) samples.
+
+    Additive recurrence driven by the plastic number; u covers
+    [0, 1 - SAMPLE_MARGIN), pi covers (SAMPLE_MARGIN, 1 - SAMPLE_MARGIN).
     """
     g = 1.324717957244746  # plastic number, real root of x^3 = x + 1
-    i = np.arange(1, n + 1, dtype=float)
+    i = np.arange(1, N_SAMPLES + 1, dtype=float)
     x = np.mod(0.5 + i / g, 1.0)
     y = np.mod(0.5 + i / g**2, 1.0)
-    u = x * (1.0 - margin)
-    pi = margin + (1.0 - 2.0 * margin) * y
+    u = x * (1.0 - SAMPLE_MARGIN)
+    pi = SAMPLE_MARGIN + (1.0 - 2.0 * SAMPLE_MARGIN) * y
     return u, pi
 
 
@@ -211,7 +215,7 @@ class PdeResidualReport:
         return d
 
 
-def pde_residual_sweep(surface: ValueSurface, n_samples: int = 10000) -> PdeResidualReport:
+def pde_residual_sweep(surface: ValueSurface) -> PdeResidualReport:
     """Signed generator residual (rho^2/2) pi^2 (1-pi)^2 V_pipi - r V over a
     deterministic low-discrepancy sample sweep.
 
@@ -222,7 +226,7 @@ def pde_residual_sweep(surface: ValueSurface, n_samples: int = 10000) -> PdeResi
     stopped region's generator.
     """
     p = surface.params
-    u, pi = low_discrepancy_samples(n_samples)
+    u, pi = low_discrepancy_samples()
     below = pi <= surface.curve.b_at(u)
     above = ~below
     lev = u.copy()
@@ -235,7 +239,7 @@ def pde_residual_sweep(surface: ValueSurface, n_samples: int = 10000) -> PdeResi
     rel = np.abs(res[below]) / np.maximum(1.0, p.r * np.abs(val[below]))
     # a boundary close to 0 or 1 can leave one side without samples; its max reads 0
     return PdeResidualReport(
-        n_samples=n_samples,
+        n_samples=N_SAMPLES,
         n_below=int(np.count_nonzero(below)),
         n_above=int(np.count_nonzero(above)),
         max_below_rel=float(np.max(rel, initial=0.0)),
@@ -280,26 +284,26 @@ class SweepReport:
         return dict(self.__dict__)
 
 
-def gradient_bound_check(surface: ValueSurface, n_samples: int = 10000) -> SweepReport:
+def gradient_bound_check(surface: ValueSurface) -> SweepReport:
     """max of V_u(u, pi) - (k - pi) over the sample sweep; must be <= 1e-6.
 
     Equality holds above the boundary, strict inequality below; this is the
     marginal-value bound that makes the reflecting control admissible.
     """
-    u, pi = low_discrepancy_samples(n_samples)
+    u, pi = low_discrepancy_samples()
     viol = surface.value_u(u, pi) - (surface.params.k - pi)
     i = int(np.argmax(viol))
-    return SweepReport(n_samples=n_samples, worst=float(viol[i]), worst_u=float(u[i]), worst_pi=float(pi[i]))
+    return SweepReport(n_samples=N_SAMPLES, worst=float(viol[i]), worst_u=float(u[i]), worst_pi=float(pi[i]))
 
 
-def learning_premium_check(surface: ValueSurface, n_samples: int = 10000) -> SweepReport:
+def learning_premium_check(surface: ValueSurface) -> SweepReport:
     """max of (1-u) v(pi; u) - V(u, pi) over the sweep; nonpositive means the
     option to spread investment (and keep learning) dominates lump stopping."""
-    u, pi = low_discrepancy_samples(n_samples)
+    u, pi = low_discrepancy_samples()
     v = stopping_value_v(surface.spec, surface.params, u, pi)
     gap = (1.0 - u) * v - surface.value(u, pi)
     i = int(np.argmax(gap))
-    return SweepReport(n_samples=n_samples, worst=float(gap[i]), worst_u=float(u[i]), worst_pi=float(pi[i]))
+    return SweepReport(n_samples=N_SAMPLES, worst=float(gap[i]), worst_u=float(u[i]), worst_pi=float(pi[i]))
 
 
 @dataclass(frozen=True)
@@ -379,7 +383,7 @@ class ValueCheckReport:
         }
 
 
-def verify_surface(surface: ValueSurface, n_samples: int = 10000) -> ValueCheckReport:
+def verify_surface(surface: ValueSurface) -> ValueCheckReport:
     """Run every diagnostic; the CLI `verify` subcommand serializes this.
 
     The boundary checks run at every knot-segment midpoint of the curve.
@@ -400,20 +404,20 @@ def verify_surface(surface: ValueSurface, n_samples: int = 10000) -> ValueCheckR
         i = int(np.argmax(x))
         return float(us[i]), float(pi_b[i])
 
-    u_s, pi_s = low_discrepancy_samples(n_samples)
+    u_s, pi_s = low_discrepancy_samples()
 
     return ValueCheckReport(
-        n_samples=n_samples,
+        n_samples=N_SAMPLES,
         n_boundary_points=us.size,
-        pde=pde_residual_sweep(surface, n_samples),
+        pde=pde_residual_sweep(surface),
         smooth_fit_max_vu=float(np.max(vu)),
         smooth_fit_max_vupi=float(np.max(vupi)),
         c1_pasting_max=float(np.max(c1)),
         smooth_fit_max_vu_at=at_max(vu),
         smooth_fit_max_vupi_at=at_max(vupi),
         c1_pasting_max_at=at_max(c1),
-        gradient=gradient_bound_check(surface, n_samples),
-        premium=learning_premium_check(surface, n_samples),
+        gradient=gradient_bound_check(surface),
+        premium=learning_premium_check(surface),
         continuity_max=continuity,
         log_value_min=float(np.min(surface.log_value(u_s, pi_s))),
         A_terminal=float(surface.coefficient_A(1.0)),

@@ -201,7 +201,7 @@ def test_07_discrete_ladder():
     worst_f = max(abs(boundary_equation(ladder, n, float(ladder.b[n]))) for n in range(5))
     assert worst_f <= 1e-13
     assert np.all(np.diff(ladder.b) > 0.0)
-    suite = discrete_verification_suite(ladder, n_pi=999)
+    suite = discrete_verification_suite(ladder)
     assert suite.passed
     mono = check_discrete_monotone(ladder)
     assert mono.all_hold

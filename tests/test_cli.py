@@ -214,6 +214,9 @@ def _malform(work, fault):
     elif fault == "terminal":
         u, b = lines[-1].split(",")
         lines[-1] = f"{u},{float(b) * (1.0 - 1e-6)!r}"
+    elif fault in ("nan_terminal", "nan_interior"):
+        row = -1 if fault == "nan_terminal" else 500
+        lines[row] = lines[row].split(",")[0] + ",nan"
     elif fault == "no_model":
         doc = json.loads(side.read_text())
         del doc["model"]
@@ -234,7 +237,11 @@ def _malform(work, fault):
     ("verify", "bad_json"),
     ("verify", "prefix"),
     ("verify", "terminal"),
+    ("verify", "nan_terminal"),
+    ("verify", "nan_interior"),
     ("simulate", "one_field"),
+    ("simulate", "nan_terminal"),
+    ("simulate", "nan_interior"),
 ])
 def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, fault):
     work = tmp_path / "curve"
@@ -562,6 +569,16 @@ def test_overrides_change_config_hash(tmp_path):
         {**BASE, "out_dir": 7},
         {**BASE, "sim": {"n_paths": 10, "trajectory_path": 10}},
         {**BASE, "surface_grid_size": 2001},
+        # model and rate numbers are JSON numbers, not strings or booleans
+        {**BASE, "model": {"r": "0.1", "k": 0.5}},
+        {**BASE, "model": {"r": True, "k": 0.5}},
+        {**BASE, "model": {"r": 0.1, "mu0": "-1", "mu1": 1.0}},
+        {**BASE, "rate": {"family": "linear_noise", "C": 0.25, "D": False}},
+        {**BASE, "rate": {"family": "linear_noise", "C": "0.25", "D": 0.9}},
+        {**BASE, "rate": {"family": "tabulated", "rho": [True] * 11}},
+        {**BASE, "rate": {"family": "tabulated", "rho": ["0.5"] * 11}},
+        {**BASE, "rate": {"family": "tabulated", "rho2": 0.25}},
+        {**BASE, "rate": {"family": "linear_noise", "C": 10 ** 400, "D": 0.9}},
     ],
 )
 def test_bad_documents_rejected(tmp_path, doc):

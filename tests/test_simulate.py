@@ -128,8 +128,9 @@ def test_results_pinned_bit_for_bit(linear_curve):
         "reflecting": simulate_reflecting(linear_curve, PINNED_CFG),
         "stop_at_c": simulate_baseline(linear_curve, PINNED_CFG, "stop_at_c"),
         # the run behind filter_calibration
-        "frozen_capacity": sim_mod._run(LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
-                                        [(PINNED_CFG.start_u, None, math.inf)])[0],
+        "frozen_capacity": sim_mod._run(
+            LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
+            [((PINNED_CFG.start_u, None, math.inf), 0.0, np.zeros(PINNED_CFG.n_paths))])[0],
     }
     for name, res in runs.items():
         for field, want in PINNED_SHA1[name].items():
@@ -186,13 +187,15 @@ def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, chunk
 def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
     # the empty leg comes first, so every stacked row belongs to leg 1
     cfg = PAIRED_CASES["stop_finishes_early"]
-    keys = range(cfg.n_paths)
-    leg, _, _ = sim_mod._stop_leg(linear_curve, cfg, cfg.n_paths)
-    alone, = sim_mod._run(LINEAR, PARAMS, cfg, keys, [leg])
-    empty, stop = sim_mod._run(LINEAR, PARAMS, cfg, keys, [(1.0, None, math.inf), leg])
-    for name, value in vars(alone).items():
-        assert np.array_equal(getattr(stop, name), value), name
-    assert (empty.steps, empty.path_steps, empty.crossings, empty.n_alive) == (0, 0, 0, 0)
+    keys, n = range(cfg.n_paths), cfg.n_paths
+    alone, = sim_mod._run(LINEAR, PARAMS, cfg, keys, [sim_mod._stop_leg(linear_curve, cfg, n)])
+    empty, stop = sim_mod._run(LINEAR, PARAMS, cfg, keys,
+                               [((1.0, None, math.inf), 0.0, np.zeros(n)),
+                                sim_mod._stop_leg(linear_curve, cfg, n)])
+    _assert_same_result(stop, alone)
+    assert empty.theta is None
+    assert empty.counters == {"steps": 0, "path_steps": 0, "barrier_crossings": 0,
+                              "bridge_rows": 0, "frac_alive_at_horizon": 0.0}
     assert np.all(empty.terminal_u == 1.0) and np.all(empty.terminal_pi == cfg.start_pi)
 
 
@@ -374,14 +377,6 @@ def test_full_now_at_breakeven_is_zero(linear_curve):
     assert r.std_error == 0.0
 
 
-def test_frozen_pays_nothing(linear_curve):
-    cfg = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=1.0, n_paths=8, seed=5)
-    r = simulate_baseline(linear_curve, cfg, "frozen")
-    assert r.estimate == 0.0
-    assert np.all(r.payoffs == 0.0)
-    assert r.frac_alive_at_horizon == 1.0
-
-
 def test_stop_at_c_immediate_above_threshold(linear_curve):
     # c(0) is about 0.744 here, so 0.8 stops at time zero
     cfg = SimConfig(start_u=0.0, start_pi=0.8, dt=0.01, horizon=1.0, n_paths=8, seed=5)
@@ -392,7 +387,7 @@ def test_stop_at_c_immediate_above_threshold(linear_curve):
 
 
 def test_runs_without_a_step_draw_nothing(linear_curve, monkeypatch):
-    # full_now, frozen and an immediate stop_at_c are closed form: no substream is built
+    # full_now and an immediate stop_at_c are closed form: no substream is built
     def no_streams(seed, keys):
         raise AssertionError("substreams built for a run that takes no step")
 
@@ -406,17 +401,13 @@ def test_runs_without_a_step_draw_nothing(linear_curve, monkeypatch):
         assert np.all(r.terminal_u == 1.0) and np.all(r.terminal_pi == 0.8)
         assert r.frac_alive_at_horizon == 0.0
         assert r.theta is None
-    r = simulate_baseline(linear_curve, cfg, "frozen")
-    assert np.all(r.payoffs == 0.0) and r.initial_jump == 0.0
-    assert np.all(r.terminal_u == 0.2) and np.all(r.terminal_pi == 0.8)
-    assert r.frac_alive_at_horizon == 1.0
-    assert r.theta is None
 
 
 def test_unknown_baseline_rejected(linear_curve):
     cfg = SimConfig(n_paths=4, horizon=1.0)
-    with pytest.raises(ValueError):
-        simulate_baseline(linear_curve, cfg, "hold")
+    for kind in ("hold", "frozen"):
+        with pytest.raises(ValueError):
+            simulate_baseline(linear_curve, cfg, kind)
 
 
 def test_zero_horizon_above_boundary_pays_jump(linear_curve):
