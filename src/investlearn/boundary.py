@@ -45,6 +45,7 @@ from .model import (
     ConfigError,
     ModelParams,
     RateSpec,
+    _number,
     check_conditions,
     spec_from_dict,
 )
@@ -358,7 +359,9 @@ def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
     the data (a tampered file must not ride on a stale certificate); spec
     and params are rebuilt from the header.  A fault in the files' shape
     raises ConfigError naming the file: a CSV read_csv rejects, a sidecar
-    that is not a boundary-curve header or lacks a field, a non-finite u or
+    that is not a boundary-curve header, lacks a field or holds a model
+    value that is not a number or an n_projections that is not a
+    nonnegative integer (the error names the field), a non-finite u or
     b, fewer than two rows, u not strictly increasing or not spanning
     [0, 1], or b(1) off the terminal value c(1) (both within
     PROJECTION_TOL).  A well-formed curve with a knot outside the strip
@@ -381,9 +384,12 @@ def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
     if not isinstance(header, dict) or header.get("kind") != "boundary_curve":
         raise ConfigError(f"{hpath} is not a boundary-curve header")
     try:
-        params = ModelParams(r=float(header["model"]["r"]), k=float(header["model"]["k"]))
+        model = header["model"]
+        params = ModelParams(r=_number(model["r"], "model.r"), k=_number(model["k"], "model.k"))
         spec = spec_from_dict(header["rate"])
-        n_projections = int(header.get("n_projections", 0))
+        n_projections = header.get("n_projections", 0)
+        if isinstance(n_projections, bool) or not isinstance(n_projections, int) or n_projections < 0:
+            raise ConfigError(f"n_projections must be a nonnegative integer, got {n_projections!r}")
     except KeyError as exc:
         raise ConfigError(f"{hpath}: header lacks {exc}") from exc
     except (TypeError, ValueError) as exc:

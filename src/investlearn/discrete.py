@@ -23,7 +23,9 @@ The module also carries an independent cross-check, value_iteration_oracle
 solves each level as a discrete linear complementarity problem on a log-odds
 grid, exactly, by one Brennan-Schwartz pass, and certifies each level by its
 complementarity residual.  It reads only rho_n^2, k and r and shares no code
-with the closed-form assembly beyond numpy, which is the point.
+with the closed-form assembly beyond numpy, which is the point.  Only its two
+recurrences, the pivots and the projected back-substitution, step node by
+node in Python; the rest is numpy.
 """
 
 from __future__ import annotations
@@ -349,40 +351,68 @@ def value_iteration_oracle(ladder: DiscreteLadder) -> Callable[[np.ndarray], np.
     the top with V_i = max(x_i, g_i) solve it exactly when the stopping region
     is a half-line (Brennan and Schwartz, J. Finance 32(2), 1977; Jaillet,
     Lamberton and Lapeyre, Acta Appl. Math. 21, 1990).  The complementarity
-    residual certifies each level; a level of another shape raises.
+    residual certifies each level; a level of another shape, or a NaN
+    anywhere in the residual, raises.
+
+    Only the pivot recurrence and the projected back-substitution are
+    sequential, and they run in Python.  The node coefficients (once for all
+    levels), the right-hand sides (by multiply.accumulate) and the residual
+    are numpy operations in the order of scalar loops, so they give the same
+    bits as those loops.
     """
     h = 2.0 * ORACLE_PHI_MAX / (ORACLE_NODES - 1)
     pi = 1.0 / (1.0 + np.exp(-np.linspace(-ORACLE_PHI_MAX, ORACLE_PHI_MAX, ORACLE_NODES)))
-    # the sweeps run in Python over memoryviews of float64 buffers, which
+    # node coefficients 1 -+ e_i of row i, e_i = h (pi_i - 1/2), shared by all levels
+    up = h * (pi - 0.5)
+    lo = 1.0 - up
+    up += 1.0
+    # the sweeps run in Python over memoryviews of float64 buffers reused by
+    # every level, and piv and rhs double as the residual's scratch, which
     # keeps the oracle's memory at a few grid-sized arrays
     v, g, piv, rhs = (np.zeros(ORACLE_NODES) for _ in range(4))  # v starts as V_{N+1}
-    p_, v_, g_, piv_, rhs_ = (memoryview(a) for a in (pi, v, g, piv, rhs))
+    lo_, up_, v_, g_, piv_, rhs_ = (memoryview(a) for a in (lo, up, v, g, piv, rhs))
     last = ORACLE_NODES - 1
+    rows = slice(1, last)
+    down = slice(last - 1, 0, -1)
 
     for n in range(ladder.n_levels, -1, -1):
-        # row i of (r - L_h) V over s = rho_n^2 / (2 h^2), with e_i = h (pi_i - 1/2):
-        #   d V_i - (1 - e_i) V_{i-1} - (1 + e_i) V_{i+1},  d = 2 + r / s
+        # row i of (r - L_h) V over s = rho_n^2 / (2 h^2):
+        #   d V_i - lo_i V_{i-1} - up_i V_{i+1},  d = 2 + r / s
         s = 0.5 * ladder.rho2(n) / (h * h)
         d = 2.0 + ladder.r / s
         np.subtract(pi, ladder.k, out=g)
         g += v
         v_[0], v_[last] = max(g_[0], 0.0), max(g_[last], 0.0)
 
-        piv_[1], rhs_[1] = d, (1.0 - h * (p_[1] - 0.5)) * v_[0]
-        for i in range(2, last):
-            m = (1.0 - h * (p_[i] - 0.5)) / piv_[i - 1]
-            piv_[i] = d - m * (1.0 + h * (p_[i - 1] - 0.5))
-            rhs_[i] = m * rhs_[i - 1]
-        for i in range(last - 1, 0, -1):
-            v_[i] = max((rhs_[i] + (1.0 + h * (p_[i] - 0.5)) * v_[i + 1]) / piv_[i], g_[i])
+        # forward elimination: pivots p_i = d - m_i up_{i-1} with multipliers
+        # m_i = lo_i / p_{i-1}, and right-hand sides rhs_i = m_i rhs_{i-1},
+        # which multiply.accumulate forms in the same order
+        p = piv_[1] = d
+        for i, a, b in zip(range(2, last), lo_[2:last], up_[1:last - 1]):
+            p = d - a / p * b
+            piv_[i] = p
+        np.divide(lo[2:last], piv[1:last - 1], out=rhs[2:last])
+        rhs_[1] = lo_[1] * v_[0]
+        np.multiply.accumulate(rhs[rows], out=rhs[rows])
+        # back-substitution from the top, projected onto the obstacle
+        x = v_[last]
+        for i, a, b, p, gi in zip(range(last - 1, 0, -1), rhs_[down], up_[down], piv_[down], g_[down]):
+            x = (a + b * x) / p
+            if gi > x:
+                x = gi
+            v_[i] = x
 
-        worst = 0.0
-        for i in range(1, last):
-            e = h * (p_[i] - 0.5)
-            lv = s * (d * v_[i] - (1.0 - e) * v_[i - 1] - (1.0 + e) * v_[i + 1])
-            worst = max(worst, abs(min(lv, v_[i] - g_[i])))
-        tol = oracle_residual_tol(s, d, float(np.max(np.abs(v))))
-        if worst > tol:
+        # complementarity residual |min((r - L_h) V, V - g)| in piv and rhs;
+        # "not <=" so that a NaN anywhere fails the level
+        lv, w = piv[rows], rhs[rows]
+        np.multiply(v[rows], d, out=lv)
+        lv -= np.multiply(lo[rows], v[:-2], out=w)
+        lv -= np.multiply(up[rows], v[2:], out=w)
+        lv *= s
+        np.minimum(lv, np.subtract(v[rows], g[rows], out=w), out=lv)
+        worst = float(np.max(np.abs(lv, out=lv)))
+        tol = oracle_residual_tol(s, d, float(np.max(np.abs(v, out=rhs))))
+        if not worst <= tol:
             raise ArithmeticError(f"oracle level {n}: complementarity residual {worst:.3e} > "
                                   f"{tol:.3e}; the half-line solve does not hold")
 

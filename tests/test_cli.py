@@ -199,6 +199,15 @@ def test_verify_missing_csv_exits_2(tmp_path):
     assert rc == 2
 
 
+# sidecar faults: the field set, which the error must name, and its value
+SIDECAR_FAULTS = {
+    "string_k": ("model.k", "0.5"),
+    "bool_r": ("model.r", True),
+    "fractional_projections": ("n_projections", 2.7),
+    "negative_projections": ("n_projections", -1),
+}
+
+
 def _malform(work, fault):
     """Apply one file-shape fault to the curve in work; returns the file it lands in."""
     csv_path, side = work / "boundary.csv", work / "boundary.json"
@@ -225,6 +234,13 @@ def _malform(work, fault):
     elif fault == "bad_json":
         side.write_text("{not json")
         return side
+    elif fault in SIDECAR_FAULTS:
+        field, value = SIDECAR_FAULTS[fault]
+        doc = json.loads(side.read_text())
+        section, _, key = field.rpartition(".")
+        (doc[section] if section else doc)[key] = value
+        side.write_text(json.dumps(doc))
+        return side
     csv_path.write_text("\n".join(lines) + "\n")
     return csv_path
 
@@ -242,6 +258,7 @@ def _malform(work, fault):
     ("simulate", "one_field"),
     ("simulate", "nan_terminal"),
     ("simulate", "nan_interior"),
+    *((command, fault) for command in ("verify", "simulate") for fault in SIDECAR_FAULTS),
 ])
 def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, fault):
     work = tmp_path / "curve"
@@ -254,6 +271,8 @@ def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, faul
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(bad) in err
+    if fault in SIDECAR_FAULTS:
+        assert SIDECAR_FAULTS[fault][0] in err
 
 
 def test_simulate_writes_estimates(tmp_path):

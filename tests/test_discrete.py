@@ -1,5 +1,8 @@
 """Discrete ladder: recursion, monotone condition, oracle cross-check."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -232,6 +235,35 @@ def test_oracle_accepts_terminal_gamma_near_one(gammas):
     lad = solve_ladder(np.array(gammas), PARAMS)
     pis = np.linspace(0.05, 0.95, 20)
     assert np.max(np.abs(lad.value(0, pis) - value_iteration_oracle(lad)(pis))) <= 1e-5
+
+
+# sha1 of oracle(np.linspace(0.001, 0.999, 2001)).tobytes(), taken with the
+# oracle whose three sweeps all ran in Python, one node at a time
+ORACLE_PINNED = {
+    "hyperbolic-3": (3, "087d5d8a25442515f0422e25c619931785eb80c8"),
+    "hyperbolic-5": (5, "7de9e90112dd4151119f2a7db55072ae2dea4111"),
+    "1.5-1.0001": ([1.5, 1.0001], "d7697c4cc00ef2ccd5c5e83a913d14ab162cfba9"),
+    "1.5-1.00001": ([1.5, 1.00001], "a975fa8762ceb201912ec884c539f3823692c707"),
+    "3-2-1.00001": ([3.0, 2.0, 1.00001], "3986a02e0c9249dbe6ef02aa33888382fd9111bb"),
+}
+
+
+@pytest.mark.parametrize("levels, want", list(ORACLE_PINNED.values()), ids=list(ORACLE_PINNED))
+def test_oracle_pinned_bit_for_bit(levels, want):
+    # an int is a level count of the hyperbolic spec, a list the gamma levels
+    if isinstance(levels, int):
+        lad = ladder_from_spec(HYP, PARAMS, levels)
+    else:
+        lad = solve_ladder(np.array(levels), PARAMS)
+    got = value_iteration_oracle(lad)(np.linspace(0.001, 0.999, 2001))
+    assert hashlib.sha1(got.tobytes()).hexdigest() == want
+
+
+def test_oracle_rejects_nan_rate():
+    # a NaN r makes every row NaN; the gate must not read NaN as a pass
+    lad = dataclasses.replace(ladder_from_spec(HYP, PARAMS, 3), r=float("nan"))
+    with pytest.raises(ArithmeticError):
+        value_iteration_oracle(lad)
 
 
 def test_oracle_gate_absolute_on_test_ladders():
