@@ -8,7 +8,8 @@ input error (a malformed input file included).
 
 The manifest records the tool version, the hash of the effective config,
 per-check pass/fail flags, and the output file list; `simulate` adds the
-deterministic work counters of each stepped strategy.  It is written
+deterministic work counters of each stepped strategy, and `discrete` and
+`compare` those of the ladder solve.  It is written
 atomically (temp file + rename) at the end of the run; a run stopped by a
 numerical failure (exit 1) still writes one, with no outputs and the single
 check `completed: false`.  Every artifact
@@ -230,7 +231,7 @@ def cmd_discrete(cfg: RunConfig, out: Path, quiet: bool) -> int:
     write_json(out / "discrete_report.json", suite.to_dict())
     checks = suite.checks()
     _write_manifest(out, "discrete", cfg, ["ladder.csv", "discrete_report.json"],
-                    checks, started)
+                    checks, started, {"ladder": ladder.counters()})
     _say(quiet, f"wrote {out / 'ladder.csv'} ({ladder.n_levels + 1} levels)")
     for name, ok in checks.items():
         _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
@@ -250,7 +251,7 @@ def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
               np.arange(ladder.n_levels + 1), ladder.u_levels, ladder.b, b_cont,
               ladder.b - b_cont)
     _write_manifest(out, "compare", cfg, ["compare.csv"],
-                    {"completed": True}, started)
+                    {"completed": True}, started, {"ladder": ladder.counters()})
     _say(quiet, f"wrote {out / 'compare.csv'}")
     return EXIT_OK
 

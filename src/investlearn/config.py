@@ -176,11 +176,9 @@ def load_config(path, seed: Optional[int] = None,
             raise ConfigError("ladder.n_levels must be a nonnegative integer")
     if "gamma" in ladder_doc:
         vals = ladder_doc["gamma"]
-        if not isinstance(vals, list) or not vals or \
-                not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in vals):
+        if not isinstance(vals, list) or not vals:
             raise ConfigError("ladder.gamma must be a non-empty list of numbers")
-        ladder_gamma = tuple(float(v) for v in vals)
+        ladder_gamma = tuple(_number(v, f"ladder.gamma[{i}]") for i, v in enumerate(vals))
 
     base = path.resolve().parent
     boundary_csv = None

@@ -9,8 +9,13 @@ Capacity moves on levels u_n = n/N with decay exponents gamma_n = gamma(u_n)
     A_n = (b_n - k + V_{n+1}(b_n)) / G_n(b_n),
 
 with V_n(pi) = A_n G_n(pi) below b_n and (pi - k) + V_{n+1}(pi) above.
-f_n(0+) = -gamma_n k < 0 and f_n(c_n) = (gamma_n - gamma_{n+1}) V_{n+1}(c_n) > 0,
-so bisection brackets the root without derivatives.
+f_n(0+) = -gamma_n k < 0 and f_n(c_n) = (gamma_n - gamma_{n+1}) V_{n+1}(c_n) > 0
+bracket the root.  f_n is strictly increasing, since V_{n+1} is nondecreasing
+and f_n' = gamma_n + k - 1 + (gamma_n - gamma_{n+1}) V_{n+1}' >= gamma_n + k - 1 > 0,
+and convex, since V_{n+1} is.  So Newton's method started right of the root
+falls monotonically onto it; it starts at min(c_n, b_{n+1}), where V_{n+1} is
+usually held on level n + 1 alone, and falls back to the bracket's midpoint
+whenever a step would leave the bracket.
 
 The verification suite re-checks a solved ladder against its Bellman
 characterization.  Each V_n is linear on the levels it stops through and
@@ -24,27 +29,27 @@ solves each level as a discrete linear complementarity problem on a log-odds
 grid, exactly, by one Brennan-Schwartz pass, and certifies each level by its
 complementarity residual.  It reads only rho_n^2, k and r and shares no code
 with the closed-form assembly beyond numpy, which is the point.  Only its two
-recurrences, the pivots and the projected back-substitution, step node by
-node in Python; the rest is numpy.
+recurrences step node by node in Python: the pivots, and the projected
+back-substitution below the stretch at the top where the level stops; the
+rest is numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable, List, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
 from .artifacts import write_csv
 from .model import ConfigError, G_of_gamma, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of
 
-# Bisection stops at |f_n| <= max(BISECT_F_TOL, BISECT_F_REL 2 gamma_n k):
-# 2 gamma_n k is the size of f_n's terms at its root, and their roundoff grows
-# with gamma_n.
-BISECT_F_TOL = 1e-13
-BISECT_F_REL = 1e-14
+# The root finder stops at |f_n| <= max(ROOT_F_TOL, ROOT_F_REL 2 gamma_n k)
+# (root_tol): 2 gamma_n k is the size of f_n's terms at its root, and their
+# roundoff grows with gamma_n.
+ROOT_F_TOL = 1e-13
+ROOT_F_REL = 1e-14
 
 TOL_BELLMAN = 1e-10
 TOL_GENERATOR = 1e-8
@@ -62,7 +67,11 @@ ORACLE_RESIDUAL_REL = 1e-14
 
 @dataclass(frozen=True)
 class DiscreteLadder:
-    """Solved ladder: thresholds b_n and coefficients A_n for n = 0..N."""
+    """Solved ladder: thresholds b_n and coefficients A_n for n = 0..N.
+
+    f_evals[n] counts the evaluations of f_n the root finder spent on b_n
+    (0 on the top level, whose threshold is c_N).
+    """
 
     gamma: np.ndarray
     k: float
@@ -70,6 +79,7 @@ class DiscreteLadder:
     b: np.ndarray
     A: np.ndarray
     c: np.ndarray
+    f_evals: Tuple[int, ...] = ()
 
     @property
     def n_levels(self) -> int:
@@ -79,6 +89,11 @@ class DiscreteLadder:
     @property
     def u_levels(self) -> np.ndarray:
         return np.arange(self.gamma.size) / max(self.n_levels, 1)
+
+    def counters(self) -> dict:
+        """Work counters of the solve, as the run manifests record them."""
+        return {"levels": self.n_levels + 1, "f_evals": list(self.f_evals),
+                "f_evals_total": sum(self.f_evals)}
 
     def rho2(self, n: int) -> float:
         g = self.gamma[n]
@@ -94,10 +109,10 @@ class DiscreteLadder:
         rem = np.ones(pi.shape, dtype=bool)
         for m in range(n, self.n_levels + 1):
             hold = rem & (pi < self.b[m])
-            if np.any(hold):
+            if hold.any():
                 out[hold] += self.A[m] * G_of_gamma(self.gamma[m], pi[hold])
                 rem = rem & ~hold
-            if not np.any(rem):
+            if not rem.any():
                 break
             out[rem] += pi[rem] - self.k
         if scalar:
@@ -114,11 +129,14 @@ class DiscreteLadder:
         rem = np.ones(pi.shape, dtype=bool)
         for m in range(n, self.n_levels + 1):
             hold = rem & (pi < self.b[m])
-            g, x = self.gamma[m], pi[hold]
-            q = x * (1.0 - x)
-            factor = (g - x) / q if order == 1 else g * (g - 1.0) / (q * q)
-            out[hold] += self.A[m] * G_of_gamma(g, x) * factor
-            rem &= ~hold
+            if hold.any():
+                g, x = self.gamma[m], pi[hold]
+                q = x * (1.0 - x)
+                factor = (g - x) / q if order == 1 else g * (g - 1.0) / (q * q)
+                out[hold] += self.A[m] * G_of_gamma(g, x) * factor
+                rem &= ~hold
+            if not rem.any():
+                break
             if order == 1:
                 out[rem] += 1.0
         return out
@@ -130,6 +148,11 @@ def boundary_equation(ladder_tail: DiscreteLadder, n: int, b: float) -> float:
     k = ladder_tail.k
     vnext = ladder_tail.value(n + 1, b) if n + 1 <= ladder_tail.n_levels else 0.0
     return (g[n] + k - 1.0) * b - g[n] * k + (g[n] - g[n + 1]) * float(vnext)
+
+
+def root_tol(gamma_n: float, k: float) -> float:
+    """|f_n| at which the root finder accepts a threshold b_n."""
+    return max(ROOT_F_TOL, ROOT_F_REL * 2.0 * gamma_n * k)
 
 
 def solve_ladder(gamma: np.ndarray, params: ModelParams) -> DiscreteLadder:
@@ -149,20 +172,67 @@ def solve_ladder(gamma: np.ndarray, params: ModelParams) -> DiscreteLadder:
     c = k * gamma / (gamma + k - 1.0)
     b = np.empty_like(gamma)
     A = np.empty_like(gamma)
+    evals = [0] * (N + 1)
     b[N] = c[N]
-    A[N] = (b[N] - k) / float(G_of_gamma(gamma[N], b[N]))
+    A[N] = _coefficient(N, gamma[N], b[N], b[N] - k)
+    tail = DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c)  # filled in from the top
 
     for n in range(N - 1, -1, -1):
-        tail = DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c)
+        b[n], evals[n] = _threshold(tail, n)
+        A[n] = _coefficient(n, gamma[n], b[n], b[n] - k + tail.value(n + 1, b[n]))
 
-        tol = max(BISECT_F_TOL, BISECT_F_REL * 2.0 * gamma[n] * k)
-        b[n] = _bisect(partial(boundary_equation, tail, n), 1e-12, c[n] - 1e-12, tol)
-        vnext = float(tail.value(n + 1, b[n]))
-        A[n] = (b[n] - k + vnext) / float(G_of_gamma(gamma[n], b[n]))
-        if not A[n] > 0.0:
-            raise ArithmeticError(f"nonpositive ladder coefficient A_{n} = {A[n]}")
+    return DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c, f_evals=tuple(evals))
 
-    return DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c)
+
+def _threshold(tail: DiscreteLadder, n: int) -> Tuple[float, int]:
+    """b_n and the number of f_n evaluations, by safeguarded Newton.
+
+    The bracket [1e-12, c_n - 1e-12] is checked at both ends (a NaN fails
+    the check) and shrinks with the sign of each f_n; a step that would leave
+    it, or a slope that is not finite and positive, takes its midpoint.
+    """
+    # Python floats throughout, so that nothing here warns
+    g0, g1, k = float(tail.gamma[n]), float(tail.gamma[n + 1]), tail.k
+    tol = root_tol(g0, k)
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        return float(boundary_equation(tail, n, x))
+
+    lo, hi = 1e-12, float(tail.c[n]) - 1e-12
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_lo < 0.0 < f_hi):
+        raise ArithmeticError(f"root not bracketed: f({lo})={f_lo}, f({hi})={f_hi}")
+    x = min(hi, float(tail.b[n + 1]))
+    fx = f_hi if x == hi else f(x)
+    for _ in range(200):
+        if abs(fx) <= tol:
+            return x, evals
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = g0 + k - 1.0 + (g0 - g1) * float(tail._derivative(n + 1, np.array([x]), 1)[0])
+        step = x - fx / slope if 0.0 < slope < np.inf else np.nan  # NaN leaves the bracket
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+        fx = f(x)
+    raise ArithmeticError(f"Newton stalled on level {n}: |f({x})| = {abs(fx)} > {tol}")
+
+
+def _coefficient(n: int, gamma_n: float, b_n: float, stop: float) -> float:
+    """A_n = stop / G_n(b_n), with stop the stopped value at b_n.
+
+    A_n must be positive and finite.  G_n(b_n) underflows to 0 when gamma_n
+    is large and b_n well below 1/2; that raises before the divide.
+    """
+    G = float(G_of_gamma(gamma_n, b_n))
+    A = float(stop) / G if G > 0.0 else np.inf
+    if not 0.0 < A < np.inf:
+        raise ArithmeticError(f"ladder coefficient A_{n} = {A} is not positive and finite "
+                              f"(gamma_{n} = {gamma_n}, b_{n} = {b_n}, G_{n}(b_{n}) = {G})")
+    return A
 
 
 def ladder_from_spec(spec: RateSpec, params: ModelParams, n_levels: int) -> DiscreteLadder:
@@ -178,24 +248,6 @@ def ladder_from_spec(spec: RateSpec, params: ModelParams, n_levels: int) -> Disc
     else:
         u = np.arange(n_levels + 1) / n_levels
     return solve_ladder(np.asarray(gamma_of(spec, params, u), dtype=float), params)
-
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if not (flo < 0.0 < fhi):
-        raise ArithmeticError(f"root not bracketed: f({lo})={flo}, f({hi})={fhi}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17:
-            break
-    raise ArithmeticError(f"bisection stalled: |f({mid})| = {abs(f(mid))} > {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +352,26 @@ def discrete_verification_suite(ladder: DiscreteLadder) -> DiscreteCheckReport:
     held = ladder.A * G_of_gamma(g, b)
     held_slope = held * (g - b) / (b * (1.0 - b))
 
-    bellman = -np.inf
-    gen = -np.inf
-    fit = -np.inf
+    # per-level maxima, reduced by np.max at the end so that a NaN anywhere
+    # comes through and fails its check
+    bellman, gen, fit = [], [], []
     for n in range(N + 1):
         vn = ladder.value(n, pis)
-        bellman = max(bellman, float(np.max(ladder.value(n + 1, pis) + pis - ladder.k - vn)))
+        bellman.append(np.max(ladder.value(n + 1, pis) + pis - ladder.k - vn))
         v2 = ladder._derivative(n, pis, 2)
         resid = 0.5 * ladder.rho2(n) * pis**2 * (1.0 - pis) ** 2 * v2 - ladder.r * vn
-        gen = max(gen, float(np.max(resid)))
+        gen.append(np.max(resid))
 
         # V_n holds only for pi < b_n, so at b_n itself value and _derivative
         # give the stopped branch (b_n - k) + V_{n+1}
-        bellman = max(bellman, abs(float(held[n]) - ladder.value(n, b[n])))
-        fit = max(fit, abs(float(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0])))
+        bellman.append(abs(float(held[n]) - ladder.value(n, b[n])))
+        fit.append(abs(float(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0])))
 
     return DiscreteCheckReport(
         n_pi=N_PI,
-        bellman_max_violation=bellman,
-        generator_max_residual=gen,
-        smooth_fit_max_gap=fit,
+        bellman_max_violation=float(np.max(bellman)),
+        generator_max_residual=float(np.max(gen)),
+        smooth_fit_max_gap=float(np.max(fit)),
         monotone=check_discrete_monotone(ladder),
     )
 
@@ -355,10 +407,13 @@ def value_iteration_oracle(ladder: DiscreteLadder) -> Callable[[np.ndarray], np.
     anywhere in the residual, raises.
 
     Only the pivot recurrence and the projected back-substitution are
-    sequential, and they run in Python.  The node coefficients (once for all
-    levels), the right-hand sides (by multiply.accumulate) and the residual
-    are numpy operations in the order of scalar loops, so they give the same
-    bits as those loops.
+    sequential, and they run in Python.  The back-substitution runs only
+    below the stopped stretch at the top of the grid: there V = g, so each
+    row's value before projection is known without the recurrence, and numpy
+    finds the stretch from all rows at once.  The node coefficients (once for
+    all levels), the right-hand sides (by multiply.accumulate), the stopped
+    stretch and the residual are numpy operations in the order of scalar
+    loops, so they give the same bits as those loops.
     """
     h = 2.0 * ORACLE_PHI_MAX / (ORACLE_NODES - 1)
     pi = 1.0 / (1.0 + np.exp(-np.linspace(-ORACLE_PHI_MAX, ORACLE_PHI_MAX, ORACLE_NODES)))
@@ -373,7 +428,6 @@ def value_iteration_oracle(ladder: DiscreteLadder) -> Callable[[np.ndarray], np.
     lo_, up_, v_, g_, piv_, rhs_ = (memoryview(a) for a in (lo, up, v, g, piv, rhs))
     last = ORACLE_NODES - 1
     rows = slice(1, last)
-    down = slice(last - 1, 0, -1)
 
     for n in range(ladder.n_levels, -1, -1):
         # row i of (r - L_h) V over s = rho_n^2 / (2 h^2):
@@ -394,9 +448,22 @@ def value_iteration_oracle(ladder: DiscreteLadder) -> Callable[[np.ndarray], np.
         np.divide(lo[2:last], piv[1:last - 1], out=rhs[2:last])
         rhs_[1] = lo_[1] * v_[0]
         np.multiply.accumulate(rhs[rows], out=rhs[rows])
-        # back-substitution from the top, projected onto the obstacle
-        x = v_[last]
-        for i, a, b, p, gi in zip(range(last - 1, 0, -1), rhs_[down], up_[down], piv_[down], g_[down]):
+        # back-substitution from the top, projected onto the obstacle:
+        # x_i = (rhs_i + up_i V_{i+1}) / p_i, V_i = g_i where g_i > x_i.  While
+        # V_{i+1} = g_{i+1}, x_i is known beforehand, so the stopped stretch
+        # at the top is found from all x_i at once, formed in v (free until
+        # the loop writes it) in the loop's order of operations
+        top = v[rows]
+        np.multiply(up[1:last - 1], g[2:last], out=v[1:last - 1])
+        v_[last - 1] = up_[last - 1] * v_[last]
+        top += rhs[rows]
+        top /= piv[rows]
+        free = ~(g[rows] > top)  # a NaN stays free, so the loop reproduces it
+        j = last - int(np.argmax(free[::-1])) if free.any() else 1
+        v[j:last] = g[j:last]
+        x = v_[j]
+        below = slice(j - 1, 0, -1)
+        for i, a, b, p, gi in zip(range(j - 1, 0, -1), rhs_[below], up_[below], piv_[below], g_[below]):
             x = (a + b * x) / p
             if gi > x:
                 x = gi

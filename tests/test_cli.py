@@ -41,7 +41,9 @@ def read_manifest(out_dir):
     doc = json.loads((out_dir / "manifest.json").read_text())
     assert set(doc) - {"counters"} == MANIFEST_KEYS
     # work counters come only with a simulate run that stepped its strategies
-    ran = doc["command"] == "simulate" and "mc_within_3se" in doc["checks"]
+    # and with a discrete or compare run that solved its ladder
+    ran = (doc["command"] == "simulate" and "mc_within_3se" in doc["checks"]) or \
+        (doc["command"] in ("discrete", "compare") and doc["checks"] != {"completed": False})
     assert ("counters" in doc) == ran
     return doc
 
@@ -373,6 +375,22 @@ def test_discrete_from_levels(tmp_path):
     assert rep["passed"] is True
     man = read_manifest(out)
     assert all(man["checks"].values())
+    counts = man["counters"]["ladder"]
+    assert counts["levels"] == 6 and len(counts["f_evals"]) == 6
+    assert counts["f_evals"][-1] == 0 and 0 < max(counts["f_evals"]) <= 8
+    assert counts["f_evals_total"] == sum(counts["f_evals"])
+
+
+def test_discrete_infinite_coefficient_exit_1(tmp_path, capsys):
+    # G_0(b_0) underflows to 0, which would give A_0 = inf and a NaN V_0
+    doc = {**BASE, "model": {"r": 0.1, "k": 0.256}, "ladder": {"gamma": [5000, 1.5]}}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    rc = main(["discrete", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert "A_0" in capsys.readouterr().err
+    assert read_manifest(out)["checks"] == {"completed": False}
+    assert not (out / "ladder.csv").exists()
 
 
 @pytest.mark.parametrize("A, beta", [(50.0, 0.01), (200.0, 0.001)])
@@ -472,6 +490,7 @@ def test_compare_writes_table(tmp_path):
     lines = (out / "compare.csv").read_text().strip().splitlines()
     assert lines[0] == "n,u_n,b_ladder,b_continuous,difference"
     assert len(lines) == 7
+    assert read_manifest(out)["counters"]["ladder"]["levels"] == 6
 
 
 @pytest.fixture()
@@ -598,6 +617,8 @@ def test_overrides_change_config_hash(tmp_path):
         {**BASE, "rate": {"family": "tabulated", "rho": ["0.5"] * 11}},
         {**BASE, "rate": {"family": "tabulated", "rho2": 0.25}},
         {**BASE, "rate": {"family": "linear_noise", "C": 10 ** 400, "D": 0.9}},
+        {**BASE, "ladder": {"gamma": [10 ** 400, 1.5]}},
+        {**BASE, "ladder": {"gamma": [3.0, True]}},
     ],
 )
 def test_bad_documents_rejected(tmp_path, doc):
@@ -606,6 +627,13 @@ def test_bad_documents_rejected(tmp_path, doc):
         load_config(cfg)
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
     assert rc == 2
+
+
+def test_oversized_ladder_gamma_names_entry(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**BASE, "ladder": {"gamma": [3.0, 10 ** 400]}})
+    rc = main(["discrete", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    assert "ladder.gamma[1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sim, override, reason", [

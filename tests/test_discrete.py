@@ -16,6 +16,7 @@ from investlearn.discrete import (
     discrete_verification_suite,
     ladder_from_spec,
     oracle_residual_tol,
+    root_tol,
     save_ladder,
     solve_ladder,
     value_iteration_oracle,
@@ -24,6 +25,7 @@ from investlearn.model import (
     ConfigError,
     G_of_gamma,
     HyperbolicGamma,
+    LinearNoise,
     ModelParams,
     rho,
     stopping_value_v,
@@ -65,6 +67,38 @@ def test_terminal_level_is_stopping_threshold(hyp_ladder):
 def test_boundary_equation_residuals(hyp_ladder):
     for n in range(hyp_ladder.n_levels):
         assert abs(boundary_equation(hyp_ladder, n, float(hyp_ladder.b[n]))) <= 1e-13
+
+
+def _worst_residual_over_tol(ladder):
+    return max(abs(boundary_equation(ladder, n, float(ladder.b[n])))
+               / root_tol(ladder.gamma[n], ladder.k) for n in range(ladder.n_levels))
+
+
+def test_newton_at_160_levels():
+    # at most 8 evaluations of f_n per level, the two bracket ends included
+    lad = ladder_from_spec(LinearNoise(C=0.25, D=0.9), PARAMS, 160)
+    assert _worst_residual_over_tol(lad) <= 1.0
+    counts = lad.counters()
+    assert counts["levels"] == 161 and len(counts["f_evals"]) == 161
+    assert counts["f_evals"][-1] == 0  # b_N = c_N needs no root
+    assert max(counts["f_evals"]) <= 8
+    assert counts["f_evals_total"] == sum(counts["f_evals"])
+
+
+def test_newton_from_left_of_the_root():
+    # gamma_0 and gamma_1 nearly equal put b_0 above b_1, so Newton starts at
+    # b_1, left of the root, and its first step overshoots to the right
+    lad = solve_ladder(np.array([3.0, 2.99999, 1.5]), PARAMS)
+    assert lad.b[0] > lad.b[1]
+    assert _worst_residual_over_tol(lad) <= 1.0
+    assert max(lad.f_evals) <= 8
+
+
+def test_underflowed_coefficient_raises():
+    # G_0(b_0) = (1 - b_0)(b_0 / (1 - b_0))^5000 underflows to 0 at b_0 = 0.205;
+    # A_0 = inf would make V_0 NaN below b_0
+    with pytest.raises(ArithmeticError, match=r"A_0 .*gamma_0 = 5000.0, b_0 = 0\.205"):
+        solve_ladder(np.array([5000.0, 1.5]), ModelParams(r=0.1, k=0.256))
 
 
 def test_thresholds_strictly_increasing(hyp_ladder):
@@ -116,6 +150,15 @@ def test_verification_suite_passes(hyp_ladder):
 
 def _with(ladder, b, A):
     return DiscreteLadder(gamma=ladder.gamma, k=ladder.k, r=ladder.r, b=b, A=A, c=ladder.c)
+
+
+def test_verification_suite_fails_nan(hyp_ladder):
+    # a NaN must fail its check wherever it falls in the order of the levels
+    A = hyp_ladder.A.copy()
+    A[2] = np.nan
+    checks = discrete_verification_suite(_with(hyp_ladder, hyp_ladder.b, A)).checks()
+    assert checks == {"bellman": False, "generator": False, "smooth_fit": False,
+                      "b_nondecreasing": True}
 
 
 def test_verification_suite_rejects_shifted_threshold(hyp_ladder):
