@@ -17,6 +17,12 @@ falls monotonically onto it; it starts at min(c_n, b_{n+1}), where V_{n+1} is
 usually held on level n + 1 alone, and falls back to the bracket's midpoint
 whenever a step would leave the bracket.
 
+V_n(pi) = j (pi - k) + A_m G_m(pi) is read by one lookup: pi stops through
+levels n..m-1, m = n + j, and is held on the first level whose threshold
+exceeds it, which is where the running maximum of b_n, b_{n+1}, ... does,
+ordered or not.  A_{N+1} = 0, and A_m G_m is exp(log A_m + log G_m(pi)), so a
+ladder whose A_n or G_n(b_n) alone leaves the float range still solves.
+
 The verification suite re-checks a solved ladder against its Bellman
 characterization.  Each V_n is linear on the levels it stops through and
 A_m G_m on the level m that holds pi, so its pi-derivatives are closed form
@@ -43,7 +49,7 @@ from typing import Callable, List, Tuple, Union
 import numpy as np
 
 from .artifacts import write_csv
-from .model import ConfigError, G_of_gamma, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of
+from .model import ConfigError, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of, log_G
 
 # The root finder stops at |f_n| <= max(ROOT_F_TOL, ROOT_F_REL 2 gamma_n k)
 # (root_tol): 2 gamma_n k is the size of f_n's terms at its root, and their
@@ -67,7 +73,7 @@ ORACLE_RESIDUAL_REL = 1e-14
 
 @dataclass(frozen=True)
 class DiscreteLadder:
-    """Solved ladder: thresholds b_n and coefficients A_n for n = 0..N.
+    """Solved ladder: thresholds b_n and coefficients log A_n for n = 0..N.
 
     f_evals[n] counts the evaluations of f_n the root finder spent on b_n
     (0 on the top level, whose threshold is c_N).
@@ -77,9 +83,15 @@ class DiscreteLadder:
     k: float
     r: float
     b: np.ndarray
-    A: np.ndarray
+    log_A: np.ndarray
     c: np.ndarray
     f_evals: Tuple[int, ...] = ()
+
+    @property
+    def A(self) -> np.ndarray:
+        """A_n = exp(log A_n): inf or 0.0 where A_n leaves the float range."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_A)
 
     @property
     def n_levels(self) -> int:
@@ -105,49 +117,34 @@ class DiscreteLadder:
         pi = np.atleast_1d(np.asarray(pi, dtype=float))
         if np.any(pi <= 0.0) or np.any(pi >= 1.0):
             raise ValueError("pi must lie strictly in (0, 1)")
-        out = np.zeros(pi.shape, dtype=float)
-        rem = np.ones(pi.shape, dtype=bool)
-        for m in range(n, self.n_levels + 1):
-            hold = rem & (pi < self.b[m])
-            if hold.any():
-                out[hold] += self.A[m] * G_of_gamma(self.gamma[m], pi[hold])
-                rem = rem & ~hold
-            if not rem.any():
-                break
-            out[rem] += pi[rem] - self.k
+        out = self._derivative(n, pi, 0)
         if scalar:
             return float(out[0])
         return out
 
     def _derivative(self, n: int, pi: np.ndarray, order: int) -> np.ndarray:
-        """First (order 1) or second (order 2) pi-derivative of V_n, closed form.
+        """pi-derivative of V_n of order 0 (V_n itself), 1 or 2, closed form.
 
-        Every level stopped through adds slope 1 and no curvature; the level
-        m that holds pi adds A_m G_m' or A_m G_m''.
+        pi stops through j levels and is held on level m = n + j, which adds
+        W = A_m G_m(pi), W G_m'/G_m or W G_m''/G_m; each level stopped through
+        adds pi - k, slope 1 and no curvature.
         """
-        out = np.zeros(pi.shape, dtype=float)
-        rem = np.ones(pi.shape, dtype=bool)
-        for m in range(n, self.n_levels + 1):
-            hold = rem & (pi < self.b[m])
-            if hold.any():
-                g, x = self.gamma[m], pi[hold]
-                q = x * (1.0 - x)
-                factor = (g - x) / q if order == 1 else g * (g - 1.0) / (q * q)
-                out[hold] += self.A[m] * G_of_gamma(g, x) * factor
-                rem &= ~hold
-            if not rem.any():
-                break
-            if order == 1:
-                out[rem] += 1.0
-        return out
+        j = np.searchsorted(np.maximum.accumulate(self.b[n:]), pi, side="right")
+        m = n + j
+        g = np.append(self.gamma, 2.0)[m]  # any finite exponent on level N + 1
+        held = np.exp(np.append(self.log_A, -np.inf)[m] + log_G(g, pi))
+        if order == 0:
+            return j * (pi - self.k) + held
+        q = pi * (1.0 - pi)
+        if order == 1:
+            return j + held * ((g - pi) / q)
+        return held * (g * (g - 1.0) / (q * q))
 
 
 def boundary_equation(ladder_tail: DiscreteLadder, n: int, b: float) -> float:
     """f_n(b) with the tail (levels n+1..N) of an already-solved ladder."""
-    g = ladder_tail.gamma
-    k = ladder_tail.k
-    vnext = ladder_tail.value(n + 1, b) if n + 1 <= ladder_tail.n_levels else 0.0
-    return (g[n] + k - 1.0) * b - g[n] * k + (g[n] - g[n + 1]) * float(vnext)
+    g, k = ladder_tail.gamma, ladder_tail.k
+    return (g[n] + k - 1.0) * b - g[n] * k + (g[n] - g[n + 1]) * ladder_tail.value(n + 1, b)
 
 
 def root_tol(gamma_n: float, k: float) -> float:
@@ -171,17 +168,17 @@ def solve_ladder(gamma: np.ndarray, params: ModelParams) -> DiscreteLadder:
     N = gamma.size - 1
     c = k * gamma / (gamma + k - 1.0)
     b = np.empty_like(gamma)
-    A = np.empty_like(gamma)
+    log_A = np.empty_like(gamma)
     evals = [0] * (N + 1)
     b[N] = c[N]
-    A[N] = _coefficient(N, gamma[N], b[N], b[N] - k)
-    tail = DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c)  # filled in from the top
+    log_A[N] = _coefficient(N, gamma[N], b[N], b[N] - k)
+    tail = DiscreteLadder(gamma=gamma, k=k, r=r, b=b, log_A=log_A, c=c)  # filled in from the top
 
     for n in range(N - 1, -1, -1):
         b[n], evals[n] = _threshold(tail, n)
-        A[n] = _coefficient(n, gamma[n], b[n], b[n] - k + tail.value(n + 1, b[n]))
+        log_A[n] = _coefficient(n, gamma[n], b[n], b[n] - k + tail.value(n + 1, b[n]))
 
-    return DiscreteLadder(gamma=gamma, k=k, r=r, b=b, A=A, c=c, f_evals=tuple(evals))
+    return DiscreteLadder(gamma=gamma, k=k, r=r, b=b, log_A=log_A, c=c, f_evals=tuple(evals))
 
 
 def _threshold(tail: DiscreteLadder, n: int) -> Tuple[float, int]:
@@ -222,17 +219,20 @@ def _threshold(tail: DiscreteLadder, n: int) -> Tuple[float, int]:
 
 
 def _coefficient(n: int, gamma_n: float, b_n: float, stop: float) -> float:
-    """A_n = stop / G_n(b_n), with stop the stopped value at b_n.
+    """log A_n = log(stop) - log G_n(b_n), with stop the stopped value at b_n.
 
-    A_n must be positive and finite.  G_n(b_n) underflows to 0 when gamma_n
-    is large and b_n well below 1/2; that raises before the divide.
+    stop must be positive and finite, and so must log A_n and the curvature
+    factor gamma_n (gamma_n - 1) = 2 r / rho_n^2; A_n may leave the float range.
     """
-    G = float(G_of_gamma(gamma_n, b_n))
-    A = float(stop) / G if G > 0.0 else np.inf
-    if not 0.0 < A < np.inf:
-        raise ArithmeticError(f"ladder coefficient A_{n} = {A} is not positive and finite "
-                              f"(gamma_{n} = {gamma_n}, b_{n} = {b_n}, G_{n}(b_{n}) = {G})")
-    return A
+    stop = float(stop)
+    with np.errstate(all="ignore"):
+        log_A = float(np.log(stop) - log_G(gamma_n, b_n))
+        curvature = gamma_n * (gamma_n - 1.0)
+    if not (0.0 < stop < np.inf and -np.inf < log_A < np.inf and curvature < np.inf):
+        raise ArithmeticError(f"ladder level {n}: log A_{n} = {log_A} and gamma_{n} (gamma_{n} - 1) "
+                              f"= {curvature} must be finite (gamma_{n} = {gamma_n}, "
+                              f"b_{n} = {b_n}, stopped value {stop})")
+    return log_A
 
 
 def ladder_from_spec(spec: RateSpec, params: ModelParams, n_levels: int) -> DiscreteLadder:
@@ -304,6 +304,10 @@ class DiscreteCheckReport:
     generator_max_residual: float
     smooth_fit_max_gap: float
     monotone: DiscreteMonotoneReport
+    # (level n, pi) where each maximum occurred
+    bellman_max_at: Tuple[int, float]
+    generator_max_at: Tuple[int, float]
+    smooth_fit_max_at: Tuple[int, float]
 
     def checks(self) -> dict:
         """Per-check verdicts, as the run manifest records them."""
@@ -324,6 +328,9 @@ class DiscreteCheckReport:
             "bellman_max_violation": self.bellman_max_violation,
             "generator_max_residual": self.generator_max_residual,
             "smooth_fit_max_gap": self.smooth_fit_max_gap,
+            "bellman_max_at": list(self.bellman_max_at),
+            "generator_max_at": list(self.generator_max_at),
+            "smooth_fit_max_at": list(self.smooth_fit_max_at),
             "monotone": self.monotone.to_dict(),
             "tolerances": {
                 "bellman": TOL_BELLMAN,
@@ -349,30 +356,41 @@ def discrete_verification_suite(ladder: DiscreteLadder) -> DiscreteCheckReport:
     N = ladder.n_levels
 
     b, g = ladder.b, ladder.gamma
-    held = ladder.A * G_of_gamma(g, b)
+    held = np.exp(ladder.log_A + log_G(g, b))
     held_slope = held * (g - b) / (b * (1.0 - b))
 
-    # per-level maxima, reduced by np.max at the end so that a NaN anywhere
-    # comes through and fails its check
+    # per-level (maximum, n, pi), reduced by argmax, which takes the first
+    # NaN, so that a NaN anywhere comes through and fails its check
     bellman, gen, fit = [], [], []
+
+    def grid_max(x, n):
+        i = int(np.argmax(x))
+        return x[i], n, pis[i]
+
     for n in range(N + 1):
         vn = ladder.value(n, pis)
-        bellman.append(np.max(ladder.value(n + 1, pis) + pis - ladder.k - vn))
+        bellman.append(grid_max(ladder.value(n + 1, pis) + pis - ladder.k - vn, n))
         v2 = ladder._derivative(n, pis, 2)
-        resid = 0.5 * ladder.rho2(n) * pis**2 * (1.0 - pis) ** 2 * v2 - ladder.r * vn
-        gen.append(np.max(resid))
-
+        gen.append(grid_max(0.5 * ladder.rho2(n) * pis**2 * (1.0 - pis) ** 2 * v2 - ladder.r * vn, n))
         # V_n holds only for pi < b_n, so at b_n itself value and _derivative
         # give the stopped branch (b_n - k) + V_{n+1}
-        bellman.append(abs(float(held[n]) - ladder.value(n, b[n])))
-        fit.append(abs(float(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0])))
+        bellman.append((abs(held[n] - ladder.value(n, b[n])), n, b[n]))
+        fit.append((abs(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0]), n, b[n]))
 
+    def worst(cands):
+        x, n, pi = cands[int(np.argmax([c[0] for c in cands]))]
+        return float(x), (n, float(pi))
+
+    (bellman, bellman_at), (gen, gen_at), (fit, fit_at) = map(worst, (bellman, gen, fit))
     return DiscreteCheckReport(
         n_pi=N_PI,
-        bellman_max_violation=float(np.max(bellman)),
-        generator_max_residual=float(np.max(gen)),
-        smooth_fit_max_gap=float(np.max(fit)),
+        bellman_max_violation=bellman,
+        generator_max_residual=gen,
+        smooth_fit_max_gap=fit,
         monotone=check_discrete_monotone(ladder),
+        bellman_max_at=bellman_at,
+        generator_max_at=gen_at,
+        smooth_fit_max_at=fit_at,
     )
 
 

@@ -326,6 +326,19 @@ def G_of_gamma(g: ArrayLike, pi: ArrayLike) -> np.ndarray:
     return (1.0 - pi) * np.exp(g * (np.log(pi) - np.log1p(-pi)))
 
 
+def logit(pi: ArrayLike) -> np.ndarray:
+    """log(pi / (1 - pi)) for pi strictly inside (0, 1)."""
+    return np.log(pi) - np.log1p(-pi)
+
+
+def log_G(g: ArrayLike, pi: ArrayLike) -> np.ndarray:
+    """log G = log(1 - pi) + g logit(pi), finite where G itself under- or overflows.
+
+    Every product A G in the package is formed as exp of a sum of such logs.
+    """
+    return np.log1p(-pi) + g * logit(pi)
+
+
 def fundamental_G(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:
     """Increasing solution G(u, pi) = (1-pi) (pi/(1-pi))^gamma(u) of the killed generator.
 
@@ -343,19 +356,15 @@ def stopping_threshold_c(spec: RateSpec, params: ModelParams, u: ArrayLike) -> n
 def stopping_value_v(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:
     """Value v(pi; u) of stopping the frozen-rate problem: smooth-pasted at c(u).
 
-    v = (c - k) G(u, pi) / G(u, c) below c(u) and pi - k above.
+    v = (c - k) G(u, pi) / G(u, c) below c(u) and pi - k above, with the
+    ratio of G taken as exp(log G(u, pi) - log G(u, c)).
     """
     k = params.k
     pi = np.asarray(pi, dtype=float)
-    c = stopping_threshold_c(spec, params, u)
-    pi_b, c_b = np.broadcast_arrays(pi, c)
-    out = np.asarray(pi_b - k, dtype=float).copy()
-    below = pi_b < c_b
-    if np.any(below):
-        u_b = np.broadcast_arrays(np.asarray(u, dtype=float), pi_b)[0]
-        gpi = fundamental_G(spec, params, u_b[below], pi_b[below])
-        gc = fundamental_G(spec, params, u_b[below], c_b[below])
-        out[below] = (c_b[below] - k) * gpi / gc
+    g = gamma(spec, params, u)
+    c = k * g / (k + g - 1.0)  # stopping_threshold_c
+    with np.errstate(over="ignore"):  # only above c, where the branch is not taken
+        out = np.where(pi < c, (c - k) * np.exp(log_G(g, pi) - log_G(g, c)), pi - k)
     if out.ndim == 0:
         return float(out)
     return out

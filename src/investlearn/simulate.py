@@ -74,7 +74,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .boundary import BoundaryCurve
-from .model import ModelParams, RateSpec, rho, stopping_threshold_c, stopping_value_v
+from .model import ModelParams, RateSpec, logit, rho, stopping_threshold_c, stopping_value_v
 
 # Steps drawn at a time: the normals of a chunk take CHUNK_STEPS float64
 # per live stream, and its uniforms as many per stream within reach.
@@ -97,6 +97,8 @@ def _expit(x: np.ndarray) -> np.ndarray:
 
 
 def _logit(p: float) -> float:
+    # math.log, not model.logit: np.log rounds a few inputs differently, and
+    # the pinned Monte Carlo outputs hold these bits
     return math.log(p) - math.log1p(-p)
 
 
@@ -498,7 +500,7 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
         rows.phi[died] = phi_full
         grew = idx[~full & (u_new > u_old)]
         b_new = curve.b_at(rows.u[grew])
-        rows.barrier[grew] = np.log(b_new) - np.log1p(-b_new)
+        rows.barrier[grew] = logit(b_new)
         return grew, died
 
     barrier = _logit(float(curve.b_at(u_start))) if u_start < 1.0 else math.inf

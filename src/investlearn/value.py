@@ -7,8 +7,10 @@ expansion problem is assembled in closed form:
              = A(u0) G(u0, pi) + (pi - k)(u0 - u),  u0 = h(pi)  pi >  b(u)
 
 where A(u) = ((gamma + k - 1) b(u) - gamma k) / (gamma'(u) G(u, b(u))) and
-h is the inverse boundary.  The diagnostics in this module do not trust the
-construction: they re-check, on the assembled surface, the variational
+h is the inverse boundary.  A G is formed as ratio x exp(log G(u, pi) -
+log G(u, b)), ratio = A(u) G(u, b), so that no factor overflows on its own
+where gamma logit(b) is large.  The diagnostics in this module do not trust
+the construction: they re-check, on the assembled surface, the variational
 characterization (generator residual zero below the boundary and nonpositive
 above it, smooth fit along the boundary, the gradient bound V_u <= k - pi,
 and dominance over the no-learning stopping value).
@@ -29,12 +31,13 @@ is from solving the boundary ODE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .model import fundamental_G, gamma, stopping_value_v
+# fundamental_G is not called here; bench/spans.py counts calls through this name
+from .model import fundamental_G, gamma, log_G, logit, stopping_value_v
 
 TOL_PDE_BELOW_REL = 1e-6
 TOL_PDE_ABOVE = 1e-8
@@ -76,37 +79,39 @@ class ValueSurface:
 
     # -- building blocks ---------------------------------------------------
 
-    def coefficient_A(self, u):
-        """A(u) >= 0 tying the fundamental solution to the boundary data.
+    def _branch(self, u, pi):
+        """(ratio, log G(u, pi) - log G(u, b)), ratio = A(u) G(u, b) = N / gamma'.
 
-        A(1) = 0 because b(1) = c(1) kills the numerator; the clamp only
-        absorbs the roundoff of that cancellation, never a real sign flip.
+        A(1) = 0 because b(1) = c(1) kills N; the clamp only absorbs the
+        roundoff of that cancellation, never a real sign flip.
         """
         p = self.params
         g, d1, _, _ = self.spec.gamma_derivs(u, p.r)
         b = self.curve.b_at(u)
-        G = fundamental_G(self.spec, p, u, b)
-        return np.maximum(0.0, ((g + p.k - 1.0) * b - g * p.k) / (d1 * G))
+        ratio = np.maximum(0.0, ((g + p.k - 1.0) * b - g * p.k) / d1)
+        return ratio, log_G(g, pi) - log_G(g, b)
+
+    def coefficient_A(self, u):
+        """A(u) >= 0 tying the fundamental solution to the boundary data."""
+        ratio, dlog = self._branch(u, 0.5)
+        return 2.0 * ratio * np.exp(dlog)  # G(u, 1/2) = 1/2 at every gamma
 
     def _below(self, u, pi):
-        return self.coefficient_A(u) * fundamental_G(self.spec, self.params, u, pi)
+        """A(u) G(u, pi), formed as ratio x exp(log G(u, pi) - log G(u, b))."""
+        ratio, dlog = self._branch(u, pi)
+        return ratio * np.exp(dlog)
 
     def value(self, u, pi):
-        """V(u, pi), vectorized over broadcastable arguments."""
-        u = np.asarray(u, dtype=float)
-        pi = np.asarray(pi, dtype=float)
-        u_b, pi_b = np.broadcast_arrays(u, pi)
-        out = np.empty(u_b.shape, dtype=float)
-        b_u = self.curve.b_at(u_b)
-        below = pi_b <= b_u
-        if np.any(below):
-            out[below] = self._below(u_b[below], pi_b[below])
-        above = ~below
-        if np.any(above):
-            u0 = self.curve.h_at(pi_b[above])
-            out[above] = self._below(u0, pi_b[above]) + (pi_b[above] - self.params.k) * (
-                u0 - u_b[above]
-            )
+        """V(u, pi), vectorized over broadcastable arguments.
+
+        Both branches are A(u0) G(u0, pi) + (pi - k)(u0 - u), with u0 = u
+        below the boundary and u0 = h(pi) above it.
+        """
+        u, pi = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(pi, dtype=float))
+        lev = u.copy()
+        above = pi > self.curve.b_at(u)
+        lev[above] = self.curve.h_at(pi[above])
+        out = self._below(lev, pi) + (pi - self.params.k) * (lev - u)
         if out.ndim == 0:
             return float(out)
         return out
@@ -114,21 +119,16 @@ class ValueSurface:
     def log_value(self, u, pi):
         """log V(u, pi), -inf where V <= 0, for a sign test that survives underflow.
 
-        Below the boundary it is log A(u) + log G(u, pi), with both logs taken
-        in closed form, so it stays finite where A G underflows at large
-        gamma; above the boundary it is the log of V itself.
+        Below the boundary it is log(ratio) + log G(u, pi) - log G(u, b), with
+        the logs taken in closed form, so it stays finite where A G underflows
+        at large gamma; above the boundary it is the log of V itself.
         """
         u, pi = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(pi, dtype=float))
         out = np.empty(u.shape, dtype=float)
         below = pi <= self.curve.b_at(u)
-        ub, pb = u[below], pi[below]
-        p = self.params
-        g, d1, _, _ = self.spec.gamma_derivs(ub, p.r)
-        b = self.curve.b_at(ub)
-
+        ratio, dlog = self._branch(u[below], pi[below])
         with np.errstate(divide="ignore"):
-            ratio = np.maximum(0.0, ((g + p.k - 1.0) * b - g * p.k) / d1)
-            out[below] = np.log(ratio) + _log_G(g, pb) - _log_G(g, b)
+            out[below] = np.log(ratio) + dlog
             out[~below] = np.log(np.maximum(0.0, self.value(u[~below], pi[~below])))
         return out
 
@@ -155,9 +155,9 @@ class ValueSurface:
         num = (g + p.k - 1.0) * b - g * p.k
         # A' D = N' - N D'/D
         a_u = d1 * (b - p.k) + (g + p.k - 1.0) * db - num * (
-            d2 / d1 + d1 * _logit(b) + db * (g - b) / (b * (1.0 - b)))
-        scale = np.exp(_log_G(g, pi) - _log_G(g, b)) / d1  # G(u, pi) / D
-        lpi = _logit(pi)
+            d2 / d1 + d1 * logit(b) + db * (g - b) / (b * (1.0 - b)))
+        scale = np.exp(log_G(g, pi) - log_G(g, b)) / d1  # G(u, pi) / D
+        lpi = logit(pi)
         w_u = scale * (a_u + num * d1 * lpi)
         w_upi = scale * (a_u * (g - pi) + num * d1 * (lpi * (g - pi) + 1.0)) / (pi * (1.0 - pi))
         return w_u, w_upi
@@ -174,15 +174,6 @@ class ValueSurface:
         if scalar:
             return float(out[0])
         return out
-
-
-def _logit(x):
-    return np.log(x) - np.log1p(-x)
-
-
-def _log_G(g, pi):
-    """log G = log(1 - pi) + g logit(pi), finite where G itself under- or overflows."""
-    return np.log1p(-pi) + g * _logit(pi)
 
 
 def build_surface(spec, params, grid_size: int = 2001) -> ValueSurface:
@@ -204,6 +195,9 @@ class PdeResidualReport:
     n_above: int
     max_below_rel: float
     max_above_signed: float
+    # (u, pi) where each maximum occurred; None when its side has no sample
+    max_below_rel_at: Optional[Tuple[float, float]]
+    max_above_signed_at: Optional[Tuple[float, float]]
 
     @property
     def passed(self) -> bool:
@@ -236,14 +230,23 @@ def pde_residual_sweep(surface: ValueSurface) -> PdeResidualReport:
     v_pipi = val * g * (g - 1.0) / (pi * (1.0 - pi)) ** 2
     val[above] += (pi[above] - p.k) * (lev[above] - u[above])
     res = 0.5 * surface.spec.rho2(u, p.r) * pi**2 * (1.0 - pi) ** 2 * v_pipi - p.r * val
-    rel = np.abs(res[below]) / np.maximum(1.0, p.r * np.abs(val[below]))
-    # a boundary close to 0 or 1 can leave one side without samples; its max reads 0
+    rel = np.abs(res) / np.maximum(1.0, p.r * np.abs(val))
+
+    # a boundary close to 0 or 1 can leave one side without samples; its max
+    # reads 0 and has no location
+    def worst(x, side):
+        i = int(np.argmax(np.where(side, x, -np.inf)))  # a NaN on the side wins
+        return (float(x[i]), (float(u[i]), float(pi[i]))) if side[i] else (0.0, None)
+
+    (below_max, below_at), (above_max, above_at) = worst(rel, below), worst(res, above)
     return PdeResidualReport(
         n_samples=N_SAMPLES,
         n_below=int(np.count_nonzero(below)),
         n_above=int(np.count_nonzero(above)),
-        max_below_rel=float(np.max(rel, initial=0.0)),
-        max_above_signed=float(np.max(res[above])) if np.any(above) else 0.0,
+        max_below_rel=below_max,
+        max_above_signed=above_max,
+        max_below_rel_at=below_at,
+        max_above_signed_at=above_at,
     )
 
 

@@ -27,6 +27,7 @@ from investlearn.model import (
     HyperbolicGamma,
     LinearNoise,
     ModelParams,
+    log_G,
     rho,
     stopping_value_v,
 )
@@ -94,11 +95,28 @@ def test_newton_from_left_of_the_root():
     assert max(lad.f_evals) <= 8
 
 
-def test_underflowed_coefficient_raises():
-    # G_0(b_0) = (1 - b_0)(b_0 / (1 - b_0))^5000 underflows to 0 at b_0 = 0.205;
-    # A_0 = inf would make V_0 NaN below b_0
-    with pytest.raises(ArithmeticError, match=r"A_0 .*gamma_0 = 5000.0, b_0 = 0\.205"):
-        solve_ladder(np.array([5000.0, 1.5]), ModelParams(r=0.1, k=0.256))
+@pytest.mark.parametrize("k", [0.256, 0.7])
+def test_coefficient_out_of_float_range_solves(k):
+    # G_0(b_0) = (1 - b_0)(b_0 / (1 - b_0))^5000 underflows to 0 at k = 0.256
+    # (b_0 = 0.205) and overflows at k = 0.7, so A_0 leaves the float range
+    # while log A_0 and the value stay finite
+    params = ModelParams(r=0.1, k=k)
+    lad = solve_ladder(np.array([5000.0, 1.5]), params)
+    assert np.all(np.isfinite(lad.log_A))
+    assert not 0.0 < lad.A[0] < np.inf
+    assert _worst_residual_over_tol(lad) <= 1.0
+    assert discrete_verification_suite(lad).passed
+    pis = np.linspace(0.05, 0.95, 181)
+    assert np.max(np.abs(lad.value(0, pis) - value_iteration_oracle(lad)(pis))) <= 2e-3
+
+
+@pytest.mark.parametrize("gammas, k", [([1e308, 1.5], 0.1), ([1e300, 1.5], 0.01)])
+def test_float_limit_gamma_raises(gammas, k):
+    # gamma_0 (gamma_0 - 1) overflows, so rho_0^2 = 0 and the curvature of V_0
+    # is not finite (at 1e308 log A_0 too); this raises before anything
+    # overflows with a warning
+    with pytest.raises(ArithmeticError, match=r"level 0: .* gamma_0 \(gamma_0 - 1\) = inf"):
+        solve_ladder(np.array(gammas), ModelParams(r=0.1, k=k))
 
 
 def test_thresholds_strictly_increasing(hyp_ladder):
@@ -146,10 +164,24 @@ def test_verification_suite_passes(hyp_ladder):
     d = rep.to_dict()
     assert d["passed"] is True
     assert d["monotone"]["all_hold"] is True
+    assert set(d) == {
+        "n_pi", "bellman_max_violation", "generator_max_residual", "smooth_fit_max_gap",
+        "bellman_max_at", "generator_max_at", "smooth_fit_max_at", "monotone",
+        "tolerances", "passed"}
+    # each maximum is located at (level n, pi): smooth fit at a threshold b_n,
+    # the generator on the suite's belief grid
+    pis = np.linspace(0.001, 0.999, rep.n_pi)
+    n, pi = d["smooth_fit_max_at"]
+    assert pi == float(hyp_ladder.b[n])
+    n, pi = d["generator_max_at"]
+    assert 0 <= n <= hyp_ladder.n_levels and pi in pis
+    n, pi = d["bellman_max_at"]
+    assert 0 <= n <= hyp_ladder.n_levels and (pi in pis or pi == float(hyp_ladder.b[n]))
 
 
 def _with(ladder, b, A):
-    return DiscreteLadder(gamma=ladder.gamma, k=ladder.k, r=ladder.r, b=b, A=A, c=ladder.c)
+    return DiscreteLadder(gamma=ladder.gamma, k=ladder.k, r=ladder.r, b=b, log_A=np.log(A),
+                          c=ladder.c)
 
 
 def test_verification_suite_fails_nan(hyp_ladder):
@@ -183,6 +215,39 @@ def test_verification_suite_rejects_value_matching_break(hyp_ladder):
     rep = discrete_verification_suite(_with(hyp_ladder, hyp_ladder.b, A))
     assert rep.checks() == {
         "bellman": False, "generator": True, "smooth_fit": True, "b_nondecreasing": True}
+
+
+def _walk(ladder, n, pi, order):
+    """V_n (order 0) or a pi-derivative by walking the levels from n up."""
+    out = np.zeros(pi.shape)
+    rem = np.ones(pi.shape, dtype=bool)
+    for m in range(n, ladder.n_levels + 1):
+        hold = rem & (pi < ladder.b[m])
+        g, x = ladder.gamma[m], pi[hold]
+        q = x * (1.0 - x)
+        factor = (1.0, (g - x) / q, g * (g - 1.0) / (q * q))[order]
+        out[hold] += np.exp(ladder.log_A[m] + log_G(g, x)) * factor
+        rem &= ~hold
+        out[rem] += (pi[rem] - ladder.k, 1.0, 0.0)[order]
+    return out
+
+
+@pytest.mark.parametrize("ladder", [
+    lambda: ladder_from_spec(HYP, PARAMS, 5),
+    lambda: ladder_from_spec(LinearNoise(C=0.25, D=0.9), PARAMS, 40),
+    lambda: solve_ladder(np.array([3.0, 2.99999, 1.5]), PARAMS),
+    lambda: solve_ladder(np.array([20.0, 10.0, 1.5]), ModelParams(r=0.1, k=0.256)),
+    lambda: solve_ladder(np.array([5000.0, 1.5]), ModelParams(r=0.1, k=0.256)),
+], ids=["hyperbolic-5", "linear-40", "3-2.99999-1.5", "20-10-1.5", "5000-1.5"])
+def test_lookup_equals_level_walk(ladder):
+    # every threshold is on the grid: a belief equal to b_m stops there
+    lad = ladder()
+    pis = np.union1d(np.linspace(0.001, 0.999, 999), lad.b)
+    for n in range(lad.n_levels + 2):
+        np.testing.assert_allclose(lad.value(n, pis), _walk(lad, n, pis, 0), rtol=1e-14, atol=0)
+        for order in (1, 2):
+            np.testing.assert_allclose(lad._derivative(n, pis, order), _walk(lad, n, pis, order),
+                                       rtol=1e-14, atol=0)
 
 
 def test_vanishing_gamma_gap_recovers_stopping_threshold():

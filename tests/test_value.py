@@ -23,6 +23,7 @@ from investlearn.value import (
     TOL_SMOOTH_FIT,
     ValueSurface,
     build_surface,
+    low_discrepancy_samples,
     pde_residual_sweep,
     verify_surface,
 )
@@ -151,6 +152,7 @@ def test_pde_sweep_with_no_sample_above():
     assert float(surface.curve.b_values[0]) > 0.999
     pde = pde_residual_sweep(surface)
     assert pde.n_above == 0 and pde.max_above_signed == 0.0
+    assert pde.max_above_signed_at is None and pde.max_below_rel_at is not None
     assert pde.n_below == pde.n_samples and pde.passed
 
 
@@ -170,8 +172,14 @@ def test_report_dict_shape(linear_surface, linear_report):
         assert np.min(np.abs(0.5 * (ug[:-1] + ug[1:]) - u)) == 0.0
         assert pi == float(linear_surface.curve.b_at(u))
     assert set(d["pde"]) == {
-        "n_samples", "n_below", "n_above", "max_below_rel",
-        "max_above_signed", "passed"}
+        "n_samples", "n_below", "n_above", "max_below_rel", "max_above_signed",
+        "max_below_rel_at", "max_above_signed_at", "passed"}
+    # each sweep maximum is located at a sample on its side of the boundary
+    u_s, pi_s = low_discrepancy_samples()
+    for key, below in (("max_below_rel_at", True), ("max_above_signed_at", False)):
+        u, pi = d["pde"][key]
+        assert np.any((u_s == u) & (pi_s == pi))
+        assert (pi <= float(linear_surface.curve.b_at(u))) == below
     assert set(d["tolerances"]) == {
         "pde_below_rel", "pde_above_signed", "smooth_fit", "c1_pasting",
         "gradient", "premium", "continuity"}
@@ -194,6 +202,18 @@ def test_positivity_survives_underflow():
     assert -np.inf < report.log_value_min < -1000.0
     assert abs(report.A_terminal) <= 1e-12 and report.continuity_max <= 1e-12
     assert report.pde.passed and report.checks()["gradient_bound"]
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.1, 1.0])
+def test_verify_passes_at_large_gamma_logit(r):
+    # k = 0.98 puts b near 1, where gamma logit(b) is large enough that
+    # G(u, b) overflows and A(u) underflows on their own; formed as one
+    # ratio x exp(log G(u, pi) - log G(u, b)) the surface passes every check
+    report = verify_surface(build_surface(HyperbolicGamma(A=50.0, beta=0.2),
+                                          ModelParams(r=r, k=0.98)))
+    assert report.checks() == {
+        "pde": True, "smooth_fit": True, "c1_pasting": True,
+        "gradient_bound": True, "learning_premium": True, "all": True}
 
 
 def test_premium_strictly_positive_inside(linear_surface):
