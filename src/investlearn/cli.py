@@ -55,6 +55,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 SURFACE_CSV_GRID = 101  # values of u, and of pi, in surface.csv
+# simulate's checks allow a gap of this many standard errors (the "3se" in their names)
+SE_MULTIPLE = 3.0
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
@@ -198,11 +200,11 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
         save_paths(res, out / "paths.csv")
         outputs.append("paths.csv")
     checks = {
-        "mc_within_3se": err <= 3.0 * res.std_error,
-        "mc_paired_within_3se": paired_err <= 3.0 * se_stop,
-        "not_below_stop_at_c": d_stop >= -3.0 * se_stop,
-        "not_below_full_now": d_full >= -3.0 * se_full,
-        "stop_matches_reference": abs(stop.estimate - ref) <= 3.0 * stop.std_error,
+        "mc_within_3se": err <= SE_MULTIPLE * res.std_error,
+        "mc_paired_within_3se": paired_err <= SE_MULTIPLE * se_stop,
+        "not_below_stop_at_c": d_stop >= -SE_MULTIPLE * se_stop,
+        "not_below_full_now": d_full >= -SE_MULTIPLE * se_full,
+        "stop_matches_reference": abs(stop.estimate - ref) <= SE_MULTIPLE * stop.std_error,
     }
     counters = {"reflecting": res.counters, "stop_at_c": stop.counters}
     _write_manifest(out, "simulate", cfg, outputs, checks, started, counters)

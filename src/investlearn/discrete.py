@@ -122,17 +122,22 @@ class DiscreteLadder:
             return float(out[0])
         return out
 
-    def _derivative(self, n: int, pi: np.ndarray, order: int) -> np.ndarray:
-        """pi-derivative of V_n of order 0 (V_n itself), 1 or 2, closed form.
-
-        pi stops through j levels and is held on level m = n + j, which adds
-        W = A_m G_m(pi), W G_m'/G_m or W G_m''/G_m; each level stopped through
-        adds pi - k, slope 1 and no curvature.
-        """
+    def _lookup(self, n: int, pi: np.ndarray):
+        """(j, gamma_m, W = A_m G_m(pi)): pi stops through j levels of V_n and
+        is held on level m = n + j."""
         j = np.searchsorted(np.maximum.accumulate(self.b[n:]), pi, side="right")
         m = n + j
         g = np.append(self.gamma, 2.0)[m]  # any finite exponent on level N + 1
-        held = np.exp(np.append(self.log_A, -np.inf)[m] + log_G(g, pi))
+        return j, g, np.exp(np.append(self.log_A, -np.inf)[m] + log_G(g, pi))
+
+    def _derivative(self, n: int, pi: np.ndarray, order: int, lookup=None) -> np.ndarray:
+        """pi-derivative of V_n of order 0 (V_n itself), 1 or 2, closed form.
+
+        The level m that holds pi adds W, W G_m'/G_m or W G_m''/G_m; each
+        level stopped through adds pi - k, slope 1 and no curvature.  lookup
+        is _lookup(n, pi), for a caller that reads several orders.
+        """
+        j, g, held = self._lookup(n, pi) if lookup is None else lookup
         if order == 0:
             return j * (pi - self.k) + held
         q = pi * (1.0 - pi)
@@ -367,15 +372,21 @@ def discrete_verification_suite(ladder: DiscreteLadder) -> DiscreteCheckReport:
         i = int(np.argmax(x))
         return x[i], n, pis[i]
 
+    # each V_n is looked up once: level n reads its own and the one above,
+    # which level n + 1 reads as its own
+    look = ladder._lookup(0, pis)
+    vn = ladder._derivative(0, pis, 0, look)
     for n in range(N + 1):
-        vn = ladder.value(n, pis)
-        bellman.append(grid_max(ladder.value(n + 1, pis) + pis - ladder.k - vn, n))
-        v2 = ladder._derivative(n, pis, 2)
+        look_up = ladder._lookup(n + 1, pis)
+        v_up = ladder._derivative(n + 1, pis, 0, look_up)
+        bellman.append(grid_max(v_up + pis - ladder.k - vn, n))
+        v2 = ladder._derivative(n, pis, 2, look)
         gen.append(grid_max(0.5 * ladder.rho2(n) * pis**2 * (1.0 - pis) ** 2 * v2 - ladder.r * vn, n))
         # V_n holds only for pi < b_n, so at b_n itself value and _derivative
         # give the stopped branch (b_n - k) + V_{n+1}
         bellman.append((abs(held[n] - ladder.value(n, b[n])), n, b[n]))
         fit.append((abs(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0]), n, b[n]))
+        look, vn = look_up, v_up
 
     def worst(cands):
         x, n, pi = cands[int(np.argmax([c[0] for c in cands]))]

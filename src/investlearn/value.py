@@ -9,35 +9,36 @@ expansion problem is assembled in closed form:
 where A(u) = ((gamma + k - 1) b(u) - gamma k) / (gamma'(u) G(u, b(u))) and
 h is the inverse boundary.  A G is formed as ratio x exp(log G(u, pi) -
 log G(u, b)), ratio = A(u) G(u, b), so that no factor overflows on its own
-where gamma logit(b) is large.  The diagnostics in this module do not trust
-the construction: they re-check, on the assembled surface, the variational
-characterization (generator residual zero below the boundary and nonpositive
-above it, smooth fit along the boundary, the gradient bound V_u <= k - pi,
-and dominance over the no-learning stopping value).
+where gamma logit(b) is large.  Each point set is evaluated once: one split
+at b(u), one pull-back through h and one evaluation of A G, from which V,
+log V, V_u and V_pipi follow.  `verify_surface` makes two such evaluations,
+at the sample sweep and at the knot-segment midpoints, and its diagnostics
+read them.  They do not trust the construction: they re-check the
+variational characterization (generator residual zero below the boundary
+and nonpositive above it, smooth fit along the boundary, the gradient bound
+V_u <= k - pi, and dominance over the no-learning stopping value).
 
 Derivatives.  No derivative is a finite difference.  The pi-derivatives of
-a continuation branch A(u) G(u, .) come from G_pi = G (gamma - pi)/(pi (1-pi))
-and G_pipi = G gamma (gamma - 1)/(pi (1-pi))^2; above the boundary the
-curvature is that of the branch at the pull-back level u0 = h(pi), where the
-surface is C2-pasted.  The u-derivatives of a branch follow by the chain
-rule through A = N / D, N = (gamma + k - 1) b - gamma k, D = gamma' G(u, b),
-with b' the slope of the curve's cubic Hermite dense output (see
-`ValueSurface.branch_u_derivatives`).  At a knot that slope is the ODE's own
-F(u, b), where smooth fit holds by algebra, so the pasting checks run at the
-knot-segment midpoints: there they measure how far the interpolated curve
-is from solving the boundary ODE.
+a branch A(u0) G(u0, .) are closed form in G and gamma, and the surface is
+C2-pasted at the boundary.  The u-derivatives of the continuation branch
+follow by the chain rule through A(u), with b' the slope of the curve's
+cubic Hermite dense output (see `_Evaluation.branch_u`).  At a knot that
+slope is the ODE's own F(u, b), where smooth fit holds by algebra, so the
+pasting checks run at the knot-segment midpoints: there they measure how
+far the interpolated curve is from solving the boundary ODE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .boundary import BoundaryCurve
 # fundamental_G is not called here; bench/spans.py counts calls through this name
-from .model import fundamental_G, gamma, log_G, logit, stopping_value_v
+from .model import fundamental_G, log_G, logit, stopping_value_v
 
 TOL_PDE_BELOW_REL = 1e-6
 TOL_PDE_ABOVE = 1e-8
@@ -46,6 +47,7 @@ TOL_GRADIENT = 1e-6
 TOL_PREMIUM = 1e-8
 TOL_CONTINUITY = 1e-12
 TOL_C1_PASTING = 1e-5
+TOL_A_TERMINAL = 1e-12
 
 # the interior sweeps read N_SAMPLES points, SAMPLE_MARGIN away from the edges
 N_SAMPLES = 10000
@@ -67,6 +69,85 @@ def low_discrepancy_samples() -> Tuple[np.ndarray, np.ndarray]:
     return u, pi
 
 
+class _Evaluation:
+    """The surface at one point set: one split at b(u), one pull-back through
+    h and one evaluation of A G, from which V, log V, V_u and V_pipi follow.
+
+    Each point is evaluated at its level: u below the boundary, h(pi) above
+    it, where V is linear in u.  Without pi the points are (u, b(u)) on the
+    continuation branch; `above`, when given, replaces the split.
+    """
+
+    def __init__(self, surface: "ValueSurface", u, pi=None, above=None):
+        curve, p = surface.curve, surface.params
+        self.surface = surface
+        self.scalar = np.ndim(u) == 0 and np.ndim(pi) == 0
+        u, b = np.atleast_1d(np.asarray(u, dtype=float)), None
+        if pi is None:
+            pi = b = curve.b_at(u)
+            above = False
+        u, pi = np.broadcast_arrays(u, np.atleast_1d(np.asarray(pi, dtype=float)))
+        self.u, self.pi, self.lev = u, pi, u
+        self.above = pi > curve.b_at(u) if above is None else np.broadcast_to(above, u.shape)
+        self.below = ~self.above
+        if self.above.any():
+            self.lev = u.copy()
+            self.lev[self.above] = curve.h_at(pi[self.above])
+        self.g, self.d1, self.d2 = surface.spec.gamma_derivs(self.lev, p.r)[:3]
+        self.b = curve.b_at(self.lev) if b is None else b
+        # ratio = A G(., b) at the level.  A(1) = 0 because b(1) = c(1) kills
+        # its numerator; the clamp only absorbs the roundoff of that cancellation.
+        self.ratio = np.maximum(0.0, ((self.g + p.k - 1.0) * self.b - self.g * p.k) / self.d1)
+        self.dlog = log_G(self.g, pi) - log_G(self.g, self.b)
+        self.w = self.ratio * np.exp(self.dlog)  # A G at the level
+        self.v = self.w + (pi - p.k) * (self.lev - u)
+
+    def out(self, x):
+        """x as the accessors return it: a float for scalar arguments."""
+        return float(x[0]) if self.scalar else x
+
+    @property
+    def log_v(self):
+        with np.errstate(divide="ignore"):
+            return np.where(self.below, np.log(self.ratio) + self.dlog,
+                            np.log(np.maximum(0.0, self.v)))
+
+    @cached_property
+    def branch_u(self):
+        """(W_u, W_upi) of the continuation branch W = A(u) G(u, pi) at each
+        point's level.  With A = N / D, N = (gamma + k - 1) b - gamma k and
+        D = gamma' G(u, b):
+
+            N' = gamma' (b - k) + (gamma + k - 1) b'
+            D' = gamma'' G(u, b) + gamma' (G_u(u, b) + G_pi(u, b) b')
+            G_u = gamma' L G,  G_upi = gamma' G (L (gamma - pi) + 1) / (pi (1-pi))
+
+        where L = logit(pi) and b' is the slope of the curve's dense output.
+        Everything is scaled by the ratio G(u, pi) / G(u, b), as in log_v, so
+        that no G overflows or underflows on its own at large gamma.
+        """
+        k, g, d1, b, pi = self.surface.params.k, self.g, self.d1, self.b, self.pi
+        db = self.surface.curve.b_slope(self.lev)
+        num = (g + k - 1.0) * b - g * k
+        # A' D = N' - N D'/D
+        a_u = d1 * (b - k) + (g + k - 1.0) * db - num * (
+            self.d2 / d1 + d1 * logit(b) + db * (g - b) / (b * (1.0 - b)))
+        scale = np.exp(self.dlog) / d1  # G(u, pi) / D
+        lpi = logit(pi)
+        w_u = scale * (a_u + num * d1 * lpi)
+        w_upi = scale * (a_u * (g - pi) + num * d1 * (lpi * (g - pi) + 1.0)) / (pi * (1.0 - pi))
+        return w_u, w_upi
+
+    @property
+    def v_u(self):
+        return np.where(self.below, self.branch_u[0], self.surface.params.k - self.pi)
+
+    @property
+    def v_pipi(self):
+        # the curvature at the level, where the surface is C2-pasted
+        return self.w * self.g * (self.g - 1.0) / (self.pi * (1.0 - self.pi)) ** 2
+
+
 class ValueSurface:
     """Closed-form candidate value built on a solved boundary curve."""
 
@@ -77,29 +158,10 @@ class ValueSurface:
         self.spec = curve.spec
         self.params = curve.params
 
-    # -- building blocks ---------------------------------------------------
-
-    def _branch(self, u, pi):
-        """(ratio, log G(u, pi) - log G(u, b)), ratio = A(u) G(u, b) = N / gamma'.
-
-        A(1) = 0 because b(1) = c(1) kills N; the clamp only absorbs the
-        roundoff of that cancellation, never a real sign flip.
-        """
-        p = self.params
-        g, d1, _, _ = self.spec.gamma_derivs(u, p.r)
-        b = self.curve.b_at(u)
-        ratio = np.maximum(0.0, ((g + p.k - 1.0) * b - g * p.k) / d1)
-        return ratio, log_G(g, pi) - log_G(g, b)
-
     def coefficient_A(self, u):
-        """A(u) >= 0 tying the fundamental solution to the boundary data."""
-        ratio, dlog = self._branch(u, 0.5)
-        return 2.0 * ratio * np.exp(dlog)  # G(u, 1/2) = 1/2 at every gamma
-
-    def _below(self, u, pi):
-        """A(u) G(u, pi), formed as ratio x exp(log G(u, pi) - log G(u, b))."""
-        ratio, dlog = self._branch(u, pi)
-        return ratio * np.exp(dlog)
+        """A(u) >= 0 tying G to the boundary data: 2 A G(u, 1/2), as G(u, 1/2) = 1/2."""
+        ev = _Evaluation(self, u)
+        return ev.out(2.0 * ev.ratio * np.exp(log_G(ev.g, 0.5) - log_G(ev.g, ev.b)))
 
     def value(self, u, pi):
         """V(u, pi), vectorized over broadcastable arguments.
@@ -107,14 +169,8 @@ class ValueSurface:
         Both branches are A(u0) G(u0, pi) + (pi - k)(u0 - u), with u0 = u
         below the boundary and u0 = h(pi) above it.
         """
-        u, pi = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(pi, dtype=float))
-        lev = u.copy()
-        above = pi > self.curve.b_at(u)
-        lev[above] = self.curve.h_at(pi[above])
-        out = self._below(lev, pi) + (pi - self.params.k) * (lev - u)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        ev = _Evaluation(self, u, pi)
+        return ev.out(ev.v)
 
     def log_value(self, u, pi):
         """log V(u, pi), -inf where V <= 0, for a sign test that survives underflow.
@@ -123,57 +179,14 @@ class ValueSurface:
         the logs taken in closed form, so it stays finite where A G underflows
         at large gamma; above the boundary it is the log of V itself.
         """
-        u, pi = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(pi, dtype=float))
-        out = np.empty(u.shape, dtype=float)
-        below = pi <= self.curve.b_at(u)
-        ratio, dlog = self._branch(u[below], pi[below])
-        with np.errstate(divide="ignore"):
-            out[below] = np.log(ratio) + dlog
-            out[~below] = np.log(np.maximum(0.0, self.value(u[~below], pi[~below])))
-        return out
-
-    # -- u-derivatives ------------------------------------------------------
-
-    def branch_u_derivatives(self, u, pi):
-        """(W_u, W_upi) of the continuation branch W = A(u) G(u, pi), closed form.
-
-        With A = N / D, N = (gamma + k - 1) b - gamma k and D = gamma' G(u, b):
-
-            N' = gamma' (b - k) + (gamma + k - 1) b'
-            D' = gamma'' G(u, b) + gamma' (G_u(u, b) + G_pi(u, b) b')
-            G_u = gamma' L G,  G_upi = gamma' G (L (gamma - pi) + 1) / (pi (1-pi))
-
-        where L = logit(pi) and b' is the slope of the curve's dense output.
-        Everything is scaled by the ratio G(u, pi) / G(u, b), as in
-        log_value, so that no G overflows or underflows on its own at large
-        gamma.
-        """
-        p = self.params
-        g, d1, d2, _ = self.spec.gamma_derivs(u, p.r)
-        b = self.curve.b_at(u)
-        db = self.curve.b_slope(u)
-        num = (g + p.k - 1.0) * b - g * p.k
-        # A' D = N' - N D'/D
-        a_u = d1 * (b - p.k) + (g + p.k - 1.0) * db - num * (
-            d2 / d1 + d1 * logit(b) + db * (g - b) / (b * (1.0 - b)))
-        scale = np.exp(log_G(g, pi) - log_G(g, b)) / d1  # G(u, pi) / D
-        lpi = logit(pi)
-        w_u = scale * (a_u + num * d1 * lpi)
-        w_upi = scale * (a_u * (g - pi) + num * d1 * (lpi * (g - pi) + 1.0)) / (pi * (1.0 - pi))
-        return w_u, w_upi
+        ev = _Evaluation(self, u, pi)
+        return ev.out(ev.log_v)
 
     def value_u(self, u, pi):
         """dV/du of the branch owning (u, pi): W_u below the boundary, k - pi
         above it, where that branch is linear in u."""
-        scalar = np.ndim(u) == 0 and np.ndim(pi) == 0
-        u, pi = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
-                                    np.atleast_1d(np.asarray(pi, dtype=float)))
-        out = self.params.k - pi
-        below = pi <= self.curve.b_at(u)
-        out[below] = self.branch_u_derivatives(u[below], pi[below])[0]
-        if scalar:
-            return float(out[0])
-        return out
+        ev = _Evaluation(self, u, pi)
+        return ev.out(ev.v_u)
 
 
 def build_surface(spec, params, grid_size: int = 2001) -> ValueSurface:
@@ -209,9 +222,9 @@ class PdeResidualReport:
         return d
 
 
-def pde_residual_sweep(surface: ValueSurface) -> PdeResidualReport:
-    """Signed generator residual (rho^2/2) pi^2 (1-pi)^2 V_pipi - r V over a
-    deterministic low-discrepancy sample sweep.
+def pde_residual_sweep(ev: _Evaluation) -> PdeResidualReport:
+    """Signed generator residual (rho^2/2) pi^2 (1-pi)^2 V_pipi - r V over an
+    evaluation at the sample sweep.
 
     V_pipi = A G gamma (gamma - 1)/(pi (1-pi))^2 at the level u below the
     boundary and at the pull-back level h(pi) above it.  G solves its ODE
@@ -219,18 +232,9 @@ def pde_residual_sweep(surface: ValueSurface) -> PdeResidualReport:
     spec.rho2 agrees with spec.gamma_derivs; above it, the sign of the
     stopped region's generator.
     """
-    p = surface.params
-    u, pi = low_discrepancy_samples()
-    below = pi <= surface.curve.b_at(u)
-    above = ~below
-    lev = u.copy()
-    lev[above] = surface.curve.h_at(pi[above])
-    g = gamma(surface.spec, p, lev)
-    val = surface._below(lev, pi)
-    v_pipi = val * g * (g - 1.0) / (pi * (1.0 - pi)) ** 2
-    val[above] += (pi[above] - p.k) * (lev[above] - u[above])
-    res = 0.5 * surface.spec.rho2(u, p.r) * pi**2 * (1.0 - pi) ** 2 * v_pipi - p.r * val
-    rel = np.abs(res) / np.maximum(1.0, p.r * np.abs(val))
+    p, u, pi = ev.surface.params, ev.u, ev.pi
+    res = 0.5 * ev.surface.spec.rho2(u, p.r) * pi**2 * (1.0 - pi) ** 2 * ev.v_pipi - p.r * ev.v
+    rel = np.abs(res) / np.maximum(1.0, p.r * np.abs(ev.v))
 
     # a boundary close to 0 or 1 can leave one side without samples; its max
     # reads 0 and has no location
@@ -238,11 +242,11 @@ def pde_residual_sweep(surface: ValueSurface) -> PdeResidualReport:
         i = int(np.argmax(np.where(side, x, -np.inf)))  # a NaN on the side wins
         return (float(x[i]), (float(u[i]), float(pi[i]))) if side[i] else (0.0, None)
 
-    (below_max, below_at), (above_max, above_at) = worst(rel, below), worst(res, above)
+    (below_max, below_at), (above_max, above_at) = worst(rel, ev.below), worst(res, ev.above)
     return PdeResidualReport(
-        n_samples=N_SAMPLES,
-        n_below=int(np.count_nonzero(below)),
-        n_above=int(np.count_nonzero(above)),
+        n_samples=u.size,
+        n_below=int(np.count_nonzero(ev.below)),
+        n_above=int(np.count_nonzero(ev.above)),
         max_below_rel=below_max,
         max_above_signed=above_max,
         max_below_rel_at=below_at,
@@ -250,19 +254,18 @@ def pde_residual_sweep(surface: ValueSurface) -> PdeResidualReport:
     )
 
 
-def smooth_fit_residuals(surface: ValueSurface, u) -> Tuple[np.ndarray, np.ndarray]:
-    """|V_u + pi - k| and |V_upi + 1| at (u, b(u)), vectorized over u.
-
-    Both read the continuation branch's closed-form u-derivatives, so they
-    measure how well b solves the boundary ODE at u.
+def smooth_fit_residuals(ev: _Evaluation) -> Tuple[np.ndarray, np.ndarray]:
+    """|V_u + pi - k| and |V_upi + 1| on an evaluation of the boundary points
+    (u, b(u)).  Both read the continuation branch's closed-form
+    u-derivatives, so they measure how well b solves the boundary ODE at u.
     """
-    pi0 = surface.curve.b_at(u)
-    w_u, w_upi = surface.branch_u_derivatives(u, pi0)
-    return np.abs(w_u + pi0 - surface.params.k), np.abs(w_upi + 1.0)
+    w_u, w_upi = ev.branch_u
+    return np.abs(w_u + ev.pi - ev.surface.params.k), np.abs(w_upi + 1.0)
 
 
-def c1_pasting_gap(surface: ValueSurface, u) -> np.ndarray:
-    """|dV/dpi from below - dV/dpi from above| at pi = b(u), vectorized over u.
+def c1_pasting_gap(ev: _Evaluation) -> np.ndarray:
+    """|dV/dpi from below - dV/dpi from above| on an evaluation of the
+    boundary points (u, b(u)).
 
     Above the boundary V = W(h(pi), pi) + (pi - k)(h(pi) - u) with W = A G,
     so as pi falls to b(u) its slope tends to W_pi + h'(b)(W_u + b - k),
@@ -270,10 +273,8 @@ def c1_pasting_gap(surface: ValueSurface, u) -> np.ndarray:
     times the signed smooth-fit V_u residual: an h'-weighted smooth fit,
     with its own tolerance, since h' = 1/b' is large where b is flat.
     """
-    curve = surface.curve
-    pi0 = curve.b_at(u)
-    w_u = surface.branch_u_derivatives(u, pi0)[0]
-    return np.abs(curve.h_slope(pi0) * (w_u + pi0 - surface.params.k))
+    k = ev.surface.params.k
+    return np.abs(ev.surface.curve.h_slope(ev.pi) * (ev.branch_u[0] + ev.pi - k))
 
 
 @dataclass(frozen=True)
@@ -287,26 +288,24 @@ class SweepReport:
         return dict(self.__dict__)
 
 
-def gradient_bound_check(surface: ValueSurface) -> SweepReport:
-    """max of V_u(u, pi) - (k - pi) over the sample sweep; must be <= 1e-6.
+def gradient_bound_check(ev: _Evaluation) -> SweepReport:
+    """max of V_u(u, pi) - (k - pi) over an evaluation; must be <= 1e-6.
 
     Equality holds above the boundary, strict inequality below; this is the
     marginal-value bound that makes the reflecting control admissible.
     """
-    u, pi = low_discrepancy_samples()
-    viol = surface.value_u(u, pi) - (surface.params.k - pi)
+    viol = ev.v_u - (ev.surface.params.k - ev.pi)
     i = int(np.argmax(viol))
-    return SweepReport(n_samples=N_SAMPLES, worst=float(viol[i]), worst_u=float(u[i]), worst_pi=float(pi[i]))
+    return SweepReport(ev.u.size, float(viol[i]), float(ev.u[i]), float(ev.pi[i]))
 
 
-def learning_premium_check(surface: ValueSurface) -> SweepReport:
-    """max of (1-u) v(pi; u) - V(u, pi) over the sweep; nonpositive means the
-    option to spread investment (and keep learning) dominates lump stopping."""
-    u, pi = low_discrepancy_samples()
-    v = stopping_value_v(surface.spec, surface.params, u, pi)
-    gap = (1.0 - u) * v - surface.value(u, pi)
+def learning_premium_check(ev: _Evaluation) -> SweepReport:
+    """max of (1-u) v(pi; u) - V(u, pi) over an evaluation; nonpositive means
+    the option to spread investment (and keep learning) dominates lump
+    stopping."""
+    gap = (1.0 - ev.u) * stopping_value_v(ev.surface.spec, ev.surface.params, ev.u, ev.pi) - ev.v
     i = int(np.argmax(gap))
-    return SweepReport(n_samples=N_SAMPLES, worst=float(gap[i]), worst_u=float(u[i]), worst_pi=float(pi[i]))
+    return SweepReport(ev.u.size, float(gap[i]), float(ev.u[i]), float(ev.pi[i]))
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,7 @@ class ValueCheckReport:
             all(checks.values())
             and self.continuity_max <= TOL_CONTINUITY
             and self.log_value_min > -np.inf
-            and abs(self.A_terminal) <= 1e-12
+            and abs(self.A_terminal) <= TOL_A_TERMINAL
         )
         return checks
 
@@ -389,39 +388,39 @@ class ValueCheckReport:
 def verify_surface(surface: ValueSurface) -> ValueCheckReport:
     """Run every diagnostic; the CLI `verify` subcommand serializes this.
 
-    The boundary checks run at every knot-segment midpoint of the curve.
+    The surface is evaluated once at the sample sweep and once at the
+    knot-segment midpoints (u, b(u)), which the continuity check also reads
+    through the pull-back.  The evaluations live here, not on the surface,
+    so that they are freed on return.
     """
     ug = surface.curve.u_grid
     us = 0.5 * (ug[:-1] + ug[1:])
-    vu, vupi = smooth_fit_residuals(surface, us)
-    c1 = c1_pasting_gap(surface, us)
-
-    # two-branch continuity at the same points
-    pi_b = surface.curve.b_at(us)
-    lo_vals = surface._below(us, pi_b)
-    u0 = surface.curve.h_at(pi_b)
-    hi_vals = surface._below(u0, pi_b) + (pi_b - surface.params.k) * (u0 - us)
-    continuity = float(np.max(np.abs(lo_vals - hi_vals)))
+    mid = _Evaluation(surface, us)
+    # two-branch continuity: the same points read through the pull-back
+    continuity = float(np.max(np.abs(mid.v - _Evaluation(surface, us, mid.pi, above=True).v)))
+    vu, vupi = smooth_fit_residuals(mid)
+    c1 = c1_pasting_gap(mid)
+    pi_b = mid.pi
+    del mid
 
     def at_max(x):
         i = int(np.argmax(x))
         return float(us[i]), float(pi_b[i])
 
-    u_s, pi_s = low_discrepancy_samples()
-
+    sweep = _Evaluation(surface, *low_discrepancy_samples())
     return ValueCheckReport(
         n_samples=N_SAMPLES,
         n_boundary_points=us.size,
-        pde=pde_residual_sweep(surface),
+        pde=pde_residual_sweep(sweep),
         smooth_fit_max_vu=float(np.max(vu)),
         smooth_fit_max_vupi=float(np.max(vupi)),
         c1_pasting_max=float(np.max(c1)),
         smooth_fit_max_vu_at=at_max(vu),
         smooth_fit_max_vupi_at=at_max(vupi),
         c1_pasting_max_at=at_max(c1),
-        gradient=gradient_bound_check(surface),
-        premium=learning_premium_check(surface),
+        gradient=gradient_bound_check(sweep),
+        premium=learning_premium_check(sweep),
         continuity_max=continuity,
-        log_value_min=float(np.min(surface.log_value(u_s, pi_s))),
+        log_value_min=float(np.min(sweep.log_v)),
         A_terminal=float(surface.coefficient_A(1.0)),
     )

@@ -726,6 +726,27 @@ def test_shipped_linear_simulate_pinned(tmp_path):
     assert got == SHIPPED_SIMULATE_SHA1
 
 
+# sha1 of the reports verify and discrete write on the shipped configs,
+# taken before verify came to evaluate the value surface once per point set
+# and the ladder suite to compute each V_n once; neither moved a byte
+SHIPPED_REPORT_SHA1 = [
+    ("verify", "linear_noise.json", (), "verify_report.json",
+     "513e3f7fe3b9083a60c6ec9104a5101f7851a955"),
+    ("verify", "hyperbolic_gamma.json", ("--grid", "20001"), "verify_report.json",
+     "0d5f578af3619cd0797172ee72e637274a78afb2"),
+    ("discrete", "hyperbolic_gamma.json", (), "discrete_report.json",
+     "da06a97ad5db13b47af06bd287832f7c2996b9c2"),
+]
+
+
+@pytest.mark.parametrize("command,config,extra,name,sha1", SHIPPED_REPORT_SHA1,
+                         ids=["verify-linear", "verify-hyperbolic-20001", "discrete-hyperbolic"])
+def test_shipped_reports_pinned(tmp_path, command, config, extra, name, sha1):
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet", *extra]) == 0
+    assert hashlib.sha1((tmp_path / name).read_bytes()).hexdigest() == sha1
+
+
 def test_invalid_json_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8

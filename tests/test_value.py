@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from investlearn.boundary import solve_boundary
+import investlearn.value
+from investlearn.boundary import _Hermite, solve_boundary
 from investlearn.model import (
     HyperbolicGamma,
     LinearNoise,
@@ -15,6 +16,7 @@ from investlearn.model import (
     stopping_value_v,
 )
 from investlearn.value import (
+    N_SAMPLES,
     TOL_C1_PASTING,
     TOL_GRADIENT,
     TOL_PDE_ABOVE,
@@ -22,6 +24,7 @@ from investlearn.value import (
     TOL_PREMIUM,
     TOL_SMOOTH_FIT,
     ValueSurface,
+    _Evaluation,
     build_surface,
     low_discrepancy_samples,
     pde_residual_sweep,
@@ -150,10 +153,42 @@ def test_pde_sweep_with_no_sample_above():
     # b >= 0.99989 everywhere, beyond the sweep's 1 - 1e-3 reach in pi
     surface = build_surface(LinearNoise(C=0.5, D=0.3), ModelParams(r=1e-3, k=0.98))
     assert float(surface.curve.b_values[0]) > 0.999
-    pde = pde_residual_sweep(surface)
+    pde = pde_residual_sweep(_Evaluation(surface, *low_discrepancy_samples()))
     assert pde.n_above == 0 and pde.max_above_signed == 0.0
     assert pde.max_above_signed_at is None and pde.max_below_rel_at is not None
     assert pde.n_below == pde.n_samples and pde.passed
+
+
+@pytest.mark.parametrize("surface", ["linear_surface", "hyperbolic_surface"])
+def test_verify_evaluates_each_point_set_once(request, monkeypatch, surface):
+    # the sample sweep and the knot-segment midpoints are each evaluated
+    # once, the midpoints again through the pull-back for the continuity
+    # check; the rest is the premium's stopping value at the samples and A(1)
+    surface = request.getfixturevalue(surface)
+    calls = {"gamma_derivs": 0, "points": 0, "hermite": 0, "samples": 0}
+
+    def counting(fn, key, points=False):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            if points:
+                calls["points"] += np.size(args[1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spec_type = type(surface.spec)
+    monkeypatch.setattr(spec_type, "gamma_derivs",
+                        counting(spec_type.gamma_derivs, "gamma_derivs", points=True))
+    monkeypatch.setattr(_Hermite, "__call__", counting(_Hermite.__call__, "hermite"))
+    monkeypatch.setattr(_Hermite, "derivative", counting(_Hermite.derivative, "hermite"))
+    monkeypatch.setattr(investlearn.value, "low_discrepancy_samples",
+                        counting(investlearn.value.low_discrepancy_samples, "samples"))
+    report = verify_surface(surface)
+    n = surface.curve.grid_size
+    assert calls["gamma_derivs"] <= 5
+    assert calls["points"] <= 2 * (n - 1) + 2 * N_SAMPLES + 1
+    assert calls["hermite"] <= 10
+    assert calls["samples"] == 1
+    assert report.passed
 
 
 def test_report_dict_shape(linear_surface, linear_report):
