@@ -6,8 +6,10 @@ so identical data gives identical bytes and reads back bit for bit.  The
 bytes are those of csv.writer's default dialect on these cells: the header
 names and the cells joined by commas, unquoted (no repr of a number or bool
 holds a comma, quote or line break), each line ending in \r\n.  write_csv
-formats the lines itself, without csv.writer's per-cell quoting checks.  A
-JSON document is indented, key-sorted and ends in a newline.
+formats the lines itself, without csv.writer's per-cell quoting checks;
+write_grid_csv writes the rows of a product grid in the same format and
+formats each grid value once, not once per row it appears in.  A JSON
+document is indented, key-sorted and ends in a newline.
 """
 
 import csv
@@ -28,6 +30,18 @@ def write_csv(path: PathLike, header: Sequence[str], *columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(map(row.__mod__, zip(*(np.asarray(col).tolist() for col in columns))))
+
+
+def write_grid_csv(path: PathLike, header: Sequence[str], x, y, z) -> None:
+    """Write the rows (x_i, y_j, z_ij), x-major, of z given in that order:
+    the bytes of write_csv on x repeated, y tiled and z flattened."""
+    ys = [f"{v!r}," for v in np.asarray(y).tolist()]
+    rows = np.asarray(z).reshape(len(x), len(ys)).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for xv, zs in zip(np.asarray(x).tolist(), rows):
+            head = f"{xv!r},"
+            fh.writelines(head + yv + f"{zv!r}\r\n" for yv, zv in zip(ys, zs))
 
 
 def read_csv(path: PathLike, header: Sequence[str]) -> np.ndarray:

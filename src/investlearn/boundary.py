@@ -78,9 +78,10 @@ def _stage_constants(k, g, d1, d2):
 def _slope(k, u, t, b):
     """Guarded F(u, b) from the stage constants t of u (see _stage_constants).
 
-    Floats in the stepping loop, arrays for the knot slopes.  Raises
-    IntegrationError unless gamma' < 0 (F divides by it) and b lies in
-    (0, c(u) + PROJECTION_TOL].
+    Arrays for the knot slopes, floats in boundary_rhs; the RK4 loop does
+    this arithmetic inline and calls it only where the guard trips, for its
+    error.  Raises IntegrationError unless gamma' < 0 (F divides by it) and
+    b lies in (0, c(u) + PROJECTION_TOL].
     """
     gk, gk1, mg, g1k, d1, d2, c = t
     bad = (d1 >= 0.0) | (b <= 0.0) | (b - c > PROJECTION_TOL)
@@ -263,7 +264,10 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     gamma, gamma', gamma'' are tabulated as arrays at the nodes and the stage
     midpoints; the steps read them as the Python floats of _stage_constants,
     converted one block of _BLOCK nodes at a time, so scalar stepping never
-    indexes an array and never holds the whole grid as Python objects.
+    indexes an array and never holds the whole grid as Python objects.  Each
+    stage computes _slope's F inline, with _slope's own operations in its
+    order, and calls _slope only when the guard trips, so that the
+    IntegrationError and its message are _slope's.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -271,10 +275,10 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     ug = np.linspace(0.0, 1.0, grid_size)
     # stage midpoints, with the stepping loop's own arithmetic u0 + dt / 2
     um = ug[1:] + 0.5 * (ug[:-1] - ug[1:])
-    g, d1, d2 = nodes = spec.gamma_derivs(ug, params.r)[:3]
+    gn, d1n, d2n = nodes = spec.gamma_derivs(ug, params.r)[:3]
     gm, d1m, d2m = spec.gamma_derivs(um, params.r)[:3]
     last = grid_size - 1
-    t0 = _float_block(k, g, d1, d2, last, grid_size)[0]
+    t0 = _float_block(k, gn, d1n, d2n, last, grid_size)[0]
     b = np.empty(grid_size)
     b[-1] = b0 = t0[6]
     u0 = 1.0  # == ug[-1]: linspace ends exactly on its stop
@@ -288,24 +292,42 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
     for hi in range(last, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)
         # node j and midpoint j (between nodes j and j + 1) for j in lo..hi-1
-        block = zip(ug[lo:hi].tolist(), _float_block(k, g, d1, d2, lo, hi),
+        block = zip(ug[lo:hi].tolist(), _float_block(k, gn, d1n, d2n, lo, hi),
                     _float_block(k, gm, d1m, d2m, lo, hi))
         stepped = []
         for u1, t1, th in reversed(list(block)):
             dt = u1 - u0  # negative
             uh = u0 + 0.5 * dt  # == um[j], this step's midpoint
-            k1 = _slope(k, u0, t0, b0)
-            k2 = _slope(k, uh, th, b0 + 0.5 * dt * k1)
-            k3 = _slope(k, uh, th, b0 + 0.5 * dt * k2)
-            k4 = _slope(k, u1, t1, b0 + dt * k3)
+            # _slope's arithmetic inline; it is called only to raise its error
+            gk, gk1, mg, g1k, d1, d2, c = t0
+            if d1 >= 0.0 or b0 <= 0.0 or b0 - c > PROJECTION_TOL:
+                _slope(k, u0, t0, b0)
+            lin = gk - gk1 * b0
+            k1 = (2.0 * (b0 - k) * d1 * d1 + lin * d2) / (mg * lin - g1k * b0) * b0 * (1.0 - b0) / d1
+            gk, gk1, mg, g1k, d1, d2, c = th
+            bs = b0 + 0.5 * dt * k1
+            if d1 >= 0.0 or bs <= 0.0 or bs - c > PROJECTION_TOL:
+                _slope(k, uh, th, bs)
+            lin = gk - gk1 * bs
+            k2 = (2.0 * (bs - k) * d1 * d1 + lin * d2) / (mg * lin - g1k * bs) * bs * (1.0 - bs) / d1
+            bs = b0 + 0.5 * dt * k2
+            if bs <= 0.0 or bs - c > PROJECTION_TOL:
+                _slope(k, uh, th, bs)
+            lin = gk - gk1 * bs
+            k3 = (2.0 * (bs - k) * d1 * d1 + lin * d2) / (mg * lin - g1k * bs) * bs * (1.0 - bs) / d1
+            gk, gk1, mg, g1k, d1, d2, c = t1
+            bs = b0 + dt * k3
+            if d1 >= 0.0 or bs <= 0.0 or bs - c > PROJECTION_TOL:
+                _slope(k, u1, t1, bs)
+            lin = gk - gk1 * bs
+            k4 = (2.0 * (bs - k) * d1 * d1 + lin * d2) / (mg * lin - g1k * bs) * bs * (1.0 - bs) / d1
             incr = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) + comp
             b1 = b0 + incr
             comp = incr - (b1 - b0)
-            c1 = t1[6]
-            if b1 >= c1:
-                if b1 - c1 > PROJECTION_TOL:
-                    raise IntegrationError(f"boundary left the strip at u={u1}: b={b1}, c={c1}")
-                b1 = c1 - _STRIP_EPS
+            if b1 >= c:  # c is c(u1)
+                if b1 - c > PROJECTION_TOL:
+                    raise IntegrationError(f"boundary left the strip at u={u1}: b={b1}, c={c}")
+                b1 = c - _STRIP_EPS
                 comp = 0.0
                 n_proj += 1
             if b1 <= 0.0:

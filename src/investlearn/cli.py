@@ -7,8 +7,10 @@ codes are a stable contract: 0 success, 1 check failure, 2 configuration or
 input error (a malformed input file included).
 
 The manifest records the tool version, the hash of the effective config,
-per-check pass/fail flags, and the output file list; `simulate` adds the
-deterministic work counters of each stepped strategy, and `discrete` and
+per-check pass/fail flags, and the output file list, and deterministic work
+counters: `solve` and `verify` those of the boundary (RK4 stages, none for
+a loaded curve, and projections), `verify` also the points its diagnostics
+sampled, `simulate` those of each stepped strategy, and `discrete` and
 `compare` those of the ladder solve.  It is written
 atomically (temp file + rename) at the end of the run; a run stopped by a
 numerical failure (exit 1) still writes one, with no outputs and the single
@@ -27,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .artifacts import read_csv, write_csv, write_json
+from .artifacts import read_csv, write_csv, write_grid_csv, write_json
 from .boundary import IntegrationError, load_curve, save_curve, solve_boundary
 from .config import RunConfig, load_config
 from .discrete import (
@@ -84,6 +86,12 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
+def _curve_counters(curve, solved: bool) -> dict:
+    """The boundary's work counters: RK4 stages run and projections made."""
+    return {"rk4_stages": 4 * (curve.grid_size - 1) if solved else 0,
+            "projections": curve.n_projections}
+
+
 def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     started = time.perf_counter()
     curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
@@ -103,7 +111,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     }
     _write_manifest(out, "solve", cfg,
                     ["boundary.csv", "boundary.json", "conditions.json"],
-                    checks, started)
+                    checks, started, _curve_counters(curve, True))
     _say(quiet, f"wrote {out / 'boundary.csv'}")
     _say(quiet, f"monotone={curve.monotone} route={curve.conditions.route}")
     return EXIT_OK
@@ -114,7 +122,7 @@ def _surface_csv(surface: ValueSurface, path: Path) -> None:
     us = np.linspace(0.0, 1.0 - 1e-6, SURFACE_CSV_GRID)
     pis = np.linspace(1e-3, 1.0 - 1e-3, SURFACE_CSV_GRID)
     u, pi = np.repeat(us, SURFACE_CSV_GRID), np.tile(pis, SURFACE_CSV_GRID)
-    write_csv(path, ["u", "pi", "value"], u, pi, surface.value(u, pi))
+    write_grid_csv(path, ["u", "pi", "value"], us, pis, surface.value(u, pi))
 
 
 def _load_or_solve(cfg: RunConfig, quiet: bool):
@@ -128,12 +136,14 @@ def _load_or_solve(cfg: RunConfig, quiet: bool):
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     started = time.perf_counter()
     curve = _load_or_solve(cfg, quiet)
+    counters = dict(_curve_counters(curve, cfg.boundary_csv is None),
+                    sweep_samples=0, boundary_points=0)
     if not curve.monotone:
         write_json(out / "verify_report.json",
                    {"passed": False, "reason": "boundary is not strictly increasing",
                     "monotone": False})
         _write_manifest(out, "verify", cfg, ["verify_report.json"],
-                        {"monotone": False, "diagnostics": False}, started)
+                        {"monotone": False, "diagnostics": False}, started, counters)
         _say(quiet, "FAIL boundary not strictly increasing")
         return EXIT_CHECK_FAILED
     surface = ValueSurface(curve)
@@ -143,8 +153,9 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     write_json(out / "verify_report.json", doc)
     _surface_csv(surface, out / "surface.csv")
     checks = report.checks()
+    counters.update(sweep_samples=report.n_samples, boundary_points=report.n_boundary_points)
     _write_manifest(out, "verify", cfg, ["verify_report.json", "surface.csv"],
-                    checks, started)
+                    checks, started, counters)
     for name, ok in checks.items():
         _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED

@@ -359,15 +359,17 @@ def stopping_value_v(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: Arra
     v = (c - k) G(u, pi) / G(u, c) below c(u) and pi - k above, with the
     ratio of G taken as exp(log G(u, pi) - log G(u, c)).
     """
-    k = params.k
-    pi = np.asarray(pi, dtype=float)
-    g = gamma(spec, params, u)
-    c = k * g / (k + g - 1.0)  # stopping_threshold_c
-    with np.errstate(over="ignore"):  # only above c, where the branch is not taken
-        out = np.where(pi < c, (c - k) * np.exp(log_G(g, pi) - log_G(g, c)), pi - k)
+    out = stopping_value_of_gamma(gamma(spec, params, u), params.k, np.asarray(pi, dtype=float))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def stopping_value_of_gamma(g: ArrayLike, k: float, pi: np.ndarray) -> np.ndarray:
+    """stopping_value_v for exponent values g = gamma(u), as an array."""
+    c = k * g / (k + g - 1.0)  # stopping_threshold_c
+    with np.errstate(over="ignore"):  # only above c, where the branch is not taken
+        return np.where(pi < c, (c - k) * np.exp(log_G(g, pi) - log_G(g, c)), pi - k)
 
 
 def sign_function_H(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:

@@ -5,6 +5,8 @@ by hand.  CSV files remain the interchange source of truth; these renderers
 are purely presentational and never recompute model quantities beyond the
 overlay curves they are explicitly handed.  Output is deterministic
 (fixed canvas, fixed decimal formatting), so repeated runs byte-match.
+A series maps its points to pixels on whole arrays, which gives each point
+the bits of mapping it alone, and formats each point's coordinate pair once.
 """
 
 import math
@@ -67,8 +69,11 @@ def _fmt_tick(v: float) -> str:
     return "0" if s == "-0" else s
 
 
+COORD = "%.2f"  # a pixel coordinate
+
+
 def _coord(v: float) -> str:
-    return f"{v:.2f}"
+    return COORD % v
 
 
 class _Frame:
@@ -122,28 +127,23 @@ class _Frame:
     def add_series(self, s: Series) -> None:
         x = np.asarray(s.x, dtype=float)
         y = np.asarray(s.y, dtype=float)
-        ok = np.isfinite(x) & np.isfinite(y)
+        idx = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+        # px and py on the arrays give each point the bits they give it alone
+        pair = f'cx="{COORD}" cy="{COORD}"' if s.dots else f"{COORD},{COORD}"
+        pts = list(map(pair.__mod__, zip(self.px(x[idx]).tolist(), self.py(y[idx]).tolist())))
         if s.dots:
             fill = s.color if s.fill_dots else "white"
-            for xi, yi in zip(x[ok], y[ok]):
-                self.parts.append(
-                    f'<circle cx="{_coord(self.px(xi))}" cy="{_coord(self.py(yi))}" '
-                    f'r="3.5" fill="{fill}" stroke="{s.color}" stroke-width="1.4"/>')
+            self.parts += [f'<circle {xy} r="3.5" fill="{fill}" stroke="{s.color}" '
+                           f'stroke-width="1.4"/>' for xy in pts]
             return
         # split at NaNs so curves with undefined stretches render as segments
-        idx = np.flatnonzero(ok)
-        if idx.size == 0:
-            return
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        for chunk in np.split(idx, breaks + 1):
-            if chunk.size < 2:
-                continue
-            pts = " ".join(f"{_coord(self.px(xi))},{_coord(self.py(yi))}"
-                           for xi, yi in zip(x[chunk], y[chunk]))
-            dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-            self.parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
-                f'stroke-width="{s.width}"{dash}/>')
+        cuts = [0, *(np.flatnonzero(np.diff(idx) > 1) + 1).tolist(), idx.size]
+        dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi - lo >= 2:
+                self.parts.append(
+                    f'<polyline points="{" ".join(pts[lo:hi])}" fill="none" '
+                    f'stroke="{s.color}" stroke-width="{s.width}"{dash}/>')
 
     def add_legend(self, entries: Sequence[Series]) -> None:
         x = WIDTH - MARGIN_R - 150

@@ -38,7 +38,7 @@ import numpy as np
 
 from .boundary import BoundaryCurve
 # fundamental_G is not called here; bench/spans.py counts calls through this name
-from .model import fundamental_G, log_G, logit, stopping_value_v
+from .model import fundamental_G, gamma, log_G, logit, stopping_value_of_gamma
 
 TOL_PDE_BELOW_REL = 1e-6
 TOL_PDE_ABOVE = 1e-8
@@ -302,8 +302,15 @@ def gradient_bound_check(ev: _Evaluation) -> SweepReport:
 def learning_premium_check(ev: _Evaluation) -> SweepReport:
     """max of (1-u) v(pi; u) - V(u, pi) over an evaluation; nonpositive means
     the option to spread investment (and keep learning) dominates lump
-    stopping."""
-    gap = (1.0 - ev.u) * stopping_value_v(ev.surface.spec, ev.surface.params, ev.u, ev.pi) - ev.v
+    stopping.
+
+    v reads gamma(u) from the evaluation below the boundary, where the
+    level is u, and evaluates it only at the points above.
+    """
+    spec, p = ev.surface.spec, ev.surface.params
+    g = ev.g.copy()
+    g[ev.above] = gamma(spec, p, ev.u[ev.above])
+    gap = (1.0 - ev.u) * stopping_value_of_gamma(g, p.k, ev.pi) - ev.v
     i = int(np.argmax(gap))
     return SweepReport(ev.u.size, float(gap[i]), float(ev.u[i]), float(ev.pi[i]))
 

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from investlearn.artifacts import read_csv, write_csv
+from investlearn.artifacts import read_csv, write_csv, write_grid_csv
 
 FLOATS = np.array([0.0, -0.0, 1.0, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                    1e16, 1e-7, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0])
@@ -36,6 +36,19 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, header, columns):
     assert data.startswith(",".join(header).encode() + b"\r\n")
     assert data.count(b"\r\n") == columns[0].size + 1
     assert data.count(b"\n") == data.count(b"\r\n")
+
+
+@pytest.mark.parametrize("x, y", [
+    (FLOATS, INTS[:5]),
+    (INTS[:3], FLOATS),
+    (FLOATS[:1], FLOATS[:0]),
+    (FLOATS[:0], FLOATS),
+], ids=["floats_by_ints", "ints_by_floats", "no_columns", "no_rows"])
+def test_write_grid_csv_bytes_match_write_csv(tmp_path, x, y):
+    z = np.resize(FLOATS[::-1], x.size * y.size)
+    write_grid_csv(tmp_path / "grid.csv", ["x", "y", "z"], x, y, z)
+    write_csv(tmp_path / "cols.csv", ["x", "y", "z"], np.repeat(x, y.size), np.tile(y, x.size), z)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cols.csv").read_bytes()
 
 
 def test_read_csv_reads_back_bit_for_bit(tmp_path):

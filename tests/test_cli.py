@@ -41,9 +41,11 @@ def read_manifest(out_dir):
     doc = json.loads((out_dir / "manifest.json").read_text())
     assert set(doc) - {"counters"} == MANIFEST_KEYS
     # work counters come only with a simulate run that stepped its strategies
-    # and with a discrete or compare run that solved its ladder
+    # and with a solve, verify, discrete or compare run that got its boundary
+    # or ladder
     ran = (doc["command"] == "simulate" and "mc_within_3se" in doc["checks"]) or \
-        (doc["command"] in ("discrete", "compare") and doc["checks"] != {"completed": False})
+        (doc["command"] in ("solve", "verify", "discrete", "compare")
+         and doc["checks"] != {"completed": False})
     assert ("counters" in doc) == ran
     return doc
 
@@ -78,6 +80,7 @@ def test_solve_outputs_and_manifest(tmp_path):
     assert man["outputs"] == sorted(man["outputs"])
     assert man["config_hash"].startswith("sha256:")
     assert all(man["checks"].values())
+    assert man["counters"] == {"rk4_stages": 4 * 500, "projections": 0}
     cond = json.loads((out / "conditions.json").read_text())
     assert cond["monotone"] is True
     assert cond["conditions"]["route"] == "boundary_above_k"
@@ -116,6 +119,10 @@ def test_verify_clean_curve_passes(tmp_path, solved):
     assert (out / "surface.csv").exists()
     man = read_manifest(out)
     assert all(man["checks"].values())
+    # the loaded curve ran no RK4 stage
+    assert man["counters"] == {"rk4_stages": 0, "projections": 0,
+                               "sweep_samples": 10000, "boundary_points": 20000}
+
 
 
 def _copy_curve(src_dir, dst_dir):
@@ -139,6 +146,8 @@ def test_verify_spike_tamper_fails_monotone(tmp_path, solved):
     assert rc == 1
     man = read_manifest(out)
     assert man["checks"]["monotone"] is False
+    assert man["counters"] == {"rk4_stages": 0, "projections": 0,
+                               "sweep_samples": 0, "boundary_points": 0}
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["passed"] is False
 
@@ -463,8 +472,13 @@ def test_manifest_checks_come_from_the_report(tmp_path):
     rc = main(["verify", "--config", str(cfg_path), "--out", str(out),
                "--grid", "2001", "--quiet"])
     curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
-    checks = verify_surface(ValueSurface(curve)).checks()
-    assert read_manifest(out)["checks"] == checks
+    report = verify_surface(ValueSurface(curve))
+    checks = report.checks()
+    manifest = read_manifest(out)
+    assert manifest["checks"] == checks
+    assert manifest["counters"] == {
+        "rk4_stages": 4 * 2000, "projections": curve.n_projections,
+        "sweep_samples": report.n_samples, "boundary_points": report.n_boundary_points}
     assert set(checks) == {"pde", "smooth_fit", "c1_pasting", "gradient_bound",
                            "learning_premium", "all"}
     assert rc == (0 if all(checks.values()) else 1)
@@ -701,6 +715,58 @@ def test_shipped_linear_csvs_pinned(tmp_path):
     got = {name: hashlib.sha1((tmp_path / name).read_bytes()).hexdigest()
            for name in SHIPPED_LINEAR_SHA1}
     assert got == SHIPPED_LINEAR_SHA1
+
+
+# sha1 of the CSVs of solve on configs/hyperbolic_gamma.json at 20 001 nodes
+# and of the verify that audits that boundary.csv, taken before the RK4 stages
+# computed F inline and verify formatted each surface grid value once
+SHIPPED_HYPERBOLIC_SHA1 = {
+    "boundary.csv": "129842b1745ad349ff78d0c55c73b5e2586c3e00",
+    "surface.csv": "79b3a65322a4fbfbfecf185f6f1b0efa13adf3bb",
+}
+
+
+def test_shipped_hyperbolic_csvs_pinned(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "hyperbolic_gamma.json"
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path), "--quiet",
+                 "--grid", "20001"]) == 0
+    audit = write_cfg(tmp_path, {**json.loads(cfg.read_text()),
+                                 "boundary_csv": str(tmp_path / "boundary.csv")}, "audit.json")
+    assert main(["verify", "--config", str(audit), "--out", str(tmp_path), "--quiet"]) == 0
+    got = {name: hashlib.sha1((tmp_path / name).read_bytes()).hexdigest()
+           for name in SHIPPED_HYPERBOLIC_SHA1}
+    assert got == SHIPPED_HYPERBOLIC_SHA1
+
+
+# sha1 of the figures plot draws from the shipped configs: the boundary and
+# trajectory 0 of configs/linear_noise.json and the ladder of
+# configs/hyperbolic_gamma.json, taken when each point was mapped to pixels
+# and formatted on its own
+SHIPPED_PLOT_SHA1 = {
+    "boundary.svg": "9d84d4f1085adf46c5c8b7422a2533adc73ff87b",
+    "trajectory.svg": "485e2188d610b4b34569602cce807bc142874760",
+    "ladder.svg": "cd851bd188bd8b673f31b433f1bee921c89b16b0",
+}
+
+
+def test_shipped_plots_pinned(tmp_path):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    linear = json.loads((configs / "linear_noise.json").read_text())
+    linear["sim"]["n_paths"] = 20  # trajectory 0 does not depend on the path count
+    linear_cfg = write_cfg(tmp_path, linear, "linear.json")
+    for command, cfg in (("solve", linear_cfg), ("simulate", linear_cfg),
+                         ("discrete", configs / "hyperbolic_gamma.json")):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command),
+                     "--quiet"]) == 0
+    plot = json.loads((configs / "plot_linear.json").read_text())
+    plot["plot"] = {"boundary": str(tmp_path / "solve" / "boundary.csv"),
+                    "trajectory": str(tmp_path / "simulate" / "trajectory.csv"),
+                    "ladder": str(tmp_path / "discrete" / "ladder.csv")}
+    plot_cfg = write_cfg(tmp_path, plot, "plot.json")
+    assert main(["plot", "--config", str(plot_cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    got = {name: hashlib.sha1((tmp_path / "o" / name).read_bytes()).hexdigest()
+           for name in SHIPPED_PLOT_SHA1}
+    assert got == SHIPPED_PLOT_SHA1
 
 
 # sha1 of the files simulate writes on configs/linear_noise.json at 2 000

@@ -26,6 +26,7 @@ from investlearn.value import (
     ValueSurface,
     _Evaluation,
     build_surface,
+    learning_premium_check,
     low_discrepancy_samples,
     pde_residual_sweep,
     verify_surface,
@@ -163,7 +164,8 @@ def test_pde_sweep_with_no_sample_above():
 def test_verify_evaluates_each_point_set_once(request, monkeypatch, surface):
     # the sample sweep and the knot-segment midpoints are each evaluated
     # once, the midpoints again through the pull-back for the continuity
-    # check; the rest is the premium's stopping value at the samples and A(1)
+    # check; the rest is the premium's gamma(u) at the samples above the
+    # boundary and A(1)
     surface = request.getfixturevalue(surface)
     calls = {"gamma_derivs": 0, "points": 0, "hermite": 0, "samples": 0}
 
@@ -189,6 +191,28 @@ def test_verify_evaluates_each_point_set_once(request, monkeypatch, surface):
     assert calls["hermite"] <= 10
     assert calls["samples"] == 1
     assert report.passed
+
+
+@pytest.mark.parametrize("surface", ["linear_surface", "hyperbolic_surface"])
+def test_premium_reads_gamma_below_boundary(request, monkeypatch, surface):
+    # gamma(u) is evaluated only at the samples above the boundary, and the
+    # worst gap and its location are those stopping_value_v gives
+    surface = request.getfixturevalue(surface)
+    ev = _Evaluation(surface, *low_discrepancy_samples())
+    want = (1.0 - ev.u) * stopping_value_v(surface.spec, surface.params, ev.u, ev.pi) - ev.v
+    points = []
+    spec_type = type(surface.spec)
+    original = spec_type.gamma_derivs
+
+    def counting(self, u, r):
+        points.append(np.size(u))
+        return original(self, u, r)
+
+    monkeypatch.setattr(spec_type, "gamma_derivs", counting)
+    report = learning_premium_check(ev)
+    assert 0 < sum(points) == np.count_nonzero(ev.above) < N_SAMPLES
+    i = int(np.argmax(want))
+    assert (report.worst, report.worst_u, report.worst_pi) == (want[i], ev.u[i], ev.pi[i])
 
 
 def test_report_dict_shape(linear_surface, linear_report):
