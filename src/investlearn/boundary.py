@@ -45,6 +45,7 @@ from .model import (
     ConfigError,
     ModelParams,
     RateSpec,
+    _Hermite,
     _number,
     check_conditions,
     spec_from_dict,
@@ -101,53 +102,6 @@ def boundary_rhs(spec: RateSpec, params: ModelParams, u: float, b: float) -> flo
     """Right-hand side F(u, b) of the boundary ODE, guarded as in _slope."""
     g, d1, d2, _ = spec.gamma_derivs(u, params.r)
     return _slope(params.k, u, _stage_constants(params.k, float(g), float(d1), float(d2)), b)
-
-
-class _Hermite:
-    """Cubic Hermite interpolant through (x_j, y_j) with slopes m_j.
-
-    Each segment's polynomial in s = x - x_j has its coefficients built
-    once, so a query costs one search and a Horner step.  Constant end
-    segments hold y_0 left of x_0 and y_n from x_n on, so the ends come out
-    exactly and nothing is extrapolated.  `cum` holds the integral of the
-    interpolant from x_0 to each segment's base, for `integral`.
-    """
-
-    def __init__(self, x, y, m):
-        dx = np.diff(x)
-        secant = np.diff(y) / dx
-        zero = np.zeros(1)
-        self.x = x
-        self.m_last = m[-1]
-        self.base = np.concatenate((x[:1], x))
-        self.c0 = np.concatenate((y[:1], y))
-        self.c1 = np.concatenate((zero, m[:-1], zero))
-        self.c2 = np.concatenate((zero, (3.0 * secant - 2.0 * m[:-1] - m[1:]) / dx, zero))
-        self.c3 = np.concatenate((zero, (m[:-1] + m[1:] - 2.0 * secant) / (dx * dx), zero))
-        whole = self._segment_integral(slice(1, -1), dx)
-        self.cum = np.concatenate((zero, zero, np.cumsum(whole)))
-
-    def _segment_integral(self, i, s):
-        """Integral of segment i's cubic from its base to base + s."""
-        return s * (self.c0[i] + s * (self.c1[i] / 2.0 + s * (self.c2[i] / 3.0 + s * self.c3[i] / 4.0)))
-
-    def __call__(self, q):
-        i = np.searchsorted(self.x, q, side="right")
-        s = q - self.base[i]
-        return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
-
-    def derivative(self, q):
-        """Slope of the interpolant: m_j exactly at every knot x_j (the left
-        limit m_n at x_n), 0 on the constant ends outside [x_0, x_n]."""
-        i = np.searchsorted(self.x, q, side="right")
-        s = q - self.base[i]
-        slope = self.c1[i] + s * (2.0 * self.c2[i] + 3.0 * s * self.c3[i])
-        return np.where(q == self.x[-1], self.m_last, slope)
-
-    def integral(self, q):
-        """Integral of the interpolant from x_0 to q, closed form per segment."""
-        i = np.searchsorted(self.x, q, side="right")
-        return self.cum[i] + self._segment_integral(i, q - self.base[i])
 
 
 @dataclass

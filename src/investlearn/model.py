@@ -18,8 +18,8 @@ k in (0, 1) is the ratio -mu0 / (mu1 - mu0) of the demand drifts, i.e. the
 belief at which expansion breaks even.
 
 Rate specifications come in four families.  Three are closed-form; the
-fourth interpolates a table.  All expose gamma and its derivatives, which
-is the only thing the solvers consume.
+fourth fits a cubic spline to a table of log rho^2.  All expose gamma and
+its first three derivatives, which is the only thing the solvers consume.
 """
 
 from __future__ import annotations
@@ -103,10 +103,7 @@ def _gamma_from_q(q, dq, d2q, d3q):
     g = 0.5 + s
     d1 = dq / (2.0 * s)
     d2 = d2q / (2.0 * s) - dq * dq / (4.0 * s**3)
-    if d3q is None:
-        d3 = None
-    else:
-        d3 = d3q / (2.0 * s) - 3.0 * dq * d2q / (4.0 * s**3) + 3.0 * dq**3 / (8.0 * s**5)
+    d3 = d3q / (2.0 * s) - 3.0 * dq * d2q / (4.0 * s**3) + 3.0 * dq**3 / (8.0 * s**5)
     return g, d1, d2, d3
 
 
@@ -119,7 +116,7 @@ class RateSpec:
         raise NotImplementedError
 
     def gamma_derivs(self, u: ArrayLike, r: float):
-        """Return (gamma, gamma', gamma'', gamma''') at u; last entry may be None."""
+        """Return (gamma, gamma', gamma'', gamma''') at u."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -234,14 +231,84 @@ class HyperbolicGamma(RateSpec):
         return {"family": self.family, "A": self.A, "beta": self.beta}
 
 
+class _Hermite:
+    """Cubic Hermite interpolant through (x_j, y_j) with slopes m_j.
+
+    Each segment's polynomial in s = x - x_j has its coefficients built
+    once, so a query costs one search and a Horner step.  Constant end
+    segments hold y_0 left of x_0 and y_n from x_n on, so the ends come out
+    exactly and nothing is extrapolated.  `cum` holds the integral of the
+    interpolant from x_0 to each segment's base, for `integral`.
+    """
+
+    def __init__(self, x, y, m):
+        dx = np.diff(x)
+        secant = np.diff(y) / dx
+        zero = np.zeros(1)
+        self.x = x
+        self.m_last = m[-1]
+        self.base = np.concatenate((x[:1], x))
+        self.c0 = np.concatenate((y[:1], y))
+        self.c1 = np.concatenate((zero, m[:-1], zero))
+        self.c2 = np.concatenate((zero, (3.0 * secant - 2.0 * m[:-1] - m[1:]) / dx, zero))
+        self.c3 = np.concatenate((zero, (m[:-1] + m[1:] - 2.0 * secant) / (dx * dx), zero))
+        whole = self._segment_integral(slice(1, -1), dx)
+        self.cum = np.concatenate((zero, zero, np.cumsum(whole)))
+
+    def _segment_integral(self, i, s):
+        """Integral of segment i's cubic from its base to base + s."""
+        return s * (self.c0[i] + s * (self.c1[i] / 2.0 + s * (self.c2[i] / 3.0 + s * self.c3[i] / 4.0)))
+
+    def __call__(self, q):
+        i = np.searchsorted(self.x, q, side="right")
+        s = q - self.base[i]
+        return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+
+    def derivative(self, q):
+        """Slope of the interpolant: m_j exactly at every knot x_j (the left
+        limit m_n at x_n), 0 on the constant ends outside [x_0, x_n]."""
+        i = np.searchsorted(self.x, q, side="right")
+        s = q - self.base[i]
+        slope = self.c1[i] + s * (2.0 * self.c2[i] + 3.0 * s * self.c3[i])
+        return np.where(q == self.x[-1], self.m_last, slope)
+
+    def integral(self, q):
+        """Integral of the interpolant from x_0 to q, closed form per segment."""
+        i = np.searchsorted(self.x, q, side="right")
+        return self.cum[i] + self._segment_integral(i, q - self.base[i])
+
+    def derivatives(self, q):
+        """Value and first three derivatives on [x_0, x_n], x_n from the left."""
+        i = np.minimum(np.searchsorted(self.x, q, side="right"), self.x.size - 1)
+        s = q - self.base[i]
+        c1, c2, c3 = self.c1[i], self.c2[i], self.c3[i]
+        return (self.c0[i] + s * (c1 + s * (c2 + s * c3)), c1 + s * (2.0 * c2 + 3.0 * s * c3),
+                2.0 * c2 + 6.0 * s * c3, 6.0 * c3)
+
+
+def _not_a_knot_slopes(y, h):
+    """Knot slopes of the not-a-knot C2 cubic spline through y on a uniform
+    grid of spacing h (de Boor, A Practical Guide to Splines, 1978, ch. IV):
+    rows m_0 + 2 m_1, m_{j-1} + 4 m_j + m_{j+1}, 2 m_{n-1} + m_n, one Thomas sweep."""
+    s = (np.diff(y) / h).tolist()
+    rhs = [2.5 * s[0] + 0.5 * s[1], *(3.0 * (a + b) for a, b in zip(s, s[1:])), 0.5 * s[-2] + 2.5 * s[-1]]
+    w, d = [2.0], [rhs[0]]  # super-diagonal and right-hand side over each pivot
+    for r in rhs[1:-1]:
+        w.append(1.0 / (4.0 - w[-1]))
+        d.append((r - d[-1]) * w[-1])
+    m = [(rhs[-1] - 2.0 * d[-1]) / (1.0 - 2.0 * w[-1])]
+    for wj, dj in zip(w[::-1], d[::-1]):
+        m.append(dj - wj * m[-1])
+    return np.array(m[::-1])
+
+
 class Tabulated(RateSpec):
     """rho sampled on a uniform grid over [0, 1].
 
-    gamma is computed pointwise on the table and differentiated by central
-    differences with step equal to the grid spacing (one-sided at the ends);
-    queries interpolate linearly.  The third derivative is disabled: third
-    differences of tabulated data are noise, so the curvature-growth
-    condition reports as unverifiable.
+    L = log rho^2 is the not-a-knot C2 cubic spline through the table, and
+    rho^2 = exp(L) > 0; q = 2r exp(-L) and its exact derivatives go through
+    _gamma_from_q, so gamma (gamma - 1) = 2r / rho^2 between nodes too, and
+    one fit serves every r.
     """
 
     family = "tabulated"
@@ -256,7 +323,8 @@ class Tabulated(RateSpec):
             raise ConfigError("tabulated rate is zero or near-zero somewhere")
         self.rho_values = rho
         self.u_grid = np.linspace(0.0, 1.0, rho.size)
-        self._cache: dict = {}
+        L = 2.0 * np.log(rho)
+        self._L = _Hermite(self.u_grid, L, _not_a_knot_slopes(L, 1.0 / (rho.size - 1)))
 
     @classmethod
     def from_rho2(cls, rho2: np.ndarray) -> "Tabulated":
@@ -265,31 +333,13 @@ class Tabulated(RateSpec):
             raise ConfigError("tabulated rho^2 must be positive")
         return cls(np.sqrt(rho2))
 
-    def _tables(self, r: float):
-        tab = self._cache.get(r)
-        if tab is None:
-            q = 2.0 * r / self.rho_values**2
-            s = np.sqrt(0.25 + q)
-            g = 0.5 + s
-            h = self.u_grid[1] - self.u_grid[0]
-            d1 = np.gradient(g, h)
-            d2 = np.gradient(d1, h)
-            tab = (g, d1, d2)
-            self._cache[r] = tab
-        return tab
-
     def rho2(self, u, r):
-        return np.interp(_check_u(u), self.u_grid, self.rho_values) ** 2
+        return np.exp(self._L(_check_u(u)))
 
     def gamma_derivs(self, u, r):
-        u = _check_u(u)
-        g, d1, d2 = self._tables(r)
-        return (
-            np.interp(u, self.u_grid, g),
-            np.interp(u, self.u_grid, d1),
-            np.interp(u, self.u_grid, d2),
-            None,
-        )
+        L, d1, d2, d3 = self._L.derivatives(_check_u(u))
+        q = 2.0 * r * np.exp(-L)
+        return _gamma_from_q(q, -q * d1, q * (d1 * d1 - d2), q * (d1 * (3.0 * d2 - d1 * d1) - d3))
 
     def describe(self):
         return {"family": self.family, "rho": self.rho_values.tolist()}
@@ -431,7 +481,7 @@ class ConditionReport:
     cond2: bool
     gamma_concave: bool
     B_increasing: Optional[bool]
-    curvature_growth: Optional[bool]
+    curvature_growth: bool
     route: str
     max_cond1_lhs: float
     max_gamma_second: float
@@ -470,11 +520,6 @@ def check_conditions(spec: RateSpec, params: ModelParams) -> ConditionReport:
         B_increasing = None
         cond2 = False
 
-    if d3 is None:
-        curvature_growth: Optional[bool] = None
-    else:
-        curvature_growth = bool(np.all(3.0 * d2**2 - 2.0 * d1 * d3 < 0))
-
     if gamma_concave and B_increasing:
         route = "boundary_above_k"
     elif cond1:
@@ -490,7 +535,7 @@ def check_conditions(spec: RateSpec, params: ModelParams) -> ConditionReport:
         cond2=cond2,
         gamma_concave=gamma_concave,
         B_increasing=B_increasing,
-        curvature_growth=curvature_growth,
+        curvature_growth=bool(np.all(3.0 * d2**2 - 2.0 * d1 * d3 < 0)),
         route=route,
         max_cond1_lhs=float(np.max(disc)),
         max_gamma_second=float(np.max(d2)),

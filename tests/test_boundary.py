@@ -304,3 +304,11 @@ def test_rk4_rejects_iterate_leaving_strip(sign, message):
     with pytest.raises(IntegrationError) as exc:
         solve_boundary(SpikeSpec(sign), PARAMS, grid_size=101)
     assert str(exc.value) == message
+
+
+def test_spike_table_stops_at_terminal_node():
+    # rho 1 with one node at 0.01: the spline of log rho^2 is flat to
+    # roundoff at u = 1, so gamma'(1) is not negative and the first stage fails
+    rho = np.where(np.arange(101) == 50, 0.01, 1.0)
+    with pytest.raises(IntegrationError, match=r"^boundary ODE undefined at u=1\.0: needs gamma' < 0"):
+        solve_boundary(Tabulated(rho), PARAMS)

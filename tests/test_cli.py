@@ -107,6 +107,19 @@ def test_solve_nonmonotone_reports_flag(tmp_path):
     assert cond["monotone"] is False
 
 
+def test_shipped_nonmonotone_config_rejected(tmp_path):
+    # configs/nonmonotone.json is the input of the benchmark's reject op
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "nonmonotone.json")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report["monotone"] is False and report["passed"] is False
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    b = np.loadtxt(tmp_path / "s" / "boundary.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.any(np.diff(b) <= 0.0)
+    header = json.loads((tmp_path / "s" / "boundary.json").read_text())
+    assert header["monotone"] is False and header["observed"]["monotone"] is False
+
+
 def test_verify_clean_curve_passes(tmp_path, solved):
     doc = {**BASE, "boundary_csv": str(solved / "boundary.csv")}
     cfg = write_cfg(tmp_path, doc)

@@ -171,6 +171,57 @@ def test_tabulated_interpolates_linear_noise():
     assert np.max(np.abs(rho(tab, PARAMS, q) - rho(LINEAR, PARAMS, q))) < 1e-5
 
 
+# the tables of the verify_surface grid in test_value: (family, nodes)
+FITTED = [(LinearNoise(C=0.25, D=0.9), 101), (HYP, 101), (SqrtExpansion(C=1.0, eps=1e-2), 401)]
+
+
+@pytest.mark.parametrize("spec, n", FITTED)
+@pytest.mark.parametrize("r", [0.1, 1.0])
+def test_tabulated_gamma_solves_quadratic_between_nodes(spec, n, r):
+    # rho^2 and gamma come from one spline of log rho^2, so the root
+    # identity gamma (gamma - 1) = 2r / rho^2 holds off the nodes as well
+    tab = Tabulated.from_rho2(spec.rho2(np.linspace(0.0, 1.0, n), r))
+    u = np.random.default_rng(7).uniform(0.0, 1.0, 5000)
+    g = tab.gamma_derivs(u, r)[0]
+    assert np.max(np.abs(g * (g - 1.0) * tab.rho2(u, r) / (2.0 * r) - 1.0)) < 1e-14
+
+
+def test_tabulated_reproduces_cubic_log_rho2():
+    # the not-a-knot spline is exact on cubics; roundoff in the k-th
+    # derivative grows like eps / h^k
+    n = 101
+    h = 1.0 / (n - 1)
+    coef = np.array([-0.4, 0.7, -1.2, 0.3])  # highest power first
+    tab = Tabulated(np.exp(0.5 * np.polyval(coef, np.linspace(0.0, 1.0, n))))
+    u = np.concatenate((np.linspace(0.0, 1.0, 1001), np.random.default_rng(3).uniform(0.0, 1.0, 999)))
+    got = tab._L.derivatives(u)
+    for k, L_k in enumerate(got):
+        want = np.polyval(np.polyder(coef, k), u) if k else np.polyval(coef, u)
+        assert np.max(np.abs(L_k - want)) < 1e3 * np.finfo(float).eps / h**k
+    r = PARAMS.r
+    q = 2.0 * r * np.exp(-np.polyval(coef, u))
+    assert np.max(np.abs(tab.rho2(u, r) * q / (2.0 * r) - 1.0)) < 1e-14
+
+
+SPIKE = np.where(np.arange(101) == 50, 0.01, 1.0)  # rho 1 with one node at 0.01
+
+
+@pytest.mark.parametrize("table", [
+    SPIKE,
+    *(np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, n)) for seed, n in ((1, 11), (2, 101), (3, 1001))),
+    np.where(np.arange(51) % 2 == 0, 1e-8, 1e8),  # the widest alternation the floor allows
+], ids=["spike", "random-11", "random-101", "random-1001", "alternating"])
+def test_tabulated_gamma_finite_on_positive_tables(table):
+    # log rho^2 may overshoot between nodes, but exp keeps rho^2 positive;
+    # RuntimeWarnings are errors in this suite
+    tab = Tabulated(table)
+    u = np.linspace(0.0, 1.0, 100001)
+    for r in (1e-3, 0.1, 1.0):
+        derivs = tab.gamma_derivs(u, r)
+        assert all(np.all(np.isfinite(x)) for x in derivs) and np.all(derivs[0] >= 1.0)
+        assert np.all(tab.rho2(u, r) > 0.0)
+
+
 def test_sqrt_expansion_family_constructs():
     spec = SqrtExpansion(C=0.3)
     u = np.linspace(0.0, 1.0, 51)
@@ -195,11 +246,15 @@ def test_model_params_from_drifts():
 
 
 def test_spec_from_dict_roundtrip():
-    for spec in (LINEAR, HYP, SqrtExpansion(C=0.3)):
+    # the tabulated spec takes the path load_curve takes: describe() lists rho
+    table = Tabulated.from_rho2(LINEAR.rho2(np.linspace(0.0, 1.0, 101), PARAMS.r))
+    for spec in (LINEAR, HYP, SqrtExpansion(C=0.3), table):
         clone = spec_from_dict(spec.describe())
         u = np.linspace(0.0, 1.0, 17)
         assert np.allclose(rho(clone, PARAMS, u), rho(spec, PARAMS, u),
                            rtol=0, atol=1e-14)
+        for got, want in zip(clone.gamma_derivs(u, PARAMS.r), spec.gamma_derivs(u, PARAMS.r)):
+            assert np.array_equal(got, want)
 
 
 def test_spec_from_dict_errors():

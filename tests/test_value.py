@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import investlearn.value
-from investlearn.boundary import _Hermite, solve_boundary
+from investlearn.boundary import solve_boundary
 from investlearn.model import (
     HyperbolicGamma,
+    _Hermite,
     LinearNoise,
     ModelParams,
     SqrtExpansion,
@@ -299,6 +300,24 @@ def test_near_constant_noise_degenerates_to_stopping():
         vals = surface.value(np.full(8, u), pis)
         stops = (1.0 - u) * stopping_value_v(spec, PARAMS, u, pis)
         assert np.max(np.abs(vals - stops)) <= 1e-3
+
+
+@pytest.mark.parametrize("spec, n", [
+    (LINEAR, 101),
+    (HYP, 101),
+    (SqrtExpansion(C=1.0, eps=1e-2), 401),
+], ids=["linear_noise-101", "hyperbolic_gamma-101", "sqrt_expansion-401"])
+def test_verify_passes_on_fitted_tables(spec, n):
+    # a table of rho^2 sampled from a closed form at the model's r gives a
+    # surface that passes every check at each (r, k) of the grid
+    failed = []
+    for r in (1e-3, 0.1, 1.0):
+        tab = Tabulated.from_rho2(spec.rho2(np.linspace(0.0, 1.0, n), r))
+        for k in (0.1, 0.5, 0.98):
+            report = verify_surface(build_surface(tab, ModelParams(r=r, k=k)))
+            if not report.passed:
+                failed.append((r, k, [name for name, ok in report.checks().items() if not ok]))
+    assert failed == []
 
 
 def test_surface_rejects_nonmonotone_curve():
