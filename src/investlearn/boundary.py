@@ -46,7 +46,9 @@ from .model import (
     ModelParams,
     RateSpec,
     _Hermite,
-    _number,
+    _integer,
+    _model,
+    _threshold_c,
     check_conditions,
     spec_from_dict,
 )
@@ -335,8 +337,8 @@ def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
     the data (a tampered file must not ride on a stale certificate); spec
     and params are rebuilt from the header.  A fault in the files' shape
     raises ConfigError naming the file: a CSV read_csv rejects, a sidecar
-    that is not a boundary-curve header, lacks a field or holds a model
-    value that is not a number or an n_projections that is not a
+    that is not a boundary-curve header, lacks a field or holds a model or
+    rate that the config readers reject or an n_projections that is not a
     nonnegative integer (the error names the field), a non-finite u or
     b, fewer than two rows, u not strictly increasing or not spanning
     [0, 1], or b(1) off the terminal value c(1) (both within
@@ -360,20 +362,16 @@ def load_curve(csv_path: Union[str, Path]) -> BoundaryCurve:
     if not isinstance(header, dict) or header.get("kind") != "boundary_curve":
         raise ConfigError(f"{hpath} is not a boundary-curve header")
     try:
-        model = header["model"]
-        params = ModelParams(r=_number(model["r"], "model.r"), k=_number(model["k"], "model.k"))
+        params = _model(header["model"])
         spec = spec_from_dict(header["rate"])
-        n_projections = header.get("n_projections", 0)
-        if isinstance(n_projections, bool) or not isinstance(n_projections, int) or n_projections < 0:
-            raise ConfigError(f"n_projections must be a nonnegative integer, got {n_projections!r}")
+        n_projections = _integer(header.get("n_projections", 0), "n_projections", 0)
     except KeyError as exc:
         raise ConfigError(f"{hpath}: header lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{hpath}: invalid header: {exc}") from exc
 
     nodes = spec.gamma_derivs(ug, params.r)[:3]
-    g1 = nodes[0][-1]
-    c1 = params.k * g1 / (params.k + g1 - 1.0)
+    c1 = _threshold_c(nodes[0][-1], params.k)
     if abs(b[-1] - c1) > PROJECTION_TOL:
         raise ConfigError(f"{csv_path}: terminal condition b(1) = c(1) fails, b = {b[-1]}, c = {c1}")
     return _on_knots(spec, params, ug, b, nodes, n_projections)

@@ -42,6 +42,7 @@ from .model import ConfigError, stopping_threshold_c, zero_level_B
 from .plots import plot_boundary, plot_ladder, plot_trajectory
 # simulate_reflecting is unused here but stays bound: bench/spans.py wraps it by name
 from .simulate import (
+    SE_MULTIPLE,
     sample_trajectory,
     save_paths,
     save_trajectory,
@@ -57,8 +58,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 SURFACE_CSV_GRID = 101  # values of u, and of pi, in surface.csv
-# simulate's checks allow a gap of this many standard errors (the "3se" in their names)
-SE_MULTIPLE = 3.0
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,

@@ -49,7 +49,7 @@ from typing import Callable, List, Tuple, Union
 import numpy as np
 
 from .artifacts import write_csv
-from .model import ConfigError, ModelParams, RateSpec, SIGN_TOL, gamma as gamma_of, log_G
+from .model import ConfigError, ModelParams, RateSpec, SIGN_TOL, _threshold_c, gamma as gamma_of, log_G
 
 # The root finder stops at |f_n| <= max(ROOT_F_TOL, ROOT_F_REL 2 gamma_n k)
 # (root_tol): 2 gamma_n k is the size of f_n's terms at its root, and their
@@ -171,7 +171,7 @@ def solve_ladder(gamma: np.ndarray, params: ModelParams) -> DiscreteLadder:
 
     k, r = params.k, params.r
     N = gamma.size - 1
-    c = k * gamma / (gamma + k - 1.0)
+    c = _threshold_c(gamma, k)
     b = np.empty_like(gamma)
     log_A = np.empty_like(gamma)
     evals = [0] * (N + 1)

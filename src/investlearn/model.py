@@ -25,8 +25,8 @@ its first three derivatives, which is the only thing the solvers consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Union
 
 import numpy as np
 
@@ -120,7 +120,8 @@ class RateSpec:
         raise NotImplementedError
 
     def describe(self) -> dict:
-        raise NotImplementedError
+        """The family and parameters as spec_from_dict reads them."""
+        return {"family": self.family, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,6 @@ class LinearNoise(RateSpec):
         zero = np.zeros_like(q)
         return _gamma_from_q(q, dq, zero, zero)
 
-    def describe(self):
-        return {"family": self.family, "C": self.C, "D": self.D}
-
 
 @dataclass(frozen=True)
 class SqrtExpansion(RateSpec):
@@ -191,9 +189,6 @@ class SqrtExpansion(RateSpec):
         d3q = -6.0 * q / x**3
         return _gamma_from_q(q, dq, d2q, d3q)
 
-    def describe(self):
-        return {"family": self.family, "C": self.C, "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class HyperbolicGamma(RateSpec):
@@ -226,9 +221,6 @@ class HyperbolicGamma(RateSpec):
         x = _check_u(u) + self.beta
         g = self.A / x
         return g, -self.A / x**2, 2.0 * self.A / x**3, -6.0 * self.A / x**4
-
-    def describe(self):
-        return {"family": self.family, "A": self.A, "beta": self.beta}
 
 
 class _Hermite:
@@ -397,10 +389,14 @@ def fundamental_G(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLi
     return G_of_gamma(gamma(spec, params, u), pi)
 
 
+def _threshold_c(g: ArrayLike, k: float) -> np.ndarray:
+    """c = k g / (k + g - 1) for exponent values g = gamma(u)."""
+    return k * g / (k + g - 1.0)
+
+
 def stopping_threshold_c(spec: RateSpec, params: ModelParams, u: ArrayLike) -> np.ndarray:
     """Threshold c(u) = k gamma / (k + gamma - 1) of the frozen-rate stopping problem."""
-    g = gamma(spec, params, u)
-    return params.k * g / (params.k + g - 1.0)
+    return _threshold_c(gamma(spec, params, u), params.k)
 
 
 def stopping_value_v(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:
@@ -417,7 +413,7 @@ def stopping_value_v(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: Arra
 
 def stopping_value_of_gamma(g: ArrayLike, k: float, pi: np.ndarray) -> np.ndarray:
     """stopping_value_v for exponent values g = gamma(u), as an array."""
-    c = k * g / (k + g - 1.0)  # stopping_threshold_c
+    c = _threshold_c(g, k)
     with np.errstate(over="ignore"):  # only above c, where the branch is not taken
         return np.where(pi < c, (c - k) * np.exp(log_G(g, pi) - log_G(g, c)), pi - k)
 
@@ -542,6 +538,11 @@ def check_conditions(spec: RateSpec, params: ModelParams) -> ConditionReport:
     )
 
 
+# ---------------------------------------------------------------------------
+# config-document readers: every input field is checked by one of these
+# ---------------------------------------------------------------------------
+
+
 def _number(value, name: str) -> float:
     """A number of a config document as a float; a string or a boolean
     raises ConfigError naming the field."""
@@ -553,42 +554,62 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} is too large for a float") from None
 
 
+def _numbers(values, name: str) -> list:
+    """A non-empty list of numbers as floats; entry i is named name[i]."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
+        raise ConfigError(f"{name} must be a non-empty list of numbers, got {values!r}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """An integer of a config document, at least minimum; a boolean, a float
+    or a string raises ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _fields(doc, name: str, keys) -> dict:
+    """An object of a config document whose keys all lie in keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return doc
+
+
+def _model(doc) -> ModelParams:
+    """ModelParams from a model object, {r, k} or {r, mu0, mu1}."""
+    keys = ("r", "k") if isinstance(doc, dict) and "k" in doc else ("r", "mu0", "mu1")
+    _fields(doc, "model", keys)
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"model lacks {missing}: it takes {{r, k}} or {{r, mu0, mu1}}")
+    num = {key: _number(doc[key], f"model.{key}") for key in keys}
+    return ModelParams(**num) if "k" in num else ModelParams.from_drifts(**num)
+
+
+_FAMILIES = {cls.family: cls for cls in (LinearNoise, SqrtExpansion, HyperbolicGamma, Tabulated)}
+
+
 def spec_from_dict(d: dict) -> RateSpec:
     """Deserialize a rate spec from a config mapping (see README for the schema)."""
-    if "family" not in d:
-        raise ConfigError("rate spec needs a 'family' field")
-    fam = d["family"]
-    extra = {key: val for key, val in d.items() if key != "family"}
-
-    def num(key):
-        return _number(extra.pop(key), f"rate.{key}")
-
-    def nums(key):
-        vals = extra.pop(key)
-        if not isinstance(vals, (list, tuple, np.ndarray)):
-            raise ConfigError(f"rate.{key} must be a list of numbers, got {vals!r}")
-        return np.array([_number(v, f"rate.{key}") for v in vals])
-
-    try:
-        if fam == "linear_noise":
-            return LinearNoise(C=num("C"), D=num("D"), **_none(extra))
-        if fam == "sqrt_expansion":
-            eps = num("eps") if "eps" in extra else 1e-3
-            return SqrtExpansion(C=num("C"), eps=eps, **_none(extra))
-        if fam == "hyperbolic_gamma":
-            return HyperbolicGamma(A=num("A"), beta=num("beta"), **_none(extra))
-        if fam == "tabulated":
-            if "rho" in extra:
-                return Tabulated(nums("rho"))
-            if "rho2" in extra:
-                return Tabulated.from_rho2(nums("rho2"))
-            raise ConfigError("tabulated rate spec needs 'rho' or 'rho2' values")
-        raise ConfigError(f"unknown rate family {fam!r}")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad parameters for rate family {fam!r}: {exc}") from exc
-
-
-def _none(extra: dict) -> dict:
-    if extra:
-        raise ConfigError(f"unexpected rate-spec fields: {sorted(extra)}")
-    return {}
+    family = d.get("family") if isinstance(d, dict) else None
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"rate must be an object with a 'family' among {sorted(_FAMILIES)}, "
+                          f"got family {family!r}")
+    cls = _FAMILIES[family]
+    if cls is Tabulated:
+        _fields(d, "rate", ("family", "rho", "rho2"))
+        if ("rho" in d) == ("rho2" in d):
+            raise ConfigError("tabulated rate takes exactly one of 'rho' or 'rho2'")
+        if "rho" in d:
+            return Tabulated(_numbers(d["rho"], "rate.rho"))
+        return Tabulated.from_rho2(_numbers(d["rho2"], "rate.rho2"))
+    params = fields(cls)
+    _fields(d, "rate", ["family", *(f.name for f in params)])
+    missing = [f.name for f in params if f.name not in d and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"rate family {family!r} lacks {missing}")
+    return cls(**{f.name: _number(d[f.name], f"rate.{f.name}") for f in params if f.name in d})

@@ -74,7 +74,8 @@ import numpy as np
 
 from .artifacts import write_csv
 from .boundary import BoundaryCurve
-from .model import ModelParams, RateSpec, logit, rho, stopping_threshold_c, stopping_value_v
+from .model import (ConfigError, ModelParams, RateSpec, _integer, _number, logit, rho,
+                    stopping_threshold_c, stopping_value_v)
 
 # Steps drawn at a time: the normals of a chunk take CHUNK_STEPS float64
 # per live stream, and its uniforms as many per stream within reach.
@@ -89,6 +90,10 @@ DRAW_BLOCK = 256  # streams per transposed block in _draws
 SQRT_E_CAP = math.sqrt(74.0)
 ROUNDING = 1e-9
 
+# the statistical checks allow a gap of this many standard errors (the "3se"
+# in the manifest's check names)
+SE_MULTIPLE = 3.0
+
 
 def _expit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -100,16 +105,6 @@ def _logit(p: float) -> float:
     # math.log, not model.logit: np.log rounds a few inputs differently, and
     # the pinned Monte Carlo outputs hold these bits
     return math.log(p) - math.log1p(-p)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite_real(v) -> bool:
-    # compared rather than passed to math.isfinite, which overflows on a huge int
-    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and -math.inf < v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -130,31 +125,27 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self):
+        # checked, not converted: summary() writes each value as given
         for name in ("start_u", "start_pi", "dt", "horizon"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+            if not math.isfinite(_number(getattr(self, name), name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not 0.0 <= self.start_u < 1.0:
-            raise ValueError(f"start_u must lie in [0, 1), got {self.start_u}")
+            raise ConfigError(f"start_u must lie in [0, 1), got {self.start_u}")
         if not 0.0 < self.start_pi < 1.0:
-            raise ValueError(f"start_pi must lie in (0, 1), got {self.start_pi}")
+            raise ConfigError(f"start_pi must lie in (0, 1), got {self.start_pi}")
         if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+            raise ConfigError("dt must be positive")
         if self.horizon < 0.0:
-            raise ValueError("horizon must be nonnegative")
-        try:
-            ratio = float(self.horizon) / float(self.dt)
-        except OverflowError:  # an int too large for a float
-            ratio = math.inf
-        if not math.isfinite(ratio):
-            raise ValueError(f"horizon / dt must be a finite step count, got horizon "
-                             f"{self.horizon!r} and dt {self.dt!r}")
-        if not _is_int(self.n_paths) or self.n_paths < 1:
-            raise ValueError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+            raise ConfigError("horizon must be nonnegative")
+        if not math.isfinite(float(self.horizon) / float(self.dt)):
+            raise ConfigError(f"horizon / dt must be a finite step count, got horizon "
+                              f"{self.horizon!r} and dt {self.dt!r}")
+        _integer(self.n_paths, "n_paths", 1)
         # the first word of each path's Philox key; Philox(key=[seed, i])
         # rounded a seed from 2^63 up through float64, so such seeds never
         # had a key of their own
-        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 63:
-            raise ValueError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
+        if _integer(self.seed, "seed", 0) >= 2 ** 63:
+            raise ConfigError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -638,7 +629,7 @@ def filter_calibration(
     theta, pi_end = res.theta, res.terminal_pi
     mean_pi = float(np.mean(pi_end))
     se_pi = float(np.std(pi_end, ddof=1) / math.sqrt(n))
-    martingale_ok = abs(mean_pi - cfg.start_pi) <= 3.0 * se_pi
+    martingale_ok = abs(mean_pi - cfg.start_pi) <= SE_MULTIPLE * se_pi
 
     order = np.argsort(pi_end)
     bins = np.array_split(order, n_bins)
@@ -657,7 +648,7 @@ def filter_calibration(
         d_pi.append(mp)
         d_th.append(mt)
         d_se.append(se)
-        if abs(mp - mt) > 3.0 * se:
+        if abs(mp - mt) > SE_MULTIPLE * se:
             ok = False
 
     return CalibrationReport(

@@ -250,9 +250,12 @@ def _malform(work, fault):
     elif fault in ("nan_terminal", "nan_interior"):
         row = -1 if fault == "nan_terminal" else 500
         lines[row] = lines[row].split(",")[0] + ",nan"
-    elif fault == "no_model":
+    elif fault in ("no_model", "model_extra_key"):
         doc = json.loads(side.read_text())
-        del doc["model"]
+        if fault == "no_model":
+            del doc["model"]
+        else:
+            doc["model"]["C"] = 1
         side.write_text(json.dumps(doc))
         return side
     elif fault == "bad_json":
@@ -274,6 +277,7 @@ def _malform(work, fault):
     ("verify", "one_field"),
     ("verify", "non_numeric"),
     ("verify", "no_model"),
+    ("verify", "model_extra_key"),
     ("verify", "bad_json"),
     ("verify", "prefix"),
     ("verify", "terminal"),
@@ -282,6 +286,7 @@ def _malform(work, fault):
     ("simulate", "one_field"),
     ("simulate", "nan_terminal"),
     ("simulate", "nan_interior"),
+    ("simulate", "model_extra_key"),
     *((command, fault) for command in ("verify", "simulate") for fault in SIDECAR_FAULTS),
 ])
 def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, fault):
@@ -637,6 +642,9 @@ def test_overrides_change_config_hash(tmp_path):
     [
         {**BASE, "bogus": 1},
         {**BASE, "schema_version": 2},
+        # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+        {**BASE, "schema_version": True},
+        {**BASE, "schema_version": 1.0},
         {**BASE, "sim": {"bogus": 1}},
         {**BASE, "sim": {"n_paths": 0}},
         {**BASE, "sim": {"trajectory_path": -1}},
@@ -658,6 +666,8 @@ def test_overrides_change_config_hash(tmp_path):
         {**BASE, "rate": {"family": "tabulated", "rho": [True] * 11}},
         {**BASE, "rate": {"family": "tabulated", "rho": ["0.5"] * 11}},
         {**BASE, "rate": {"family": "tabulated", "rho2": 0.25}},
+        {**BASE, "rate": {"family": "tabulated", "rho": [0.5] * 11, "rho2": [0.25] * 11}},
+        {**BASE, "rate": {"family": "tabulated", "rho": [0.5] * 11, "C": 1}},
         {**BASE, "rate": {"family": "linear_noise", "C": 10 ** 400, "D": 0.9}},
         {**BASE, "ladder": {"gamma": [10 ** 400, 1.5]}},
         {**BASE, "ladder": {"gamma": [3.0, True]}},

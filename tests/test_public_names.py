@@ -1,12 +1,17 @@
-"""The package's public names and the README's library imports resolve, so
-a reshaped module cannot leave either pointing at a name that is gone."""
+"""The package's public names, the README's library imports and its config
+example resolve, so a reshaped module cannot leave any of them pointing at a
+name or a schema that is gone; and the package imports nothing but the
+standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import investlearn
+from investlearn.config import load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(investlearn.__file__).resolve().parent
 
 
 def test_every_public_name_resolves():
@@ -22,3 +27,26 @@ def test_readme_library_imports_run():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def test_readme_config_schema_loads(tmp_path):
+    # the documented example goes through the same readers as any run document
+    block = README.read_text(encoding="utf-8").split("## Config schema", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(block, encoding="utf-8")
+    assert load_config(cfg).config_hash.startswith("sha256:")
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "investlearn"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
