@@ -53,7 +53,7 @@ from .simulate import (
     simulate_reflecting,
     stop_at_c_reference,
 )
-from .value import ValueSurface, build_surface, verify_surface
+from .value import ValueSurface, verify_surface
 
 __all__ = [
     "__version__",
@@ -71,7 +71,6 @@ __all__ = [
     "SqrtExpansion",
     "Tabulated",
     "ValueSurface",
-    "build_surface",
     "check_conditions",
     "check_discrete_monotone",
     "discrete_verification_suite",

@@ -58,6 +58,8 @@ from .model import (
 # assumptions and the solve aborts.
 PROJECTION_TOL = 1e-9
 _STRIP_EPS = 1e-12
+# knots of a solve when neither the caller nor the run document sets them
+DEFAULT_GRID_SIZE = 2001
 # nodes per block of stage constants the RK4 loop holds as Python floats:
 # the per-block numpy calls cost little against 64 steps, and at 64 repeated
 # solves keep the resident memory where item-by-item reads kept it (128 and
@@ -72,10 +74,9 @@ class IntegrationError(RuntimeError):
 def _stage_constants(k, g, d1, d2):
     """The constants F needs at points with gamma, gamma', gamma'' = g, d1, d2:
     (g k, g + k - 1, -g, (g - 1)(1 - k), gamma', gamma'', c), with the
-    threshold c = g k / (g + k - 1).  Floats or arrays alike."""
-    gk = g * k
-    gk1 = g + k - 1.0
-    return gk, gk1, -g, (g - 1.0) * (1.0 - k), d1, d2, gk / gk1
+    threshold c = k g / (k + g - 1) of model._threshold_c.  Floats or arrays
+    alike."""
+    return g * k, g + k - 1.0, -g, (g - 1.0) * (1.0 - k), d1, d2, _threshold_c(g, k)
 
 
 def _slope(k, u, t, b):
@@ -112,7 +113,8 @@ class BoundaryCurve:
 
     slopes holds m_j = F(u_j, b_j).  monotone is the exact certificate (no
     slack) that b strictly increases over the knots and every slope is
-    positive, so that the inverse h is well defined.
+    positive, so that the inverse h is well defined.  rk4_stages counts the
+    RHS evaluations of the solve that made the curve, 0 for a loaded one.
     """
 
     u_grid: np.ndarray
@@ -122,6 +124,7 @@ class BoundaryCurve:
     spec: RateSpec
     params: ModelParams
     n_projections: int = 0
+    rk4_stages: int = 0
 
     def __post_init__(self):
         self.monotone = bool(np.all(np.diff(self.b_values) > 0.0) and np.all(self.slopes > 0.0))
@@ -189,8 +192,23 @@ class BoundaryCurve:
             "monotone": self.monotone,
         }
 
+    def counters(self) -> dict:
+        """Work counters of the curve, as the run manifests record them."""
+        return {"rk4_stages": self.rk4_stages, "projections": self.n_projections}
 
-def _on_knots(spec, params, ug, b, nodes, n_projections) -> BoundaryCurve:
+    def checks(self) -> dict:
+        """Verdicts on the curve, as the `solve` manifest records them: b
+        increasing, strictly inside the strip 0 < b < c below u = 1, and
+        reached without projection back into it."""
+        inner = self.b_values[:-1]
+        return {
+            "monotone": self.monotone,
+            "inside_strip": bool(np.all(inner > 0.0) and np.all(inner < self.c_values[:-1])),
+            "no_projections": self.n_projections == 0,
+        }
+
+
+def _on_knots(spec, params, ug, b, nodes, n_projections, rk4_stages=0) -> BoundaryCurve:
     """The curve through (ug, b); nodes holds gamma, gamma', gamma'' at ug."""
     t = _stage_constants(params.k, *nodes)
     return BoundaryCurve(
@@ -201,6 +219,7 @@ def _on_knots(spec, params, ug, b, nodes, n_projections) -> BoundaryCurve:
         spec=spec,
         params=params,
         n_projections=n_projections,
+        rk4_stages=rk4_stages,
     )
 
 
@@ -209,13 +228,15 @@ def _float_block(k, g, d1, d2, lo, hi):
     return np.array(_stage_constants(k, g[lo:hi], d1[lo:hi], d2[lo:hi])).T.tolist()
 
 
-def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -> BoundaryCurve:
+def solve_boundary(spec: RateSpec, params: ModelParams,
+                   grid_size: int = DEFAULT_GRID_SIZE) -> BoundaryCurve:
     """Integrate the boundary ODE backward from u = 1 with fixed-step RK4.
 
     The terminal value is b(1) = c(1) exactly.  After each step the iterate
     is checked against the strip (0, c(u)); excursions within PROJECTION_TOL
     are projected back (counted on the returned curve), larger ones raise
-    IntegrationError.
+    IntegrationError.  Each of the grid_size - 1 steps evaluates F four
+    times, which the curve records as rk4_stages.
 
     gamma, gamma', gamma'' are tabulated as arrays at the nodes and the stage
     midpoints; the steps read them as the Python floats of _stage_constants,
@@ -297,7 +318,7 @@ def solve_boundary(spec: RateSpec, params: ModelParams, grid_size: int = 2001) -
         b[lo:hi] = stepped[::-1]
 
     del um, gm, d1m, d2m  # before the knot slopes allocate their temporaries
-    return _on_knots(spec, params, ug, b, nodes, n_proj)
+    return _on_knots(spec, params, ug, b, nodes, n_proj, 4 * last)
 
 
 # ---------------------------------------------------------------------------

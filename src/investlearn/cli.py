@@ -7,16 +7,19 @@ codes are a stable contract: 0 success, 1 check failure, 2 configuration or
 input error (a malformed input file included).
 
 The manifest records the tool version, the hash of the effective config,
-per-check pass/fail flags, and the output file list, and deterministic work
-counters: `solve` and `verify` those of the boundary (RK4 stages, none for
-a loaded curve, and projections), `verify` also the points its diagnostics
-sampled, `simulate` those of each stepped strategy, and `discrete` and
-`compare` those of the ladder solve.  It is written
-atomically (temp file + rename) at the end of the run; a run stopped by a
-numerical failure (exit 1) still writes one, with no outputs and the single
-check `completed: false`.  Every artifact
-except the manifest's wall-clock field is byte-deterministic given the
-config and seed.
+per-check pass/fail flags, the output file list and deterministic work
+counters.  The modules that compute them supply both: `solve` takes the
+curve's checks and counters (`BoundaryCurve.checks`, `counters`: RK4
+stages, none for a loaded curve, and projections), `verify` the diagnostic
+report's checks with the curve's counters and the points the diagnostics
+sampled, `simulate` the checks of `simulate.estimates` and each stepped
+strategy's counters, and `discrete` and `compare` the ladder's counters.
+Each command returns (exit code, outputs, checks, counters) and writes only
+its artifacts; `main` writes the one manifest, atomically (temp file +
+rename) at the end of the run.  A run stopped by a numerical failure
+(exit 1) still writes one, with no outputs and the single check
+`completed: false`.  Every artifact except the manifest's wall-clock field
+is byte-deterministic given the config and seed.
 """
 
 import argparse
@@ -24,7 +27,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .model import ConfigError, stopping_threshold_c, zero_level_B
 from .plots import plot_boundary, plot_ladder, plot_trajectory
 # simulate_reflecting is unused here but stays bound: bench/spans.py wraps it by name
 from .simulate import (
-    SE_MULTIPLE,
+    estimates,
     sample_trajectory,
     save_paths,
     save_trajectory,
@@ -58,6 +61,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 SURFACE_CSV_GRID = 101  # values of u, and of pi, in surface.csv
+
+# what a command returns to main: (exit code, outputs, checks, counters),
+# counters None for a run that has none to record
+Result = Tuple[int, List[str], dict, Optional[dict]]
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
@@ -85,14 +92,14 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def _curve_counters(curve, solved: bool) -> dict:
-    """The boundary's work counters: RK4 stages run and projections made."""
-    return {"rk4_stages": 4 * (curve.grid_size - 1) if solved else 0,
-            "projections": curve.n_projections}
+def _report(quiet: bool, checks: dict) -> int:
+    """Print each check's verdict; EXIT_OK if all of them hold."""
+    for name, ok in checks.items():
+        _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
+    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
-def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    started = time.perf_counter()
+def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
     save_curve(curve, out / "boundary.csv")
     report = {
@@ -102,18 +109,10 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         "n_projections": curve.n_projections,
     }
     write_json(out / "conditions.json", report)
-    checks = {
-        "monotone": curve.monotone,
-        "inside_strip": bool(np.all(curve.b_values[:-1] > 0.0)
-                             and np.all(curve.b_values[:-1] < curve.c_values[:-1])),
-        "no_projections": curve.n_projections == 0,
-    }
-    _write_manifest(out, "solve", cfg,
-                    ["boundary.csv", "boundary.json", "conditions.json"],
-                    checks, started, _curve_counters(curve, True))
     _say(quiet, f"wrote {out / 'boundary.csv'}")
     _say(quiet, f"monotone={curve.monotone} route={curve.conditions.route}")
-    return EXIT_OK
+    return (EXIT_OK, ["boundary.csv", "boundary.json", "conditions.json"],
+            curve.checks(), curve.counters())
 
 
 def _surface_csv(surface: ValueSurface, path: Path) -> None:
@@ -132,76 +131,37 @@ def _load_or_solve(cfg: RunConfig, quiet: bool):
     return solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
 
 
-def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    started = time.perf_counter()
+def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     curve = _load_or_solve(cfg, quiet)
-    counters = dict(_curve_counters(curve, cfg.boundary_csv is None),
-                    sweep_samples=0, boundary_points=0)
+    counters = dict(curve.counters(), sweep_samples=0, boundary_points=0)
     if not curve.monotone:
         write_json(out / "verify_report.json",
                    {"passed": False, "reason": "boundary is not strictly increasing",
                     "monotone": False})
-        _write_manifest(out, "verify", cfg, ["verify_report.json"],
-                        {"monotone": False, "diagnostics": False}, started, counters)
         _say(quiet, "FAIL boundary not strictly increasing")
-        return EXIT_CHECK_FAILED
+        return (EXIT_CHECK_FAILED, ["verify_report.json"],
+                {"monotone": False, "diagnostics": False}, counters)
     surface = ValueSurface(curve)
     report = verify_surface(surface)
     doc = report.to_dict()
     doc["route"] = curve.conditions.route
     write_json(out / "verify_report.json", doc)
     _surface_csv(surface, out / "surface.csv")
-    checks = report.checks()
     counters.update(sweep_samples=report.n_samples, boundary_points=report.n_boundary_points)
-    _write_manifest(out, "verify", cfg, ["verify_report.json", "surface.csv"],
-                    checks, started, counters)
-    for name, ok in checks.items():
-        _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    checks = report.checks()
+    return _report(quiet, checks), ["verify_report.json", "surface.csv"], checks, counters
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    started = time.perf_counter()
+def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     curve = _load_or_solve(cfg, quiet)
     if not curve.monotone:
         _say(quiet, "FAIL boundary not strictly increasing, no reflection strategy")
-        _write_manifest(out, "simulate", cfg, [], {"monotone": False}, started)
-        return EXIT_CHECK_FAILED
+        return EXIT_CHECK_FAILED, [], {"monotone": False}, None
     surface = ValueSurface(curve)
     vhat = float(surface.value(cfg.sim.start_u, cfg.sim.start_pi))
-
     res, stop = simulate_paired(curve, cfg.sim)
     full = simulate_baseline(curve, cfg.sim, "full_now")
-    ref = stop_at_c_reference(curve, cfg.sim)
-
-    def _paired(a, b):
-        d = a.payoffs - b.payoffs
-        se = float(np.std(d, ddof=1) / np.sqrt(d.size)) if d.size > 1 else 0.0
-        return float(np.mean(d)), se
-
-    d_stop, se_stop = _paired(res, stop)
-    d_full, se_full = _paired(res, full)
-    err = abs(res.estimate - vhat)
-    # stop_at_c as a control variate with a known mean (Glasserman 2003, 4.1)
-    paired = ref + d_stop
-    paired_err = abs(paired - vhat)
-    doc = {
-        "reflecting": res.summary(),
-        "stop_at_c": stop.summary(),
-        "full_now": full.summary(),
-        "value_hat": vhat,
-        "stop_at_c_reference": ref,
-        "abs_error_vs_value_hat": err,
-        "error_over_se": err / res.std_error if res.std_error > 0 else 0.0,
-        "diff_vs_stop_at_c": {"mean": d_stop, "se": se_stop},
-        "diff_vs_full_now": {"mean": d_full, "se": se_full},
-        "paired_estimate": {
-            "estimate": paired,
-            "se": se_stop,
-            "abs_error_vs_value_hat": paired_err,
-            "error_over_se": paired_err / se_stop if se_stop > 0 else 0.0,
-        },
-    }
+    doc, checks = estimates(res, stop, full, stop_at_c_reference(curve, cfg.sim), vhat)
     write_json(out / "estimates.json", doc)
     outputs = ["estimates.json", "trajectory.csv"]
     traj = sample_trajectory(curve, cfg.sim, cfg.trajectory_path)
@@ -209,22 +169,13 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.write_paths:
         save_paths(res, out / "paths.csv")
         outputs.append("paths.csv")
-    checks = {
-        "mc_within_3se": err <= SE_MULTIPLE * res.std_error,
-        "mc_paired_within_3se": paired_err <= SE_MULTIPLE * se_stop,
-        "not_below_stop_at_c": d_stop >= -SE_MULTIPLE * se_stop,
-        "not_below_full_now": d_full >= -SE_MULTIPLE * se_full,
-        "stop_matches_reference": abs(stop.estimate - ref) <= SE_MULTIPLE * stop.std_error,
-    }
-    counters = {"reflecting": res.counters, "stop_at_c": stop.counters}
-    _write_manifest(out, "simulate", cfg, outputs, checks, started, counters)
+    paired = doc["paired_estimate"]
     _say(quiet, f"reflecting estimate {res.estimate:.6f} +/- {res.std_error:.6f}"
                 f" vs value {vhat:.6f} ({doc['error_over_se']:.2f} se)")
-    _say(quiet, f"paired estimate {paired:.6f} +/- {se_stop:.6f}"
-                f" ({doc['paired_estimate']['error_over_se']:.2f} se)")
-    for name, ok in checks.items():
-        _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
-    return EXIT_OK
+    _say(quiet, f"paired estimate {paired['estimate']:.6f} +/- {paired['se']:.6f}"
+                f" ({paired['error_over_se']:.2f} se)")
+    _report(quiet, checks)  # a failed Monte Carlo check is recorded, not an exit 1
+    return EXIT_OK, outputs, checks, {"reflecting": res.counters, "stop_at_c": stop.counters}
 
 
 def _config_ladder(cfg: RunConfig):
@@ -235,41 +186,34 @@ def _config_ladder(cfg: RunConfig):
     raise ConfigError("config needs a 'ladder' object with 'n_levels' or 'gamma'")
 
 
-def cmd_discrete(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    started = time.perf_counter()
+def cmd_discrete(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     ladder = _config_ladder(cfg)
     save_ladder(ladder, out / "ladder.csv")
     suite = discrete_verification_suite(ladder)
     write_json(out / "discrete_report.json", suite.to_dict())
-    checks = suite.checks()
-    _write_manifest(out, "discrete", cfg, ["ladder.csv", "discrete_report.json"],
-                    checks, started, {"ladder": ladder.counters()})
     _say(quiet, f"wrote {out / 'ladder.csv'} ({ladder.n_levels + 1} levels)")
-    for name, ok in checks.items():
-        _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    checks = suite.checks()
+    return (_report(quiet, checks), ["ladder.csv", "discrete_report.json"], checks,
+            {"ladder": ladder.counters()})
 
 
-def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    """Exploratory: ladder boundary points against the continuous boundary.
+def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> Result:
+    """Exploratory: ladder boundary points against the continuous boundary,
+    the config's boundary_csv if it names one.
 
     No convergence claim is checked; the file is for eyeballing only.
     """
-    started = time.perf_counter()
     ladder = _config_ladder(cfg)
-    curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
+    curve = _load_or_solve(cfg, quiet)
     b_cont = curve.b_at(ladder.u_levels)
     write_csv(out / "compare.csv", ["n", "u_n", "b_ladder", "b_continuous", "difference"],
               np.arange(ladder.n_levels + 1), ladder.u_levels, ladder.b, b_cont,
               ladder.b - b_cont)
-    _write_manifest(out, "compare", cfg, ["compare.csv"],
-                    {"completed": True}, started, {"ladder": ladder.counters()})
     _say(quiet, f"wrote {out / 'compare.csv'}")
-    return EXIT_OK
+    return EXIT_OK, ["compare.csv"], {"completed": True}, {"ladder": ladder.counters()}
 
 
-def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    started = time.perf_counter()
+def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     if not cfg.plot_inputs:
         raise ConfigError("config needs a 'plot' object naming input CSVs")
     outputs = []
@@ -289,10 +233,9 @@ def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> int:
                         ["n", "u_n", "gamma_n", "c_n", "b_n", "A_n"])
         plot_ladder(data[:, 1], data[:, 4], data[:, 3], out / "ladder.svg")
         outputs.append("ladder.svg")
-    _write_manifest(out, "plot", cfg, outputs, {"completed": True}, started)
     for name in outputs:
         _say(quiet, f"wrote {out / name}")
-    return EXIT_OK
+    return EXIT_OK, outputs, {"completed": True}, None
 
 
 COMMANDS = {
@@ -349,14 +292,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG_ERROR
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](cfg, out, args.quiet)
+        code, outputs, checks, counters = COMMANDS[args.command](cfg, out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (IntegrationError, ArithmeticError, ValueError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
-        _write_manifest(out, args.command, cfg, [], {"completed": False}, started)
-        return EXIT_CHECK_FAILED
+        code, outputs, checks, counters = EXIT_CHECK_FAILED, [], {"completed": False}, None
+    _write_manifest(out, args.command, cfg, outputs, checks, started, counters)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .boundary import DEFAULT_GRID_SIZE
 from .model import (ConfigError, ModelParams, RateSpec, _fields, _integer, _model, _numbers,
                     spec_from_dict)
 from .simulate import SimConfig
@@ -93,7 +94,7 @@ def load_config(path, seed: Optional[int] = None,
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {doc['schema_version']!r}")
     model = _model(doc.get("model"))
     rate = spec_from_dict(doc.get("rate"))
-    grid_size = _integer(doc.get("grid_size", 2001), "grid_size", 3)
+    grid_size = _integer(doc.get("grid_size", DEFAULT_GRID_SIZE), "grid_size", 3)
 
     sim_doc = _fields(doc.get("sim", {}), "sim", _SIM_KEYS)
     write_paths = sim_doc.get("write_paths", False)

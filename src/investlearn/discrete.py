@@ -42,7 +42,7 @@ rest is numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, List, Tuple, Union
 
@@ -267,9 +267,6 @@ class DiscreteMonotoneReport:
     all_hold: bool
     b_nondecreasing: bool
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def check_discrete_monotone(ladder: DiscreteLadder) -> DiscreteMonotoneReport:
     """Per-level condition 2 D1_n D1_{n+1} <= D2_n gamma_{n+1} (D = differences).
@@ -328,15 +325,10 @@ class DiscreteCheckReport:
         return all(self.checks().values())
 
     def to_dict(self) -> dict:
+        """The report as `discrete_report.json` holds it: every field, the
+        verdict and the tolerances."""
         return {
-            "n_pi": self.n_pi,
-            "bellman_max_violation": self.bellman_max_violation,
-            "generator_max_residual": self.generator_max_residual,
-            "smooth_fit_max_gap": self.smooth_fit_max_gap,
-            "bellman_max_at": list(self.bellman_max_at),
-            "generator_max_at": list(self.generator_max_at),
-            "smooth_fit_max_at": list(self.smooth_fit_max_at),
-            "monotone": self.monotone.to_dict(),
+            **asdict(self),
             "tolerances": {
                 "bellman": TOL_BELLMAN,
                 "generator": TOL_GENERATOR,

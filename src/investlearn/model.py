@@ -434,25 +434,29 @@ def _sign_slack(g, d1, d2):
     return SIGN_TOL * (2.0 * d1**2 + np.abs(g * d2))
 
 
+def _zero_level(k: float, g, d1, d2):
+    """(disc, slack, B) from gamma, gamma', gamma'' = g, d1, d2: disc =
+    2 gamma'^2 - gamma gamma'', its sign slack, and the zero level of H,
+    B = k disc / (disc + (1-k) gamma''), where disc > slack and nan elsewhere."""
+    disc = 2.0 * d1**2 - g * d2
+    slack = _sign_slack(g, d1, d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        B = np.where(disc > slack, k * disc / (disc + (1.0 - k) * d2), np.nan)
+    return disc, slack, B
+
+
 def zero_level_B(spec: RateSpec, params: ModelParams, u: ArrayLike):
     """Level B(u) where H(u, .) vanishes, when 2 gamma'^2 - gamma gamma'' > 0.
 
     B = k (2 gamma'^2 - gamma gamma'') / (2 gamma'^2 - gamma gamma'' + (1-k) gamma'').
     Scalar input returns None where undefined; array input returns nan there.
     """
-    k = params.k
     g, d1, d2, _ = spec.gamma_derivs(u, params.r)
-    disc = 2.0 * d1**2 - g * d2
-    denom = disc + (1.0 - k) * d2
-    scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-    disc_a = np.atleast_1d(np.asarray(disc, dtype=float))
-    denom_a = np.atleast_1d(np.asarray(denom, dtype=float))
-    out = np.full_like(disc_a, np.nan)
-    ok = np.atleast_1d(disc > _sign_slack(g, d1, d2))
-    out[ok] = k * disc_a[ok] / denom_a[ok]
-    if scalar:
-        return float(out[0]) if ok[0] else None
-    return out
+    B = _zero_level(params.k, g, d1, d2)[2]
+    if np.ndim(u) == 0:
+        B = float(np.ravel(B)[0])
+        return None if math.isnan(B) else B
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +507,11 @@ def check_conditions(spec: RateSpec, params: ModelParams) -> ConditionReport:
     rho_increasing = bool(np.all(np.diff(r2) > 0))
     gamma_decreasing = bool(np.all(d1 < 0))
 
-    disc = 2.0 * d1**2 - g * d2
-    slack = _sign_slack(g, d1, d2)
+    disc, slack, B = _zero_level(params.k, g, d1, d2)
     cond1 = bool(np.all(disc <= slack))
     gamma_concave = bool(np.max(d2) <= SIGN_TOL)
 
     if np.all(disc > slack):
-        B = params.k * disc / (disc + (1.0 - params.k) * d2)
         B_increasing: Optional[bool] = bool(np.all(np.diff(B) > 0))
         cond2 = bool(B_increasing)
     else:

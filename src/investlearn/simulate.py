@@ -95,6 +95,56 @@ ROUNDING = 1e-9
 SE_MULTIPLE = 3.0
 
 
+def _mean_se(x: np.ndarray) -> Tuple[float, float]:
+    """Mean of the samples x and its standard error; a single sample carries
+    no spread information, so its SE is zero, not NaN."""
+    n = x.size
+    return float(np.sum(x) / n), float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
+def estimates(res: SimResult, stop: SimResult, full: SimResult, ref: float,
+              vhat: float) -> Tuple[dict, dict]:
+    """The `estimates.json` document and the five checks of a `simulate` run.
+
+    res, stop and full are the reflecting, stop_at_c and full_now results
+    on common random numbers, ref is the closed-form value stop_at_c
+    estimates and vhat the surface value at the start.  stop_at_c is a
+    control variate with a known mean (Glasserman 2003, 4.1): the paired
+    estimate is ref plus the mean paired difference from it, with that
+    difference's SE.  Each check allows SE_MULTIPLE standard errors.
+    """
+    d_stop, se_stop = _mean_se(res.payoffs - stop.payoffs)
+    d_full, se_full = _mean_se(res.payoffs - full.payoffs)
+    err = abs(res.estimate - vhat)
+    paired = ref + d_stop
+    paired_err = abs(paired - vhat)
+    doc = {
+        "reflecting": res.summary(),
+        "stop_at_c": stop.summary(),
+        "full_now": full.summary(),
+        "value_hat": vhat,
+        "stop_at_c_reference": ref,
+        "abs_error_vs_value_hat": err,
+        "error_over_se": err / res.std_error if res.std_error > 0 else 0.0,
+        "diff_vs_stop_at_c": {"mean": d_stop, "se": se_stop},
+        "diff_vs_full_now": {"mean": d_full, "se": se_full},
+        "paired_estimate": {
+            "estimate": paired,
+            "se": se_stop,
+            "abs_error_vs_value_hat": paired_err,
+            "error_over_se": paired_err / se_stop if se_stop > 0 else 0.0,
+        },
+    }
+    checks = {
+        "mc_within_3se": err <= SE_MULTIPLE * res.std_error,
+        "mc_paired_within_3se": paired_err <= SE_MULTIPLE * se_stop,
+        "not_below_stop_at_c": d_stop >= -SE_MULTIPLE * se_stop,
+        "not_below_full_now": d_full >= -SE_MULTIPLE * se_full,
+        "stop_matches_reference": abs(stop.estimate - ref) <= SE_MULTIPLE * stop.std_error,
+    }
+    return doc, checks
+
+
 def _expit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
@@ -443,10 +493,10 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         if n_live[j]:
             steps[j] = steps_done
         frac_alive = n_live[j] / n
+        estimate, std_error = _mean_se(payoffs)
         results.append(SimResult(
-            estimate=float(np.sum(payoffs) / n),
-            # a single path carries no spread information; report zero, not NaN
-            std_error=float(np.std(payoffs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            estimate=estimate,
+            std_error=std_error,
             initial_jump=jump,
             truncation_bound=truncation,
             frac_alive_at_horizon=frac_alive,
@@ -622,13 +672,15 @@ def filter_calibration(
     Two checks at the horizon: E[Pi_T] = pi_0 (the belief is a martingale
     under the unconditional law), and within terminal-belief bins the
     fraction of paths with theta = 1 matches the mean belief (the filter is
-    calibrated).  Both at three standard errors.
+    calibrated).  Both at SE_MULTIPLE standard errors.  Every bin needs two
+    paths for its SE, so n_paths below 2 n_bins raises ValueError.
     """
     n = cfg.n_paths
+    if n < 2 * n_bins:
+        raise ValueError(f"filter_calibration needs n_paths >= 2 n_bins = {2 * n_bins}, got {n}")
     res, = _run(spec, params, cfg, range(n), [((cfg.start_u, None, math.inf), 0.0, np.zeros(n))])
     theta, pi_end = res.theta, res.terminal_pi
-    mean_pi = float(np.mean(pi_end))
-    se_pi = float(np.std(pi_end, ddof=1) / math.sqrt(n))
+    mean_pi, se_pi = _mean_se(pi_end)
     martingale_ok = abs(mean_pi - cfg.start_pi) <= SE_MULTIPLE * se_pi
 
     order = np.argsort(pi_end)

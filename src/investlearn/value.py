@@ -30,7 +30,7 @@ far the interpolated curve is from solving the boundary ODE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -189,13 +189,6 @@ class ValueSurface:
         return ev.out(ev.v_u)
 
 
-def build_surface(spec, params, grid_size: int = 2001) -> ValueSurface:
-    """Solve the boundary on the solver's default grid and wrap it as a surface."""
-    from .boundary import solve_boundary
-
-    return ValueSurface(solve_boundary(spec, params, grid_size=grid_size))
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
@@ -215,11 +208,6 @@ class PdeResidualReport:
     @property
     def passed(self) -> bool:
         return self.max_below_rel <= TOL_PDE_BELOW_REL and self.max_above_signed <= TOL_PDE_ABOVE
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["passed"] = self.passed
-        return d
 
 
 def pde_residual_sweep(ev: _Evaluation) -> PdeResidualReport:
@@ -283,9 +271,6 @@ class SweepReport:
     worst: float
     worst_u: float
     worst_pi: float
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def gradient_bound_check(ev: _Evaluation) -> SweepReport:
@@ -364,21 +349,12 @@ class ValueCheckReport:
         return self.checks()["all"]
 
     def to_dict(self) -> dict:
+        """The report as `verify_report.json` holds it: every field, the
+        verdicts of the whole and of the PDE sweep, and the tolerances."""
+        d = asdict(self)
+        d["pde"]["passed"] = self.pde.passed
         return {
-            "n_samples": self.n_samples,
-            "n_boundary_points": self.n_boundary_points,
-            "pde": self.pde.to_dict(),
-            "smooth_fit_max_vu": self.smooth_fit_max_vu,
-            "smooth_fit_max_vupi": self.smooth_fit_max_vupi,
-            "c1_pasting_max": self.c1_pasting_max,
-            "smooth_fit_max_vu_at": list(self.smooth_fit_max_vu_at),
-            "smooth_fit_max_vupi_at": list(self.smooth_fit_max_vupi_at),
-            "c1_pasting_max_at": list(self.c1_pasting_max_at),
-            "gradient": self.gradient.to_dict(),
-            "premium": self.premium.to_dict(),
-            "continuity_max": self.continuity_max,
-            "log_value_min": self.log_value_min,
-            "A_terminal": self.A_terminal,
+            **d,
             "tolerances": {
                 "pde_below_rel": TOL_PDE_BELOW_REL,
                 "pde_above_signed": TOL_PDE_ABOVE,

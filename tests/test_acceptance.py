@@ -35,7 +35,7 @@ from investlearn.simulate import (
     simulate_paired,
     stop_at_c_reference,
 )
-from investlearn.value import build_surface, verify_surface
+from investlearn.value import ValueSurface, verify_surface
 
 PARAMS = ModelParams(r=0.1, k=0.5)
 LINEAR = LinearNoise(C=0.25, D=0.9)
@@ -116,7 +116,7 @@ def test_04_value_diagnostics():
     t0 = time.perf_counter()
     details = []
     for name, spec in (("linear", LINEAR), ("hyperbolic", HYP)):
-        report = verify_surface(build_surface(spec, PARAMS))
+        report = verify_surface(ValueSurface(solve_boundary(spec, PARAMS)))
         assert report.smooth_fit_max_vu <= 1e-4
         assert report.smooth_fit_max_vupi <= 1e-4
         assert report.pde.max_below_rel <= 1e-6
@@ -140,7 +140,7 @@ def test_05_monte_carlo_optimality():
     # each step, so the coarse step costs no bias these bounds can see
     cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0,
                     n_paths=20000, seed=1)
-    surface = build_surface(LINEAR, PARAMS)
+    surface = ValueSurface(solve_boundary(LINEAR, PARAMS))
     v_hat = surface.value(cfg.start_u, cfg.start_pi)
 
     reflect, stop = simulate_paired(surface.curve, cfg)

@@ -1,6 +1,7 @@
 """Free-boundary integration: terminal data, strip bounds, regressions."""
 
 import csv
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -208,6 +209,28 @@ def test_save_load_roundtrip(tmp_path, linear_curve):
     q = tmp_path / "curve2.csv"
     save_curve(clone, q)
     assert p.read_bytes() == q.read_bytes()
+
+
+def test_curve_counters_and_checks(tmp_path, linear_curve):
+    solved = {"monotone": True, "inside_strip": True, "no_projections": True}
+    assert linear_curve.counters() == {"rk4_stages": 4 * 2000, "projections": 0}
+    assert linear_curve.checks() == solved
+    # a loaded curve ran no RK4 stage
+    save_curve(linear_curve, tmp_path / "curve.csv")
+    loaded = load_curve(tmp_path / "curve.csv")
+    assert loaded.counters() == {"rk4_stages": 0, "projections": 0}
+    assert loaded.checks() == solved
+    # near-constant rho at k = 0.98: one step lands on c and is projected back
+    projected = solve_boundary(LinearNoise(C=0.25, D=1e-12), ModelParams(r=0.1, k=0.98),
+                               grid_size=201)
+    assert projected.counters() == {"rk4_stages": 4 * 200, "projections": 1}
+    assert projected.checks() == {"monotone": False, "inside_strip": True, "no_projections": False}
+    save_curve(projected, tmp_path / "projected.csv")
+    assert load_curve(tmp_path / "projected.csv").counters() == {"rk4_stages": 0, "projections": 1}
+    # a knot on c(u) below u = 1 is outside the open strip
+    b = linear_curve.b_values.copy()
+    b[0] = linear_curve.c_values[0]
+    assert not dataclasses.replace(linear_curve, b_values=b).checks()["inside_strip"]
 
 
 def test_load_recomputes_monotone(tmp_path, linear_curve):

@@ -15,7 +15,8 @@ from investlearn.cli import main
 from investlearn.config import load_config
 from investlearn.discrete import discrete_verification_suite, ladder_from_spec, save_ladder
 from investlearn.model import ConfigError, HyperbolicGamma, ModelParams
-from investlearn.boundary import solve_boundary
+from investlearn.artifacts import read_csv
+from investlearn.boundary import load_curve, solve_boundary
 from investlearn.simulate import SimConfig, sample_trajectory, save_trajectory
 from investlearn.value import ValueSurface, verify_surface
 
@@ -538,6 +539,21 @@ def test_compare_writes_table(tmp_path):
     assert lines[0] == "n,u_n,b_ladder,b_continuous,difference"
     assert len(lines) == 7
     assert read_manifest(out)["counters"]["ladder"]["levels"] == 6
+
+
+def test_compare_reads_boundary_csv(tmp_path, solved):
+    # compare tabulates the configured curve, a tampered one included
+    shrunk = tmp_path / "shrunk"
+    _copy_curve(solved, shrunk)
+    _shrink(shrunk / "boundary.csv")
+    doc = {**BASE, "ladder": {"n_levels": 5}, "boundary_csv": str(shrunk / "boundary.csv")}
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out),
+                 "--quiet"]) == 0
+    rows = read_csv(out / "compare.csv", ["n", "u_n", "b_ladder", "b_continuous", "difference"])
+    u_n, b_cont = rows[:, 1], rows[:, 3]
+    assert np.array_equal(b_cont, load_curve(shrunk / "boundary.csv").b_at(u_n))
+    assert not np.array_equal(b_cont, load_curve(solved / "boundary.csv").b_at(u_n))
 
 
 @pytest.fixture()

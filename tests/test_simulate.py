@@ -12,6 +12,8 @@ from investlearn.boundary import BoundaryCurve, solve_boundary
 from investlearn.model import LinearNoise, ModelParams, Tabulated, rho, stopping_threshold_c
 from investlearn.simulate import (
     SimConfig,
+    SimResult,
+    estimates,
     filter_calibration,
     sample_trajectory,
     save_paths,
@@ -437,6 +439,65 @@ def test_filter_calibration(linear_curve):
     d = rep.to_dict()
     assert d["n_paths"] == 4000
     assert d["calibration_ok"] is True
+
+
+@pytest.mark.parametrize("n_paths", [5, 10, 19])
+def test_filter_calibration_rejects_small_batches(n_paths):
+    # below two paths a bin, a bin's SE is NaN and no bin can fail
+    cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.01, horizon=5.0, n_paths=n_paths, seed=3)
+    with pytest.raises(ValueError, match="n_paths >= 2 n_bins"):
+        filter_calibration(LINEAR, PARAMS, cfg)
+
+
+def test_filter_calibration_smallest_batch():
+    cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.01, horizon=5.0, n_paths=20, seed=3)
+    rep = filter_calibration(LINEAR, PARAMS, cfg)
+    assert np.all(np.isfinite(rep.decile_se)) and np.isfinite(rep.se_pi)
+
+
+def _result(payoffs):
+    """A SimResult carrying only the payoffs and their mean and SE."""
+    payoffs = np.asarray(payoffs, dtype=float)
+    n = payoffs.size
+    return SimResult(estimate=float(np.mean(payoffs)),
+                     std_error=float(np.std(payoffs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                     initial_jump=0.0, truncation_bound=0.0, frac_alive_at_horizon=0.0,
+                     config=SimConfig(n_paths=n), payoffs=payoffs, theta=None,
+                     terminal_u=np.zeros(n), terminal_pi=np.zeros(n), counters={})
+
+
+@pytest.mark.parametrize("vhat, mc_ok", [(1.0, True), (2.0, False)])
+def test_estimates_checks(vhat, mc_ok):
+    # reflecting mean 1 (SE 0.204); paired differences -0.5 (SE 0.102) from
+    # stop_at_c and 0.75 (SE 0.204) from full_now: stop_at_c beats the
+    # reflecting strategy by 4.9 paired SE, and the paired estimate 1.5 - 0.5
+    # is 1
+    res = _result([1.0, 1.5, 0.5, 1.0])
+    stop = _result([1.5, 1.75, 1.25, 1.5])
+    full = _result([0.25] * 4)
+    doc, checks = estimates(res, stop, full, 1.5, vhat)
+    se = math.sqrt(0.125 / 3.0) / 2.0
+    assert doc["diff_vs_stop_at_c"] == pytest.approx({"mean": -0.5, "se": se}, rel=1e-15)
+    assert doc["diff_vs_full_now"] == pytest.approx({"mean": 0.75, "se": 2.0 * se}, rel=1e-15)
+    assert doc["paired_estimate"]["estimate"] == 1.0
+    assert doc["paired_estimate"]["abs_error_vs_value_hat"] == abs(1.0 - vhat)
+    assert doc["error_over_se"] == pytest.approx(abs(1.0 - vhat) / res.std_error)
+    assert (doc["value_hat"], doc["stop_at_c_reference"]) == (vhat, 1.5)
+    assert checks == {
+        "mc_within_3se": mc_ok,
+        "mc_paired_within_3se": mc_ok,
+        "not_below_stop_at_c": False,
+        "not_below_full_now": True,
+        "stop_matches_reference": True,
+    }
+
+
+def test_estimates_single_path_has_zero_se():
+    one = _result([0.5])
+    doc, checks = estimates(one, _result([0.25]), _result([0.75]), 0.25, 0.5)
+    assert doc["diff_vs_stop_at_c"] == {"mean": 0.25, "se": 0.0}
+    assert doc["paired_estimate"]["error_over_se"] == 0.0
+    assert checks["not_below_stop_at_c"] and not checks["not_below_full_now"]
 
 
 @pytest.mark.parametrize(

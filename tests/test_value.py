@@ -26,7 +26,6 @@ from investlearn.value import (
     TOL_SMOOTH_FIT,
     ValueSurface,
     _Evaluation,
-    build_surface,
     learning_premium_check,
     low_discrepancy_samples,
     pde_residual_sweep,
@@ -40,12 +39,12 @@ HYP = HyperbolicGamma(A=1.25, beta=0.2)
 
 @pytest.fixture(scope="module")
 def linear_surface():
-    return build_surface(LINEAR, PARAMS)
+    return ValueSurface(solve_boundary(LINEAR, PARAMS))
 
 
 @pytest.fixture(scope="module")
 def hyperbolic_surface():
-    return build_surface(HYP, PARAMS)
+    return ValueSurface(solve_boundary(HYP, PARAMS))
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +144,7 @@ def test_verify_passes_near_family_edges(spec, params):
     # (D -> 1, A -> 1 + beta, steep gamma near u = 0, huge gamma) or of the
     # model's (k -> 1, r -> 0), where the boundary derivatives are hardest
     # to resolve
-    report = verify_surface(build_surface(spec, params, grid_size=2001))
+    report = verify_surface(ValueSurface(solve_boundary(spec, params, grid_size=2001)))
     assert report.checks() == {
         "pde": True, "smooth_fit": True, "c1_pasting": True,
         "gradient_bound": True, "learning_premium": True, "all": True}
@@ -153,7 +152,7 @@ def test_verify_passes_near_family_edges(spec, params):
 
 def test_pde_sweep_with_no_sample_above():
     # b >= 0.99989 everywhere, beyond the sweep's 1 - 1e-3 reach in pi
-    surface = build_surface(LinearNoise(C=0.5, D=0.3), ModelParams(r=1e-3, k=0.98))
+    surface = ValueSurface(solve_boundary(LinearNoise(C=0.5, D=0.3), ModelParams(r=1e-3, k=0.98)))
     assert float(surface.curve.b_values[0]) > 0.999
     pde = pde_residual_sweep(_Evaluation(surface, *low_discrepancy_samples()))
     assert pde.n_above == 0 and pde.max_above_signed == 0.0
@@ -255,7 +254,7 @@ def test_log_value_matches_value(linear_surface):
 def test_positivity_survives_underflow():
     # at A = 50 gamma is so large that A G underflows to 0 in the sample
     # sweep; in log space the value is still positive.
-    surface = build_surface(HyperbolicGamma(A=50.0, beta=0.2), PARAMS)
+    surface = ValueSurface(solve_boundary(HyperbolicGamma(A=50.0, beta=0.2), PARAMS))
     report = verify_surface(surface)
     assert surface.value(0.0, 0.01) == 0.0
     assert -np.inf < surface.log_value(0.0, 0.01) < -1000.0
@@ -269,8 +268,8 @@ def test_verify_passes_at_large_gamma_logit(r):
     # k = 0.98 puts b near 1, where gamma logit(b) is large enough that
     # G(u, b) overflows and A(u) underflows on their own; formed as one
     # ratio x exp(log G(u, pi) - log G(u, b)) the surface passes every check
-    report = verify_surface(build_surface(HyperbolicGamma(A=50.0, beta=0.2),
-                                          ModelParams(r=r, k=0.98)))
+    report = verify_surface(ValueSurface(solve_boundary(HyperbolicGamma(A=50.0, beta=0.2),
+                                                        ModelParams(r=r, k=0.98))))
     assert report.checks() == {
         "pde": True, "smooth_fit": True, "c1_pasting": True,
         "gradient_bound": True, "learning_premium": True, "all": True}
@@ -289,7 +288,7 @@ def test_near_constant_noise_degenerates_to_stopping():
     # coefficient (1 - u)(c - k)/G(u, c) and the value collapses onto
     # (1 - u) times the per-unit stopping value
     spec = LinearNoise(C=0.25, D=1e-8)
-    surface = build_surface(spec, PARAMS, grid_size=4001)
+    surface = ValueSurface(solve_boundary(spec, PARAMS, grid_size=4001))
     for u in (0.1, 0.5, 0.9):
         c = float(stopping_threshold_c(spec, PARAMS, u))
         coeff = (1.0 - u) * (c - PARAMS.k) / float(fundamental_G(spec, PARAMS, u, c))
@@ -314,7 +313,7 @@ def test_verify_passes_on_fitted_tables(spec, n):
     for r in (1e-3, 0.1, 1.0):
         tab = Tabulated.from_rho2(spec.rho2(np.linspace(0.0, 1.0, n), r))
         for k in (0.1, 0.5, 0.98):
-            report = verify_surface(build_surface(tab, ModelParams(r=r, k=k)))
+            report = verify_surface(ValueSurface(solve_boundary(tab, ModelParams(r=r, k=k))))
             if not report.passed:
                 failed.append((r, k, [name for name, ok in report.checks().items() if not ok]))
     assert failed == []
