@@ -32,7 +32,7 @@ prices an expansion along the boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -113,8 +113,9 @@ class BoundaryCurve:
 
     slopes holds m_j = F(u_j, b_j).  monotone is the exact certificate (no
     slack) that b strictly increases over the knots and every slope is
-    positive, so that the inverse h is well defined.  rk4_stages counts the
-    RHS evaluations of the solve that made the curve, 0 for a loaded one.
+    positive, so that the inverse h is well defined; without it `_h`, which
+    every reader of h goes through, raises ValueError.  rk4_stages counts
+    the RHS evaluations of the solve that made the curve, 0 for a loaded one.
     """
 
     u_grid: np.ndarray
@@ -136,6 +137,8 @@ class BoundaryCurve:
 
     @cached_property
     def _h(self) -> _Hermite:
+        if not self.monotone:
+            raise ValueError("boundary is not strictly increasing; inverse undefined")
         return _Hermite(self.b_values, self.u_grid, 1.0 / self.slopes)
 
     @cached_property
@@ -162,14 +165,10 @@ class BoundaryCurve:
         0 left of b(0), 1 right of b(1), the cubic Hermite interpolant of
         the inverse in between.  Requires the monotone certificate.
         """
-        if not self.monotone:
-            raise ValueError("boundary is not strictly increasing; inverse undefined")
         return self._h(pi)
 
     def h_slope(self, pi):
         """h'(pi) of the inverse interpolant, 1 / F(u_j, b_j) at the knots."""
-        if not self.monotone:
-            raise ValueError("boundary is not strictly increasing; inverse undefined")
         return self._h.derivative(pi)
 
     @property
@@ -191,6 +190,11 @@ class BoundaryCurve:
             "terminal_b": float(self.b_values[-1]),
             "monotone": self.monotone,
         }
+
+    def report(self) -> dict:
+        """The solve report: `conditions.json`, which the sidecar also carries."""
+        return {"conditions": asdict(self.conditions), "observed": self.observed_summary(),
+                "monotone": self.monotone, "n_projections": self.n_projections}
 
     def counters(self) -> dict:
         """Work counters of the curve, as the run manifests record them."""
@@ -341,10 +345,7 @@ def save_curve(curve: BoundaryCurve, csv_path: Union[str, Path]) -> Path:
         "model": {"r": curve.params.r, "k": curve.params.k},
         "rate": curve.spec.describe(),
         "grid_size": int(curve.grid_size),
-        "monotone": curve.monotone,
-        "n_projections": int(curve.n_projections),
-        "conditions": curve.conditions.to_dict(),
-        "observed": curve.observed_summary(),
+        **curve.report(),
     }
     hpath = csv_path.with_suffix(".json")
     write_json(hpath, header)

@@ -13,13 +13,14 @@ curve's checks and counters (`BoundaryCurve.checks`, `counters`: RK4
 stages, none for a loaded curve, and projections), `verify` the diagnostic
 report's checks with the curve's counters and the points the diagnostics
 sampled, `simulate` the checks of `simulate.estimates` and each stepped
-strategy's counters, and `discrete` and `compare` the ladder's counters.
-Each command returns (exit code, outputs, checks, counters) and writes only
-its artifacts; `main` writes the one manifest, atomically (temp file +
-rename) at the end of the run.  A run stopped by a numerical failure
-(exit 1) still writes one, with no outputs and the single check
-`completed: false`.  Every artifact except the manifest's wall-clock field
-is byte-deterministic given the config and seed.
+strategy's counters, `discrete` the ladder's counters, and `compare` the
+ladder's and the curve's.  Each command returns (exit code, outputs,
+checks, counters) and writes only its artifacts; `main` writes the one
+manifest, atomically (temp file + rename) at the end of the run.  A run
+stopped by a numerical failure (exit 1) still writes one, with no outputs
+and the single check `completed: false`.  Every artifact except the
+manifest's wall-clock field is byte-deterministic given the config and
+seed.
 """
 
 import argparse
@@ -102,13 +103,7 @@ def _report(quiet: bool, checks: dict) -> int:
 def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
     save_curve(curve, out / "boundary.csv")
-    report = {
-        "conditions": curve.conditions.to_dict(),
-        "observed": curve.observed_summary(),
-        "monotone": curve.monotone,
-        "n_projections": curve.n_projections,
-    }
-    write_json(out / "conditions.json", report)
+    write_json(out / "conditions.json", curve.report())
     _say(quiet, f"wrote {out / 'boundary.csv'}")
     _say(quiet, f"monotone={curve.monotone} route={curve.conditions.route}")
     return (EXIT_OK, ["boundary.csv", "boundary.json", "conditions.json"],
@@ -210,7 +205,8 @@ def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> Result:
               np.arange(ladder.n_levels + 1), ladder.u_levels, ladder.b, b_cont,
               ladder.b - b_cont)
     _say(quiet, f"wrote {out / 'compare.csv'}")
-    return EXIT_OK, ["compare.csv"], {"completed": True}, {"ladder": ladder.counters()}
+    return (EXIT_OK, ["compare.csv"], {"completed": True},
+            {"ladder": ladder.counters(), "curve": curve.counters()})
 
 
 def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> Result:

@@ -248,10 +248,7 @@ def ladder_from_spec(spec: RateSpec, params: ModelParams, n_levels: int) -> Disc
     """
     if n_levels < 0:
         raise ConfigError("ladder needs a nonnegative number of expansion steps")
-    if n_levels == 0:
-        u = np.array([0.0])
-    else:
-        u = np.arange(n_levels + 1) / n_levels
+    u = np.arange(n_levels + 1) / max(n_levels, 1)
     return solve_ladder(np.asarray(gamma_of(spec, params, u), dtype=float), params)
 
 

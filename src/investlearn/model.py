@@ -354,20 +354,6 @@ def gamma(spec: RateSpec, params: ModelParams, u: ArrayLike) -> np.ndarray:
     return spec.gamma_derivs(u, params.r)[0]
 
 
-def G_of_gamma(g: ArrayLike, pi: ArrayLike) -> np.ndarray:
-    """G = (1-pi) (pi/(1-pi))^g for exponent values g; pi strictly inside (0, 1).
-
-    Its pi-derivatives are closed form, G_pi = G (g - pi) / (pi (1-pi)) and
-    G_pipi = G g (g - 1) / (pi (1-pi))^2, which the diagnostics use instead
-    of differencing in pi.
-    """
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ValueError("pi must lie strictly in (0, 1)")
-    # exp/log form keeps precision for pi near either end
-    return (1.0 - pi) * np.exp(g * (np.log(pi) - np.log1p(-pi)))
-
-
 def logit(pi: ArrayLike) -> np.ndarray:
     """log(pi / (1 - pi)) for pi strictly inside (0, 1)."""
     return np.log(pi) - np.log1p(-pi)
@@ -382,11 +368,13 @@ def log_G(g: ArrayLike, pi: ArrayLike) -> np.ndarray:
 
 
 def fundamental_G(spec: RateSpec, params: ModelParams, u: ArrayLike, pi: ArrayLike) -> np.ndarray:
-    """Increasing solution G(u, pi) = (1-pi) (pi/(1-pi))^gamma(u) of the killed generator.
-
-    pi must lie strictly inside (0, 1).
+    """Increasing solution G(u, pi) = (1-pi) (pi/(1-pi))^gamma(u) of the killed
+    generator, as exp(log_G(gamma(u), pi)); pi must lie strictly inside (0, 1).
     """
-    return G_of_gamma(gamma(spec, params, u), pi)
+    pi = np.asarray(pi, dtype=float)
+    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+        raise ValueError("pi must lie strictly in (0, 1)")
+    return np.exp(log_G(gamma(spec, params, u), pi))
 
 
 def _threshold_c(g: ArrayLike, k: float) -> np.ndarray:
@@ -485,9 +473,6 @@ class ConditionReport:
     route: str
     max_cond1_lhs: float
     max_gamma_second: float
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def check_conditions(spec: RateSpec, params: ModelParams) -> ConditionReport:

@@ -65,7 +65,7 @@ generator gathers OS entropy it would then discard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -111,8 +111,12 @@ def estimates(res: SimResult, stop: SimResult, full: SimResult, ref: float,
     estimates and vhat the surface value at the start.  stop_at_c is a
     control variate with a known mean (Glasserman 2003, 4.1): the paired
     estimate is ref plus the mean paired difference from it, with that
-    difference's SE.  Each check allows SE_MULTIPLE standard errors.
+    difference's SE.  Each check allows SE_MULTIPLE standard errors.  A
+    run of fewer than two paths has no standard error and raises
+    ConfigError.
     """
+    if res.payoffs.size < 2:
+        raise ConfigError(f"simulate needs n_paths >= 2 for a standard error, got {res.payoffs.size}")
     d_stop, se_stop = _mean_se(res.payoffs - stop.payoffs)
     d_full, se_full = _mean_se(res.payoffs - full.payoffs)
     err = abs(res.estimate - vhat)
@@ -217,18 +221,14 @@ class SimResult:
     counters: dict  # deterministic work counts of the run, for the manifest
 
     def summary(self) -> dict:
+        """The scalar results and the run's config, as `estimates.json` holds them."""
         return {
             "estimate": self.estimate,
             "std_error": self.std_error,
             "initial_jump": self.initial_jump,
             "truncation_bound": self.truncation_bound,
             "frac_alive_at_horizon": self.frac_alive_at_horizon,
-            "n_paths": self.config.n_paths,
-            "dt": self.config.dt,
-            "horizon": self.config.horizon,
-            "seed": self.config.seed,
-            "start_u": self.config.start_u,
-            "start_pi": self.config.start_pi,
+            **asdict(self.config),
         }
 
 
@@ -521,8 +521,6 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
     U grows to h(expit(M)); Pi rode the boundary meanwhile, so the step pays
     the integral of b(u) - k over the growth, discounted at the midpoint.
     """
-    if not curve.monotone:
-        raise ValueError("reflecting strategy needs a strictly increasing boundary")
     r, k = curve.params.r, curve.params.k
     u_start = max(cfg.start_u, float(curve.h_at(cfg.start_pi)))
     jump = (cfg.start_pi - k) * (u_start - cfg.start_u) if u_start > cfg.start_u else 0.0
@@ -656,9 +654,6 @@ class CalibrationReport:
     decile_mean_theta: List[float]
     decile_se: List[float]
     calibration_ok: bool
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def filter_calibration(

@@ -152,8 +152,7 @@ class ValueSurface:
     """Closed-form candidate value built on a solved boundary curve."""
 
     def __init__(self, curve: BoundaryCurve):
-        if not curve.monotone:
-            raise ValueError("value surface needs a strictly increasing boundary")
+        curve._h  # the inverse, built here: ValueError if the curve has none
         self.curve = curve
         self.spec = curve.spec
         self.params = curve.params
@@ -210,6 +209,16 @@ class PdeResidualReport:
         return self.max_below_rel <= TOL_PDE_BELOW_REL and self.max_above_signed <= TOL_PDE_ABOVE
 
 
+def _worst(x, u, pi, side=None):
+    """(max of x, (u, pi) where it occurs) over the points of the mask `side`,
+    or all points; argmax takes the first NaN, so a NaN comes through.  A
+    side without points (b close to 0 or 1) reads 0.0 at None."""
+    i = int(np.argmax(x if side is None else np.where(side, x, -np.inf)))
+    if side is not None and not side[i]:
+        return 0.0, None
+    return float(x[i]), (float(u[i]), float(pi[i]))
+
+
 def pde_residual_sweep(ev: _Evaluation) -> PdeResidualReport:
     """Signed generator residual (rho^2/2) pi^2 (1-pi)^2 V_pipi - r V over an
     evaluation at the sample sweep.
@@ -223,14 +232,8 @@ def pde_residual_sweep(ev: _Evaluation) -> PdeResidualReport:
     p, u, pi = ev.surface.params, ev.u, ev.pi
     res = 0.5 * ev.surface.spec.rho2(u, p.r) * pi**2 * (1.0 - pi) ** 2 * ev.v_pipi - p.r * ev.v
     rel = np.abs(res) / np.maximum(1.0, p.r * np.abs(ev.v))
-
-    # a boundary close to 0 or 1 can leave one side without samples; its max
-    # reads 0 and has no location
-    def worst(x, side):
-        i = int(np.argmax(np.where(side, x, -np.inf)))  # a NaN on the side wins
-        return (float(x[i]), (float(u[i]), float(pi[i]))) if side[i] else (0.0, None)
-
-    (below_max, below_at), (above_max, above_at) = worst(rel, ev.below), worst(res, ev.above)
+    below_max, below_at = _worst(rel, u, pi, ev.below)
+    above_max, above_at = _worst(res, u, pi, ev.above)
     return PdeResidualReport(
         n_samples=u.size,
         n_below=int(np.count_nonzero(ev.below)),
@@ -279,9 +282,8 @@ def gradient_bound_check(ev: _Evaluation) -> SweepReport:
     Equality holds above the boundary, strict inequality below; this is the
     marginal-value bound that makes the reflecting control admissible.
     """
-    viol = ev.v_u - (ev.surface.params.k - ev.pi)
-    i = int(np.argmax(viol))
-    return SweepReport(ev.u.size, float(viol[i]), float(ev.u[i]), float(ev.pi[i]))
+    worst, at = _worst(ev.v_u - (ev.surface.params.k - ev.pi), ev.u, ev.pi)
+    return SweepReport(ev.u.size, worst, *at)
 
 
 def learning_premium_check(ev: _Evaluation) -> SweepReport:
@@ -295,9 +297,8 @@ def learning_premium_check(ev: _Evaluation) -> SweepReport:
     spec, p = ev.surface.spec, ev.surface.params
     g = ev.g.copy()
     g[ev.above] = gamma(spec, p, ev.u[ev.above])
-    gap = (1.0 - ev.u) * stopping_value_of_gamma(g, p.k, ev.pi) - ev.v
-    i = int(np.argmax(gap))
-    return SweepReport(ev.u.size, float(gap[i]), float(ev.u[i]), float(ev.pi[i]))
+    worst, at = _worst((1.0 - ev.u) * stopping_value_of_gamma(g, p.k, ev.pi) - ev.v, ev.u, ev.pi)
+    return SweepReport(ev.u.size, worst, *at)
 
 
 @dataclass(frozen=True)
@@ -381,26 +382,21 @@ def verify_surface(surface: ValueSurface) -> ValueCheckReport:
     mid = _Evaluation(surface, us)
     # two-branch continuity: the same points read through the pull-back
     continuity = float(np.max(np.abs(mid.v - _Evaluation(surface, us, mid.pi, above=True).v)))
-    vu, vupi = smooth_fit_residuals(mid)
-    c1 = c1_pasting_gap(mid)
-    pi_b = mid.pi
+    (vu, vu_at), (vupi, vupi_at), (c1, c1_at) = (
+        _worst(x, us, mid.pi) for x in (*smooth_fit_residuals(mid), c1_pasting_gap(mid)))
     del mid
-
-    def at_max(x):
-        i = int(np.argmax(x))
-        return float(us[i]), float(pi_b[i])
 
     sweep = _Evaluation(surface, *low_discrepancy_samples())
     return ValueCheckReport(
         n_samples=N_SAMPLES,
         n_boundary_points=us.size,
         pde=pde_residual_sweep(sweep),
-        smooth_fit_max_vu=float(np.max(vu)),
-        smooth_fit_max_vupi=float(np.max(vupi)),
-        c1_pasting_max=float(np.max(c1)),
-        smooth_fit_max_vu_at=at_max(vu),
-        smooth_fit_max_vupi_at=at_max(vupi),
-        c1_pasting_max_at=at_max(c1),
+        smooth_fit_max_vu=vu,
+        smooth_fit_max_vupi=vupi,
+        c1_pasting_max=c1,
+        smooth_fit_max_vu_at=vu_at,
+        smooth_fit_max_vupi_at=vupi_at,
+        c1_pasting_max_at=c1_at,
         gradient=gradient_bound_check(sweep),
         premium=learning_premium_check(sweep),
         continuity_max=continuity,

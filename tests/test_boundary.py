@@ -23,6 +23,8 @@ from investlearn.model import (
     Tabulated,
     stopping_threshold_c,
 )
+from investlearn.simulate import SimConfig, sample_trajectory, simulate_paired, simulate_reflecting
+from investlearn.value import ValueSurface
 
 PARAMS = ModelParams(r=0.1, k=0.5)
 LINEAR = LinearNoise(C=0.25, D=0.9)
@@ -98,6 +100,29 @@ def test_nonmonotone_flag():
     # rho(1) agrees with the linear-noise family, so the terminal point does too
     assert float(curve.b_values[-1]) == pytest.approx(0.9351941398892446, rel=1e-6)
     assert np.min(curve.b_values) < 0.72
+
+
+# every reader of the inverse h reaches it through BoundaryCurve._h, the one
+# gate that refuses a curve without the monotone certificate
+INVERSE_READERS = {
+    "h_at": lambda curve, cfg: curve.h_at(0.7),
+    "h_slope": lambda curve, cfg: curve.h_slope(0.7),
+    "simulate_reflecting": simulate_reflecting,
+    "simulate_paired": simulate_paired,
+    "sample_trajectory": sample_trajectory,
+    "ValueSurface": lambda curve, cfg: ValueSurface(curve),
+}
+
+
+@pytest.fixture(scope="module")
+def nonmonotone_curve():
+    return solve_boundary(nonmonotone_spec(), PARAMS)
+
+
+@pytest.mark.parametrize("reader", list(INVERSE_READERS))
+def test_nonmonotone_curve_fails_inverse_gate(nonmonotone_curve, reader):
+    with pytest.raises(ValueError, match="not strictly increasing; inverse undefined"):
+        INVERSE_READERS[reader](nonmonotone_curve, SimConfig(n_paths=4, horizon=1.0))
 
 
 @pytest.mark.parametrize("spec", [LINEAR, HYP], ids=["linear", "hyperbolic"])

@@ -85,6 +85,10 @@ def test_solve_outputs_and_manifest(tmp_path):
     cond = json.loads((out / "conditions.json").read_text())
     assert cond["monotone"] is True
     assert cond["conditions"]["route"] == "boundary_above_k"
+    # the sidecar carries the same solve report
+    header = json.loads((out / "boundary.json").read_text())
+    assert {key: header[key] for key in cond} == cond
+    assert set(cond) == {"conditions", "observed", "monotone", "n_projections"}
 
 
 def test_solve_missing_k_exits_2_without_output(tmp_path):
@@ -390,6 +394,16 @@ def test_simulate_nonmonotone_exits_1(tmp_path):
     assert man["checks"] == {"monotone": False}
 
 
+def test_simulate_single_path_exits_2(tmp_path):
+    # one path has no standard error for the Monte Carlo checks to use
+    doc = {**BASE, "sim": {"n_paths": 1, "horizon": 1.0}}
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out),
+               "--quiet"])
+    assert rc == 2
+    assert not (out / "estimates.json").exists()
+
+
 def test_discrete_from_levels(tmp_path):
     doc = {**BASE, "rate": {"family": "hyperbolic_gamma", "A": 1.25, "beta": 0.2},
            "ladder": {"n_levels": 5}}
@@ -538,7 +552,9 @@ def test_compare_writes_table(tmp_path):
     lines = (out / "compare.csv").read_text().strip().splitlines()
     assert lines[0] == "n,u_n,b_ladder,b_continuous,difference"
     assert len(lines) == 7
-    assert read_manifest(out)["counters"]["ladder"]["levels"] == 6
+    counters = read_manifest(out)["counters"]
+    assert counters["ladder"]["levels"] == 6
+    assert counters["curve"] == {"rk4_stages": 4 * 500, "projections": 0}
 
 
 def test_compare_reads_boundary_csv(tmp_path, solved):
@@ -554,6 +570,8 @@ def test_compare_reads_boundary_csv(tmp_path, solved):
     u_n, b_cont = rows[:, 1], rows[:, 3]
     assert np.array_equal(b_cont, load_curve(shrunk / "boundary.csv").b_at(u_n))
     assert not np.array_equal(b_cont, load_curve(solved / "boundary.csv").b_at(u_n))
+    # a loaded curve ran no RK4 stages
+    assert read_manifest(out)["counters"]["curve"] == {"rk4_stages": 0, "projections": 0}
 
 
 @pytest.fixture()

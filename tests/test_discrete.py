@@ -23,7 +23,6 @@ from investlearn.discrete import (
 )
 from investlearn.model import (
     ConfigError,
-    G_of_gamma,
     HyperbolicGamma,
     LinearNoise,
     ModelParams,
@@ -199,7 +198,7 @@ def test_verification_suite_rejects_shifted_threshold(hyp_ladder):
     b, A = hyp_ladder.b.copy(), hyp_ladder.A.copy()
     b[2] *= 1.001
     A[2] = (b[2] - PARAMS.k + hyp_ladder.value(3, b[2])) / float(
-        G_of_gamma(hyp_ladder.gamma[2], b[2]))
+        np.exp(log_G(hyp_ladder.gamma[2], b[2])))
     rep = discrete_verification_suite(_with(hyp_ladder, b, A))
     assert rep.checks()["bellman"] is False
     assert rep.checks()["smooth_fit"] is False

@@ -4,6 +4,8 @@ Expected numbers marked '40-digit arithmetic' were computed once with
 mpmath at mp.dps = 40 and frozen here.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ def test_condition_sign_test_scales_with_gamma():
 
 
 def test_condition_report_dict_keys():
-    d = check_conditions(LINEAR, PARAMS).to_dict()
+    d = asdict(check_conditions(LINEAR, PARAMS))
     assert "route" in d
 
 

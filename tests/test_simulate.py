@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import investlearn.simulate as sim_mod
 from investlearn.boundary import BoundaryCurve, solve_boundary
-from investlearn.model import LinearNoise, ModelParams, Tabulated, rho, stopping_threshold_c
+from investlearn.model import (ConfigError, LinearNoise, ModelParams, Tabulated, rho,
+                               stopping_threshold_c)
 from investlearn.simulate import (
     SimConfig,
     SimResult,
@@ -436,7 +438,7 @@ def test_filter_calibration(linear_curve):
     assert abs(rep.mean_pi - 0.5) <= 3.0 * rep.se_pi
     assert len(rep.decile_mean_pi) == 10
     assert len(rep.decile_mean_theta) == 10
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["n_paths"] == 4000
     assert d["calibration_ok"] is True
 
@@ -492,12 +494,10 @@ def test_estimates_checks(vhat, mc_ok):
     }
 
 
-def test_estimates_single_path_has_zero_se():
-    one = _result([0.5])
-    doc, checks = estimates(one, _result([0.25]), _result([0.75]), 0.25, 0.5)
-    assert doc["diff_vs_stop_at_c"] == {"mean": 0.25, "se": 0.0}
-    assert doc["paired_estimate"]["error_over_se"] == 0.0
-    assert checks["not_below_stop_at_c"] and not checks["not_below_full_now"]
+def test_estimates_rejects_single_path():
+    # one path has no standard error, so no check can be judged
+    with pytest.raises(ConfigError, match="n_paths >= 2"):
+        estimates(_result([0.5]), _result([0.25]), _result([0.75]), 0.25, 0.5)
 
 
 @pytest.mark.parametrize(
