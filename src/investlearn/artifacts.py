@@ -5,17 +5,28 @@ Python scalar (ints stay ints, floats come out in shortest round-trip form),
 so identical data gives identical bytes and reads back bit for bit.  The
 bytes are those of csv.writer's default dialect on these cells: the header
 names and the cells joined by commas, unquoted (no repr of a number or bool
-holds a comma, quote or line break), each line ending in \r\n.  write_csv
-formats the lines itself, without csv.writer's per-cell quoting checks;
-write_grid_csv writes the rows of a product grid in the same format and
-formats each grid value once, not once per row it appears in.  A JSON
-document is indented, key-sorted and ends in a newline.
+holds a comma, quote or line break), each line ending in \r\n.
+
+The writers format a column with one repr of its list of Python scalars,
+split on ", " (a list's repr is the repr of each item), and write the rows
+BLOCK_ROWS at a time, so that no more than one block of row strings is held
+at once.  write_grid_csv writes the rows of a product grid in the same
+format and formats each grid value once, not once per row it appears in.
+
+read_csv parses the header with csv.reader and the body with numpy's C
+reader (np.loadtxt).  It reads what csv.reader and float() read, padded and
+quoted cells, nan, inf and blank lines included, with one narrowing: a cell
+float() takes only through its Python-specific syntax, underscores between
+digits ("1_0") or non-ASCII digits, is rejected.
+
+A JSON document is indented, key-sorted and ends in a newline.
 """
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -23,51 +34,76 @@ from .model import ConfigError
 
 PathLike = Union[str, Path]
 
+# rows formatted and written at a time
+BLOCK_ROWS = 1024
+
+
+def _cells(values) -> List[str]:
+    """The repr of each scalar of the 1-D values."""
+    text = repr(np.asarray(values).tolist())[1:-1]
+    return text.split(", ") if text else []
+
+
+def _write_rows(path: PathLike, header: Sequence[str], n_rows: int,
+                block: Callable[[int, int], Sequence]) -> None:
+    """Write the header, then rows lo..hi-1 from block(lo, hi), their cell columns."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            rows = map(",".join, zip(*block(lo, min(lo + BLOCK_ROWS, n_rows))))
+            fh.write("\r\n".join(rows) + "\r\n")
+
 
 def write_csv(path: PathLike, header: Sequence[str], *columns) -> None:
     """Write the header, then one row per index of the equal-length columns."""
-    row = ",".join(["%r"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(row.__mod__, zip(*(np.asarray(col).tolist() for col in columns))))
+    cols = [np.asarray(col) for col in columns]
+    _write_rows(path, header, min((len(col) for col in cols), default=0),
+                lambda lo, hi: [_cells(col[lo:hi]) for col in cols])
 
 
 def write_grid_csv(path: PathLike, header: Sequence[str], x, y, z) -> None:
     """Write the rows (x_i, y_j, z_ij), x-major, of z given in that order:
     the bytes of write_csv on x repeated, y tiled and z flattened."""
-    ys = [f"{v!r}," for v in np.asarray(y).tolist()]
-    rows = np.asarray(z).reshape(len(x), len(ys)).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for xv, zs in zip(np.asarray(x).tolist(), rows):
-            head = f"{xv!r},"
-            fh.writelines(head + yv + f"{zv!r}\r\n" for yv, zv in zip(ys, zs))
+    xs, ys = (np.array(_cells(v), dtype=object) for v in (x, y))
+    z = np.asarray(z).reshape(xs.size * ys.size)
+
+    def block(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), ys.size)
+        return xs[i], ys[j], _cells(z[lo:hi])
+
+    _write_rows(path, header, z.size, block)
 
 
 def read_csv(path: PathLike, header: Sequence[str]) -> np.ndarray:
     """The data rows of a CSV with this header, as a float array of its columns.
 
-    Raises ConfigError naming the file if it cannot be read, is empty, has
-    another header, has no data rows, or has a ragged or non-numeric row.
+    Blank lines are skipped.  Raises ConfigError naming the file if it
+    cannot be read, is empty, has another header, has no data rows, or has
+    a ragged or non-numeric row.
     """
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            head = next((row for row in csv.reader(fh) if row), None)
+            if head is None:
+                raise ConfigError(f"{path}: empty CSV")
+            if [h.strip() for h in head] != list(header):
+                raise ConfigError(f"{path}: expected columns {list(header)}, got {head}")
+            # the first data line is found here, since loadtxt only warns
+            # on a body without one
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            if first is None:
+                raise ConfigError(f"{path}: no data rows")
+            data = np.loadtxt(chain([first], fh), delimiter=",", comments=None, quotechar='"',
+                              ndmin=2)
+    except ConfigError:
+        raise
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"{path}: empty CSV")
-    if [h.strip() for h in rows[0]] != list(header):
-        raise ConfigError(f"{path}: expected columns {list(header)}, got {rows[0]}")
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: no data rows")
-    ragged = next((row for row in rows if len(row) != len(header)), None)
-    if ragged is not None:
-        raise ConfigError(f"{path}: row {ragged} has {len(ragged)} fields, expected {len(header)}")
-    try:
-        return np.array(rows[1:], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric row: {exc}") from exc
+    except ValueError as exc:  # from loadtxt: a ragged row or a cell that is no number
+        raise ConfigError(f"{path}: ragged or non-numeric row: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: rows have {data.shape[1]} fields, expected {len(header)}")
+    return data
 
 
 def write_json(path: PathLike, obj) -> None:

@@ -147,6 +147,10 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     return _report(quiet, checks), ["verify_report.json", "surface.csv"], checks, counters
 
 
+def _in_se(ratio: Optional[float]) -> str:
+    return "n/a se" if ratio is None else f"{ratio:.2f} se"
+
+
 def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     curve = _load_or_solve(cfg, quiet)
     if not curve.monotone:
@@ -166,9 +170,9 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
         outputs.append("paths.csv")
     paired = doc["paired_estimate"]
     _say(quiet, f"reflecting estimate {res.estimate:.6f} +/- {res.std_error:.6f}"
-                f" vs value {vhat:.6f} ({doc['error_over_se']:.2f} se)")
+                f" vs value {vhat:.6f} ({_in_se(doc['error_over_se'])})")
     _say(quiet, f"paired estimate {paired['estimate']:.6f} +/- {paired['se']:.6f}"
-                f" ({paired['error_over_se']:.2f} se)")
+                f" ({_in_se(paired['error_over_se'])})")
     _report(quiet, checks)  # a failed Monte Carlo check is recorded, not an exit 1
     return EXIT_OK, outputs, checks, {"reflecting": res.counters, "stop_at_c": stop.counters}
 

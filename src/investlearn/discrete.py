@@ -49,7 +49,8 @@ from typing import Callable, List, Tuple, Union
 import numpy as np
 
 from .artifacts import write_csv
-from .model import ConfigError, ModelParams, RateSpec, SIGN_TOL, _threshold_c, gamma as gamma_of, log_G
+from .model import (ConfigError, ModelParams, RateSpec, SIGN_TOL, _threshold_c, _worst,
+                    gamma as gamma_of, log_G)
 
 # The root finder stops at |f_n| <= max(ROOT_F_TOL, ROOT_F_REL 2 gamma_n k)
 # (root_tol): 2 gamma_n k is the size of f_n's terms at its root, and their
@@ -353,13 +354,9 @@ def discrete_verification_suite(ladder: DiscreteLadder) -> DiscreteCheckReport:
     held = np.exp(ladder.log_A + log_G(g, b))
     held_slope = held * (g - b) / (b * (1.0 - b))
 
-    # per-level (maximum, n, pi), reduced by argmax, which takes the first
-    # NaN, so that a NaN anywhere comes through and fails its check
+    # each check's values level by level, the grid's then b_n's, so that the
+    # first NaN and the first of equal maxima come first in level order
     bellman, gen, fit = [], [], []
-
-    def grid_max(x, n):
-        i = int(np.argmax(x))
-        return x[i], n, pis[i]
 
     # each V_n is looked up once: level n reads its own and the one above,
     # which level n + 1 reads as its own
@@ -368,20 +365,20 @@ def discrete_verification_suite(ladder: DiscreteLadder) -> DiscreteCheckReport:
     for n in range(N + 1):
         look_up = ladder._lookup(n + 1, pis)
         v_up = ladder._derivative(n + 1, pis, 0, look_up)
-        bellman.append(grid_max(v_up + pis - ladder.k - vn, n))
         v2 = ladder._derivative(n, pis, 2, look)
-        gen.append(grid_max(0.5 * ladder.rho2(n) * pis**2 * (1.0 - pis) ** 2 * v2 - ladder.r * vn, n))
+        gen.append(0.5 * ladder.rho2(n) * pis**2 * (1.0 - pis) ** 2 * v2 - ladder.r * vn)
         # V_n holds only for pi < b_n, so at b_n itself value and _derivative
         # give the stopped branch (b_n - k) + V_{n+1}
-        bellman.append((abs(held[n] - ladder.value(n, b[n])), n, b[n]))
-        fit.append((abs(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0]), n, b[n]))
+        bellman.append(np.append(v_up + pis - ladder.k - vn, abs(held[n] - ladder.value(n, b[n]))))
+        fit.append(abs(held_slope[n] - ladder._derivative(n, b[n:n + 1], 1)[0]))
         look, vn = look_up, v_up
 
-    def worst(cands):
-        x, n, pi = cands[int(np.argmax([c[0] for c in cands]))]
-        return float(x), (n, float(pi))
-
-    (bellman, bellman_at), (gen, gen_at), (fit, fit_at) = map(worst, (bellman, gen, fit))
+    levels = np.arange(N + 1)
+    grid = np.broadcast_to(pis, (N + 1, N_PI))
+    bellman, bellman_at = _worst(np.concatenate(bellman), np.repeat(levels, N_PI + 1),
+                                 np.column_stack([grid, b]).ravel())
+    gen, gen_at = _worst(np.concatenate(gen), np.repeat(levels, N_PI), grid.ravel())
+    fit, fit_at = _worst(np.array(fit), levels, b)
     return DiscreteCheckReport(
         n_pi=N_PI,
         bellman_max_violation=bellman,

@@ -525,6 +525,17 @@ def check_conditions(spec: RateSpec, params: ModelParams) -> ConditionReport:
     )
 
 
+def _worst(x: np.ndarray, *where: np.ndarray, side=None):
+    """(max of x, the where columns at its index) over the points of the mask
+    side, or all points: the worst value of a check and where it occurs.
+    argmax takes the first NaN, so a NaN comes through.  A side without
+    points (b close to 0 or 1) reads 0.0 at None."""
+    i = int(np.argmax(x if side is None else np.where(side, x, -np.inf)))
+    if side is not None and not side[i]:
+        return 0.0, None
+    return float(x[i]), tuple(col[i].item() for col in where)
+
+
 # ---------------------------------------------------------------------------
 # config-document readers: every input field is checked by one of these
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def estimates(res: SimResult, stop: SimResult, full: SimResult, ref: float,
     estimate is ref plus the mean paired difference from it, with that
     difference's SE.  Each check allows SE_MULTIPLE standard errors.  A
     run of fewer than two paths has no standard error and raises
-    ConfigError.
+    ConfigError; an error over a zero SE (every payoff equal) is None.
     """
     if res.payoffs.size < 2:
         raise ConfigError(f"simulate needs n_paths >= 2 for a standard error, got {res.payoffs.size}")
@@ -129,14 +129,14 @@ def estimates(res: SimResult, stop: SimResult, full: SimResult, ref: float,
         "value_hat": vhat,
         "stop_at_c_reference": ref,
         "abs_error_vs_value_hat": err,
-        "error_over_se": err / res.std_error if res.std_error > 0 else 0.0,
+        "error_over_se": err / res.std_error if res.std_error > 0 else None,
         "diff_vs_stop_at_c": {"mean": d_stop, "se": se_stop},
         "diff_vs_full_now": {"mean": d_full, "se": se_full},
         "paired_estimate": {
             "estimate": paired,
             "se": se_stop,
             "abs_error_vs_value_hat": paired_err,
-            "error_over_se": paired_err / se_stop if se_stop > 0 else 0.0,
+            "error_over_se": paired_err / se_stop if se_stop > 0 else None,
         },
     }
     checks = {

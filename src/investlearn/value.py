@@ -38,7 +38,7 @@ import numpy as np
 
 from .boundary import BoundaryCurve
 # fundamental_G is not called here; bench/spans.py counts calls through this name
-from .model import fundamental_G, gamma, log_G, logit, stopping_value_of_gamma
+from .model import _worst, fundamental_G, gamma, log_G, logit, stopping_value_of_gamma
 
 TOL_PDE_BELOW_REL = 1e-6
 TOL_PDE_ABOVE = 1e-8
@@ -209,16 +209,6 @@ class PdeResidualReport:
         return self.max_below_rel <= TOL_PDE_BELOW_REL and self.max_above_signed <= TOL_PDE_ABOVE
 
 
-def _worst(x, u, pi, side=None):
-    """(max of x, (u, pi) where it occurs) over the points of the mask `side`,
-    or all points; argmax takes the first NaN, so a NaN comes through.  A
-    side without points (b close to 0 or 1) reads 0.0 at None."""
-    i = int(np.argmax(x if side is None else np.where(side, x, -np.inf)))
-    if side is not None and not side[i]:
-        return 0.0, None
-    return float(x[i]), (float(u[i]), float(pi[i]))
-
-
 def pde_residual_sweep(ev: _Evaluation) -> PdeResidualReport:
     """Signed generator residual (rho^2/2) pi^2 (1-pi)^2 V_pipi - r V over an
     evaluation at the sample sweep.
@@ -232,8 +222,8 @@ def pde_residual_sweep(ev: _Evaluation) -> PdeResidualReport:
     p, u, pi = ev.surface.params, ev.u, ev.pi
     res = 0.5 * ev.surface.spec.rho2(u, p.r) * pi**2 * (1.0 - pi) ** 2 * ev.v_pipi - p.r * ev.v
     rel = np.abs(res) / np.maximum(1.0, p.r * np.abs(ev.v))
-    below_max, below_at = _worst(rel, u, pi, ev.below)
-    above_max, above_at = _worst(res, u, pi, ev.above)
+    below_max, below_at = _worst(rel, u, pi, side=ev.below)
+    above_max, above_at = _worst(res, u, pi, side=ev.above)
     return PdeResidualReport(
         n_samples=u.size,
         n_below=int(np.count_nonzero(ev.below)),

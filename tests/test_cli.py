@@ -404,6 +404,22 @@ def test_simulate_single_path_exits_2(tmp_path):
     assert not (out / "estimates.json").exists()
 
 
+def test_simulate_zero_se_has_no_error_ratio(tmp_path, capsys):
+    # at horizon 0 every path pays 0 and every SE is 0, so no error is a
+    # number of standard errors
+    doc = {**BASE, "sim": {"n_paths": 4, "horizon": 0.0}}
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)])
+    assert rc == 0
+    est = json.loads((out / "estimates.json").read_text())
+    assert est["reflecting"]["std_error"] == 0.0 and est["paired_estimate"]["se"] == 0.0
+    assert est["abs_error_vs_value_hat"] > 0.0
+    assert est["error_over_se"] is None and est["paired_estimate"]["error_over_se"] is None
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(n/a se)") and lines[1].endswith("(n/a se)")
+    assert read_manifest(out)["checks"]["mc_within_3se"] is False
+
+
 def test_discrete_from_levels(tmp_path):
     doc = {**BASE, "rate": {"family": "hyperbolic_gamma", "A": 1.25, "beta": 0.2},
            "ladder": {"n_levels": 5}}

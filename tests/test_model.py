@@ -25,6 +25,7 @@ from investlearn.model import (
     stopping_threshold_c,
     stopping_value_v,
     zero_level_B,
+    _worst,
 )
 
 PARAMS = ModelParams(r=0.1, k=0.5)
@@ -281,3 +282,14 @@ def test_tabulated_rejects_degenerate_noise():
     bad[50] = np.nan
     with pytest.raises(ConfigError):
         Tabulated(bad)
+
+
+def test_worst_point_takes_first_nan_and_keeps_location_types():
+    x = np.array([1.0, 3.0, np.nan, 3.0, np.nan])
+    n, pi = np.array([0, 0, 1, 1, 2]), np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    worst, at = _worst(x, n, pi)
+    assert np.isnan(worst) and at == (1, 0.3) and type(at[0]) is int
+    # of equal maxima the first wins, and a mask limits the search
+    assert _worst(x[:2], n[:2], pi[:2]) == (3.0, (0, 0.2))
+    assert _worst(x, n, pi, side=np.array([True, False, False, True, False])) == (3.0, (1, 0.4))
+    assert _worst(x, n, pi, side=np.zeros(5, dtype=bool)) == (0.0, None)

@@ -494,6 +494,17 @@ def test_estimates_checks(vhat, mc_ok):
     }
 
 
+def test_estimates_zero_se_has_no_ratio():
+    # equal payoffs: the errors stand, but no SE can measure them
+    res, stop, full = _result([0.5] * 3), _result([0.25] * 3), _result([0.75] * 3)
+    doc, checks = estimates(res, stop, full, 0.5, 1.0)
+    assert doc["abs_error_vs_value_hat"] == 0.5
+    assert doc["error_over_se"] is None
+    assert doc["paired_estimate"] == {"estimate": 0.75, "se": 0.0,
+                                      "abs_error_vs_value_hat": 0.25, "error_over_se": None}
+    assert not checks["mc_within_3se"] and not checks["mc_paired_within_3se"]
+
+
 def test_estimates_rejects_single_path():
     # one path has no standard error, so no check can be judged
     with pytest.raises(ConfigError, match="n_paths >= 2"):
