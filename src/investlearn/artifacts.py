@@ -17,13 +17,16 @@ read_csv parses the header with csv.reader and the body with numpy's C
 reader (np.loadtxt).  It reads what csv.reader and float() read, padded and
 quoted cells, nan, inf and blank lines included, with one narrowing: a cell
 float() takes only through its Python-specific syntax, underscores between
-digits ("1_0") or non-ASCII digits, is rejected.
+digits ("1_0") or non-ASCII digits, is rejected.  A body loadtxt rejects is
+read again, a row at a time, to name the first bad row by its line in the
+file.
 
 A JSON document is indented, key-sorted and ends in a newline.
 """
 
 import csv
 import json
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Callable, List, Sequence, Union
@@ -74,12 +77,46 @@ def write_grid_csv(path: PathLike, header: Sequence[str], x, y, z) -> None:
     _write_rows(path, header, z.size, block)
 
 
+def _bad_row(path: PathLike) -> str:
+    """Why the body of the CSV at path fails to load: the first data row with
+    a cell that is no number, or with another number of fields than the
+    first data row, named by the 1-based line of the file it starts on.
+
+    A row runs on past a line end inside double quotes, as in loadtxt.  The
+    empty string if no row is at fault on its own.
+    """
+    fields, rows, text = None, 0, []
+    with open(path, newline="") as fh:
+        for n, line in enumerate(fh, 1):
+            if not text:
+                start = n
+            text.append(line)
+            if sum(part.count('"') for part in text) % 2:
+                continue
+            row, text = text, []
+            if not "".join(row).strip("\r\n"):
+                continue
+            rows += 1
+            if rows == 1:  # the header
+                continue
+            try:
+                got = np.loadtxt(row, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError as exc:
+                why = re.sub(r" at row \d+, column", " in column", str(exc)).rstrip(".")
+                return f"line {start}: {why}"
+            if fields is None:
+                fields = got.shape[1]
+            elif got.shape[1] != fields:
+                return f"line {start}: {got.shape[1]} fields where the first data row has {fields}"
+    return ""
+
+
 def read_csv(path: PathLike, header: Sequence[str]) -> np.ndarray:
     """The data rows of a CSV with this header, as a float array of its columns.
 
     Blank lines are skipped.  Raises ConfigError naming the file if it
     cannot be read, is empty, has another header, has no data rows, or has
-    a ragged or non-numeric row.
+    a ragged or non-numeric row, which it names by its line.
     """
     try:
         with open(path, newline="") as fh:
@@ -100,7 +137,8 @@ def read_csv(path: PathLike, header: Sequence[str]) -> np.ndarray:
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # from loadtxt: a ragged row or a cell that is no number
-        raise ConfigError(f"{path}: ragged or non-numeric row: {exc}") from exc
+        why = _bad_row(path) or f"ragged or non-numeric row: {exc}"
+        raise ConfigError(f"{path}: {why}") from exc
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: rows have {data.shape[1]} fields, expected {len(header)}")
     return data

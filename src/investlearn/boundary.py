@@ -35,7 +35,7 @@ import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class BoundaryCurve:
     @cached_property
     def _h(self) -> _Hermite:
         if not self.monotone:
-            raise ValueError("boundary is not strictly increasing; inverse undefined")
+            raise ValueError(f"{self.not_increasing_reason()}; inverse undefined")
         return _Hermite(self.b_values, self.u_grid, 1.0 / self.slopes)
 
     @cached_property
@@ -195,6 +195,22 @@ class BoundaryCurve:
         """The solve report: `conditions.json`, which the sidecar also carries."""
         return {"conditions": asdict(self.conditions), "observed": self.observed_summary(),
                 "monotone": self.monotone, "n_projections": self.n_projections}
+
+    def not_increasing_reason(self) -> Optional[str]:
+        """Why the monotone certificate fails, None if it holds.
+
+        Knot values that repeat while every knot slope is positive and no
+        value falls mean that b rises less between knots than float64
+        resolves at b, not that the boundary turns down.
+        """
+        if self.monotone:
+            return None
+        d = np.diff(self.b_values)
+        if np.all(self.slopes > 0.0) and np.all(d >= 0.0):
+            return (f"boundary rises less than float64 resolves between knots: "
+                    f"{int(np.sum(d == 0.0))} of {d.size} knot differences are 0 "
+                    f"although every knot slope is positive")
+        return "boundary is not strictly increasing"
 
     def counters(self) -> dict:
         """Work counters of the curve, as the run manifests record them."""

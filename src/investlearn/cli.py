@@ -12,15 +12,15 @@ counters.  The modules that compute them supply both: `solve` takes the
 curve's checks and counters (`BoundaryCurve.checks`, `counters`: RK4
 stages, none for a loaded curve, and projections), `verify` the diagnostic
 report's checks with the curve's counters and the points the diagnostics
-sampled, `simulate` the checks of `simulate.estimates` and each stepped
-strategy's counters, `discrete` the ladder's counters, and `compare` the
-ladder's and the curve's.  Each command returns (exit code, outputs,
-checks, counters) and writes only its artifacts; `main` writes the one
-manifest, atomically (temp file + rename) at the end of the run.  A run
-stopped by a numerical failure (exit 1) still writes one, with no outputs
-and the single check `completed: false`.  Every artifact except the
-manifest's wall-clock field is byte-deterministic given the config and
-seed.
+sampled, `simulate` the checks of `simulate.estimates`, each stepped
+strategy's counters and those of the pass they share, `discrete` the
+ladder's counters, and `compare` the ladder's and the curve's.  Each
+command returns (exit code, outputs, checks, counters) and writes only its
+artifacts; `main` writes the one manifest, atomically (temp file + rename)
+at the end of the run.  A run stopped by a numerical failure (exit 1)
+still writes one, with no outputs and the single check `completed: false`.
+Every artifact except the manifest's wall-clock field is byte-deterministic
+given the config and seed.
 """
 
 import argparse
@@ -130,10 +130,10 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     curve = _load_or_solve(cfg, quiet)
     counters = dict(curve.counters(), sweep_samples=0, boundary_points=0)
     if not curve.monotone:
+        reason = curve.not_increasing_reason()
         write_json(out / "verify_report.json",
-                   {"passed": False, "reason": "boundary is not strictly increasing",
-                    "monotone": False})
-        _say(quiet, "FAIL boundary not strictly increasing")
+                   {"passed": False, "reason": reason, "monotone": False})
+        _say(quiet, f"FAIL {reason}")
         return (EXIT_CHECK_FAILED, ["verify_report.json"],
                 {"monotone": False, "diagnostics": False}, counters)
     surface = ValueSurface(curve)
@@ -154,7 +154,7 @@ def _in_se(ratio: Optional[float]) -> str:
 def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     curve = _load_or_solve(cfg, quiet)
     if not curve.monotone:
-        _say(quiet, "FAIL boundary not strictly increasing, no reflection strategy")
+        _say(quiet, f"FAIL {curve.not_increasing_reason()}, no reflection strategy")
         return EXIT_CHECK_FAILED, [], {"monotone": False}, None
     surface = ValueSurface(curve)
     vhat = float(surface.value(cfg.sim.start_u, cfg.sim.start_pi))
@@ -174,7 +174,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     _say(quiet, f"paired estimate {paired['estimate']:.6f} +/- {paired['se']:.6f}"
                 f" ({_in_se(paired['error_over_se'])})")
     _report(quiet, checks)  # a failed Monte Carlo check is recorded, not an exit 1
-    return EXIT_OK, outputs, checks, {"reflecting": res.counters, "stop_at_c": stop.counters}
+    return (EXIT_OK, outputs, checks,
+            {"reflecting": res.counters, "stop_at_c": stop.counters, "pass": res.pass_counters})
 
 
 def _config_ladder(cfg: RunConfig):

@@ -53,9 +53,9 @@ the same seed.  Draw 0 of each stream is the uniform that decides theta;
 normals follow.  A run with a hook draws the uniforms of the in-step maxima
 from a second stream of the same key, so theta and the normals of a path do
 not depend on whether it is monitored.  A path draws a chunk's uniforms only
-when its normals over the chunk can bring it within reach of its barrier;
-the uniforms it did not draw are owed, and skipped when it next draws, so
-the uniform of step s is always number s of its stream and the results are
+when its normals over the chunk can bring it within reach of its barrier,
+from a second stream built at the counter of the chunk's first step, so the
+uniform of step s is always number s of its stream and the results are
 those of drawing them all.  The stream of key (seed, i) is
 Philox(key=[seed, i]) (the second one started at counter [0, 0, 1, 0]),
 built from a seed-sequence holder whose state is that key, so that no
@@ -218,7 +218,8 @@ class SimResult:
     theta: Optional[np.ndarray]  # None for a closed-form strategy
     terminal_u: np.ndarray
     terminal_pi: np.ndarray
-    counters: dict  # deterministic work counts of the run, for the manifest
+    counters: dict  # deterministic work counts of the strategy, for the manifest
+    pass_counters: dict  # uniforms drawn and second streams built by the pass
 
     def summary(self) -> dict:
         """The scalar results and the run's config, as `estimates.json` holds them."""
@@ -261,13 +262,21 @@ def _substreams(seed: int, keys: Sequence[int]) -> List[np.random.Generator]:
     return _streams(seed, keys)
 
 
-def _maximum_streams(seed: int, keys: Sequence[int]) -> List[np.random.Generator]:
-    """Second substream of each path, for the uniforms of its in-step maxima.
+def _maximum_streams(seed: int, keys: Sequence[int], at: int) -> List[np.random.Generator]:
+    """Second substream of each path, for the uniforms of its in-step
+    maxima, at uniform number `at`.
 
     It is Philox(key=[seed, i]).jumped(), 2^128 draws past the path's first
-    stream, built directly at that counter rather than built and jumped.
+    stream, built directly at that counter plus at // 4: Philox makes four
+    words per counter step, and random() takes one per number, so at % 4
+    numbers are then drawn and discarded.
     """
-    return _streams(seed, keys, counter=[0, 0, 1, 0])
+    gens = _streams(seed, keys, counter=[at // 4, 0, 1, 0])
+    if at % 4:
+        discard = np.empty(at % 4)
+        for gen in gens:
+            gen.random(out=discard)
+    return gens
 
 
 def _draw_theta(gens: List[np.random.Generator], start_pi: float) -> np.ndarray:
@@ -275,40 +284,22 @@ def _draw_theta(gens: List[np.random.Generator], start_pi: float) -> np.ndarray:
     return (unif < start_pi).astype(float)
 
 
-def _draws(method: str, gens: List[np.random.Generator], pos: np.ndarray, span: int) -> np.ndarray:
-    """The next `span` draws gens[pos[j]].<method>() in column j: one row per
-    step, so each step reads contiguous memory.
-
-    Each stream fills a contiguous row of a block of DRAW_BLOCK streams,
-    and the block is transposed into place.
+def _draws(method: str, streams: Callable[[np.ndarray], List[np.random.Generator]],
+           pos: np.ndarray, span: int) -> np.ndarray:
+    """The next `span` draws <method>() of the stream of each position
+    pos[j] in column j: one row per step, so each step reads contiguous
+    memory.  streams(block) gives the generators of a block of DRAW_BLOCK
+    positions; each fills a row of the block, which is transposed into place.
     """
     out = np.empty((span, pos.size))
     block = np.empty((DRAW_BLOCK, span))
     for lo in range(0, pos.size, DRAW_BLOCK):
         keys = pos[lo:lo + DRAW_BLOCK]
-        for row, i in enumerate(keys):
-            getattr(gens[i], method)(out=block[row])
+        for row, gen in enumerate(streams(keys)):
+            getattr(gen, method)(out=block[row])
+        gen = None  # frees the block's last generator before the next block's are built
         out[:, lo:lo + keys.size] = block[:keys.size].T
     return out
-
-
-def _skip(gen: np.random.Generator, drawn: int, n: int) -> None:
-    """Move a uniform stream that has drawn `drawn` numbers past its next n.
-
-    Philox makes its words four at a time, and random() takes one word per
-    number.  The words left in the current block are drawn, whole blocks
-    are skipped by `advance`, which also empties the block buffer, and the
-    rest are drawn.
-    """
-    head = min(n, -drawn % 4)
-    blocks, tail = divmod(n - head, 4)
-    discard = np.empty(3)
-    if head:
-        gen.random(out=discard[:head])
-    if blocks:
-        gen.bit_generator.advance(blocks)
-    if tail:
-        gen.random(out=discard[:tail])
 
 
 # A strategy hook: hook(t, rows, idx, peak) -> (grew, died).  It sees the
@@ -363,14 +354,13 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     column `col`.  Over a chunk of `span` steps a row's log odds stay below
     phi + max(0, span drift) + vol max(0, S), with S the largest partial
     sum of its stream's normals in the chunk.  Only the streams with a row
-    whose bound reaches its floor draw the chunk's uniforms; the others owe
-    them, and skip what they owe when they next draw (`_skip`), so step s
-    always reads the uniform numbered s of its stream.  A row within reach
-    whose stream drew none raises ArithmeticError.  Every path's streams
-    are read in the order of a one-leg run, so each leg's result is bit
-    for bit what it would be alone.  Given a `trace` list, the kernel
-    appends (t, U, phi) of the first key of the first leg after each step
-    it lives.
+    whose bound reaches its floor draw the chunk's uniforms, from second
+    streams built DRAW_BLOCK at a time at the chunk's first step, so step s
+    reads the uniform numbered s of its stream.  A row within reach whose
+    stream drew none raises ArithmeticError.  Every path's streams are read
+    in the order of a one-leg run, so each leg's result is bit for bit what
+    it would be alone.  Given a `trace` list, the kernel appends (t, U, phi)
+    of the first key of the first leg after each step it lives.
     """
     u0s, hooks, barriers = zip(*(leg for leg, _, _ in strategies))
     closed = [u0 >= 1.0 and hook is None for u0, hook in zip(u0s, hooks)]
@@ -379,8 +369,6 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     theta = np.zeros(n) if gens is None else _draw_theta(gens, cfg.start_pi)
     stepped = np.array([j for j, u0 in enumerate(u0s) if u0 < 1.0], dtype=int)
     hooked = any(hooks[j] for j in stepped)
-    ugens = _maximum_streams(cfg.seed, keys) if hooked else None
-    udrawn = np.zeros(n, dtype=int)  # uniforms drawn or skipped by each key's stream
     terminal_u = [np.full(n, u0) for u0 in u0s]
     terminal_pi = [np.full(n, cfg.start_pi) for _ in strategies]
     dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
@@ -405,12 +393,13 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     n_live = [n if u0 < 1.0 else 0 for u0 in u0s]
     steps, dead_steps, crossings = [0] * n_legs, [0] * n_legs, [0] * n_legs
     bridged = np.zeros(n_legs, dtype=int)
+    uniforms_drawn = maximum_streams_built = 0
     steps_done = 0
     while steps_done < n_steps and any(n_live):
         span = min(CHUNK_STEPS, n_steps - steps_done)
         streams, col = np.unique(rows.pos, return_inverse=True)
         starts = np.searchsorted(rows.leg, np.arange(n_legs + 1))
-        z = _draws("standard_normal", gens, streams, span)
+        z = _draws("standard_normal", lambda block: [gens[i] for i in block], streams, span)
         if hooked:
             total, top = np.zeros(streams.size), np.zeros(streams.size)
             for zk in z:
@@ -420,11 +409,10 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             need = np.zeros(streams.size, dtype=bool)
             need[col[bound >= rows.floor - ROUNDING]] = True
             drawing = streams[need]
-            for i, drawn in zip(drawing.tolist(), udrawn[drawing].tolist()):
-                if drawn < steps_done:
-                    _skip(ugens[i], drawn, steps_done - drawn)
-            udrawn[drawing] = steps_done + span
-            uniforms = _draws("random", ugens, drawing, span)
+            uniforms = _draws("random", lambda block: _maximum_streams(
+                cfg.seed, [keys[i] for i in block], steps_done), drawing, span)
+            uniforms_drawn += drawing.size * span
+            maximum_streams_built += drawing.size
             ucol = np.full(streams.size, -1)
             ucol[need] = np.arange(drawing.size)
             ucol = ucol[col]  # each row's column of `uniforms`, -1 if none
@@ -485,6 +473,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             rows = SimpleNamespace(**{name: c[alive] for name, c in vars(rows).items()})
 
     truncation = math.exp(-params.r * cfg.horizon) * (1.0 - params.k)
+    shared = {"uniforms_drawn": uniforms_drawn, "maximum_streams_built": maximum_streams_built}
     results = []
     for j, (_, jump, payoffs) in enumerate(strategies):
         mine = rows.leg == j
@@ -508,6 +497,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             counters={"steps": steps[j], "path_steps": dead_steps[j] + n_live[j] * steps[j],
                       "barrier_crossings": crossings[j], "bridge_rows": int(bridged[j]),
                       "frac_alive_at_horizon": frac_alive},
+            pass_counters=dict(shared),
         ))
     return results
 

@@ -164,6 +164,19 @@ def test_read_csv_rejects_python_only_number_syntax(tmp_path, cell):
         read_csv(path, ["u", "b"])
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"u,b\r\n0.0,oops\r\n", "line 2: could not convert string 'oops' to float64 in column 2"),
+    (b"u,b\r\n0,1\r\n2,3,4\r\n", "line 3: 3 fields where the first data row has 2"),
+    # blank lines and a row broken inside quotes count their lines
+    (b"\r\nu,b\r\n\r\n\"0.5\r\n\",1\n\r3,x\r\n", "line 7: could not convert string 'x'"),
+], ids=["no_number", "ragged", "blank_and_quoted_lines"])
+def test_read_csv_names_the_file_line_of_a_bad_row(tmp_path, data, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        read_csv(path, ["u", "b"])
+
+
 def test_read_csv_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         read_csv(tmp_path / "gone.csv", ["u", "b"])

@@ -117,12 +117,35 @@ def test_shipped_nonmonotone_config_rejected(tmp_path):
     cfg = str(Path(__file__).resolve().parents[1] / "configs" / "nonmonotone.json")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
     report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
-    assert report["monotone"] is False and report["passed"] is False
+    assert report == {"passed": False, "reason": "boundary is not strictly increasing",
+                      "monotone": False}
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
     b = np.loadtxt(tmp_path / "s" / "boundary.csv", delimiter=",", skiprows=1)[:, 1]
     assert np.any(np.diff(b) <= 0.0)
     header = json.loads((tmp_path / "s" / "boundary.json").read_text())
     assert header["monotone"] is False and header["observed"]["monotone"] is False
+
+
+def test_flat_boundary_reason_names_float64_resolution(tmp_path, capsys):
+    # admissible, and every knot slope is positive, but b rises about 3e-17
+    # per knot near 0.993, under its ulp, so most knot values repeat
+    doc = {**BASE, "model": {"r": 0.1, "k": 0.98},
+           "rate": {"family": "linear_noise", "C": 0.25, "D": 1e-11},
+           "sim": {"n_paths": 10, "horizon": 1.0}}
+    cfg = write_cfg(tmp_path, doc)
+    curve = solve_boundary(load_config(cfg).rate, ModelParams(r=0.1, k=0.98))
+    flat = int(np.sum(np.diff(curve.b_values) == 0.0))
+    assert flat > 0 and np.all(curve.slopes > 0.0) and np.all(np.diff(curve.b_values) >= 0.0)
+    reason = (f"boundary rises less than float64 resolves between knots: {flat} of 2000 "
+              f"knot differences are 0 although every knot slope is positive")
+    assert curve.not_increasing_reason() == reason
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report == {"passed": False, "reason": reason, "monotone": False}
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    assert read_manifest(tmp_path / "s")["checks"] == {"monotone": False}
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"FAIL {reason}", f"FAIL {reason}, no reflection strategy"]
 
 
 def test_verify_clean_curve_passes(tmp_path, solved):
@@ -339,7 +362,11 @@ def test_simulate_writes_estimates(tmp_path):
                                   "not_below_full_now", "stop_matches_reference"}
     assert all(man["checks"].values())
     # deterministic work counts, one set per stepped strategy, no timing
-    assert set(man["counters"]) == {"reflecting", "stop_at_c"}
+    assert set(man["counters"]) == {"reflecting", "stop_at_c", "pass"}
+    shared = man["counters"].pop("pass")
+    assert set(shared) == {"uniforms_drawn", "maximum_streams_built"}
+    # a stream that draws takes a uniform for each step of its chunk
+    assert 0 < shared["maximum_streams_built"] < shared["uniforms_drawn"]
     for name, counts in man["counters"].items():
         assert set(counts) == {"steps", "path_steps", "barrier_crossings", "bridge_rows",
                                "frac_alive_at_horizon"}
@@ -351,6 +378,8 @@ def test_simulate_writes_estimates(tmp_path):
         assert counts["barrier_crossings"] > 0
         # a crossing is found by sampling the row's in-step maximum
         assert counts["bridge_rows"] >= counts["barrier_crossings"]
+        # and reads a uniform its stream drew
+        assert counts["bridge_rows"] <= shared["uniforms_drawn"]
     # a stop_at_c path crosses once, when it stops
     stopped = round((1.0 - man["counters"]["stop_at_c"]["frac_alive_at_horizon"]) * 400)
     assert man["counters"]["stop_at_c"]["barrier_crossings"] == stopped

@@ -3,7 +3,6 @@
 import hashlib
 import math
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,20 +206,25 @@ def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
 def test_streams_draw_what_their_keys_draw(seed):
     # every generator of a set is built before any draws, from one shared
     # key holder, so a generator that aliased the holder would draw another
-    # key's numbers; the repeated key must give two equal, separate streams
+    # key's numbers; the repeated key must give two equal, separate streams,
+    # also when each is built past a position it draws up to
     keys = [7999, 0, 5, 5]
     first = sim_mod._substreams(seed, keys)
-    second = sim_mod._maximum_streams(seed, keys)
-    for i, gen, ugen in zip(keys, first, second):
+    second = sim_mod._maximum_streams(seed, keys, 0)
+    positioned = sim_mod._maximum_streams(seed, keys, 5)
+    for i, gen, ugen, pgen in zip(keys, first, second, positioned):
         want = np.random.Generator(np.random.Philox(key=[seed, i]))
         assert gen.random() == want.random()
         assert np.array_equal(gen.standard_normal(8), want.standard_normal(8))
         want = np.random.Generator(np.random.Philox(key=[seed, i], counter=[0, 0, 1, 0]))
         assert np.array_equal(ugen.random(8), want.random(8))
+        want = np.random.Generator(np.random.Philox(key=[seed, i], counter=[0, 0, 1, 0]))
+        want.random(5)
+        assert np.array_equal(pgen.random(8), want.random(8))
 
 
 def test_filter_run_draws_no_uniforms(linear_curve, monkeypatch):
-    def no_streams(seed, keys):
+    def no_streams(seed, keys, at):
         raise AssertionError("uniform streams built for a run without a barrier")
 
     monkeypatch.setattr(sim_mod, "_maximum_streams", no_streams)
@@ -237,15 +241,11 @@ def test_reach_screen_matches_unscreened_kernel(linear_curve, monkeypatch, cfg, 
     # with an infinite cap on sqrt(e) every row is in reach at every step,
     # so every live stream draws its uniforms: the kernel without the screen
     monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
-    skips = []
-    skip = sim_mod._skip
-    monkeypatch.setattr(sim_mod, "_skip", lambda gen, drawn, n: skips.append(n) or skip(gen, drawn, n))
     screened = simulate_paired(linear_curve, cfg)
-    assert skips and sum(skips) > 0
-    skips.clear()
     monkeypatch.setattr(sim_mod, "SQRT_E_CAP", math.inf)
     unscreened = simulate_paired(linear_curve, cfg)
-    assert not skips
+    drawn = screened[0].pass_counters["uniforms_drawn"]
+    assert 0 < drawn < unscreened[0].pass_counters["uniforms_drawn"]
     for a, b in zip(screened, unscreened):
         for field in ("payoffs", "theta", "terminal_u", "terminal_pi"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
@@ -253,6 +253,8 @@ def test_reach_screen_matches_unscreened_kernel(linear_curve, monkeypatch, cfg, 
         assert b.counters.pop("bridge_rows") == b.counters["path_steps"]
         assert a.counters == b.counters
         assert a.counters["barrier_crossings"] <= bridged < a.counters["path_steps"]
+        # every sampled maximum reads a uniform its stream drew
+        assert bridged <= drawn
 
 
 def test_row_in_reach_without_uniforms_raises(linear_curve, monkeypatch):
@@ -266,20 +268,67 @@ def test_row_in_reach_without_uniforms_raises(linear_curve, monkeypatch):
 @pytest.mark.parametrize("start", [0, 1, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 184, 256])
 def test_skipping_uniforms_equals_drawing_them(start, n):
-    skipped, = sim_mod._maximum_streams(5, [17])
-    drawn, = sim_mod._maximum_streams(5, [17])
-    skipped.random(start)
-    sim_mod._skip(skipped, start, n)
-    drawn.random(start + n)
-    assert np.array_equal(skipped.random(12), drawn.random(12))
+    # a stream built at uniform start + n (0, 1, 3, 4, 5, 184, 256, 257 among
+    # them) reads what a stream built at 0 reads after drawing start + n,
+    # and what one built at start reads after drawing n
+    at = start + n
+    built, = sim_mod._maximum_streams(5, [17], at)
+    drawn, = sim_mod._maximum_streams(5, [17], 0)
+    partly, = sim_mod._maximum_streams(5, [17], start)
+    drawn.random(at)
+    partly.random(n)
+    want = drawn.random(12)
+    assert np.array_equal(built.random(12), want)
+    assert np.array_equal(partly.random(12), want)
+
+
+class _Live:
+    """A uniform stream that counts how many of its kind are alive."""
+
+    alive = most = 0
+
+    def __init__(self, gen):
+        self.gen = gen
+        _Live.alive += 1
+        _Live.most = max(_Live.most, _Live.alive)
+
+    def __del__(self):
+        _Live.alive -= 1
+
+    def random(self, out):
+        self.gen.random(out=out)
+
+
+@pytest.mark.parametrize("chunk", [256, 7])
+def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, chunk):
+    # the second streams are built per chunk, no more than DRAW_BLOCK at a
+    # time, and dropped before the next block's; at chunk 7 they start
+    # inside a Philox block of four words
+    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    want = simulate_paired(linear_curve, SCREEN_CFGS[0])
+    built, ats = [], set()
+    build = sim_mod._maximum_streams
+
+    def live_streams(seed, keys, at):
+        built.append(len(keys))
+        ats.add(at)
+        return [_Live(gen) for gen in build(seed, keys, at)]
+
+    monkeypatch.setattr(sim_mod, "_maximum_streams", live_streams)
+    monkeypatch.setattr(sim_mod, "DRAW_BLOCK", 64)
+    monkeypatch.setattr(_Live, "most", 0)
+    got = simulate_paired(linear_curve, SCREEN_CFGS[0])
+    assert max(built) == 64 and _Live.most == 64 and _Live.alive == 0
+    assert sum(built) == got[0].pass_counters["maximum_streams_built"]
+    assert got[0].pass_counters == want[0].pass_counters == got[1].pass_counters
+    assert any(at % 4 for at in ats) == (chunk == 7)
+    for a, b in zip(got, want):
+        _assert_same_result(a, b)
 
 
 class _StepEnds:
     """Uniform stream stand-in that draws U = 0, so V = 1 and the sampled
-    in-step maximum is the larger end of the step.  Skipping ahead leaves
-    it as it is."""
-
-    bit_generator = SimpleNamespace(advance=lambda blocks: None)
+    in-step maximum is the larger end of the step."""
 
     def random(self, out):
         out[:] = 0.0
@@ -293,7 +342,8 @@ def test_stop_at_c_exact_at_coarse_step(linear_curve, monkeypatch):
     bridge = simulate_baseline(linear_curve, cfg, "stop_at_c")
     assert abs(bridge.estimate - ref) <= 3.0 * bridge.std_error
 
-    monkeypatch.setattr(sim_mod, "_maximum_streams", lambda seed, keys: [_StepEnds()] * len(keys))
+    monkeypatch.setattr(sim_mod, "_maximum_streams",
+                        lambda seed, keys, at: [_StepEnds()] * len(keys))
     ends = simulate_baseline(linear_curve, cfg, "stop_at_c")
     assert ref - ends.estimate > 3.0 * ends.std_error
 
@@ -465,7 +515,8 @@ def _result(payoffs):
                      std_error=float(np.std(payoffs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
                      initial_jump=0.0, truncation_bound=0.0, frac_alive_at_horizon=0.0,
                      config=SimConfig(n_paths=n), payoffs=payoffs, theta=None,
-                     terminal_u=np.zeros(n), terminal_pi=np.zeros(n), counters={})
+                     terminal_u=np.zeros(n), terminal_pi=np.zeros(n), counters={},
+                     pass_counters={})
 
 
 @pytest.mark.parametrize("vhat, mc_ok", [(1.0, True), (2.0, False)])
