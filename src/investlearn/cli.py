@@ -44,7 +44,8 @@ from .discrete import (
 )
 from .model import ConfigError, stopping_threshold_c, zero_level_B
 from .plots import plot_boundary, plot_ladder, plot_trajectory
-# simulate_reflecting is unused here but stays bound: bench/spans.py wraps it by name
+# simulate_reflecting and sample_trajectory are unused here but stay bound:
+# bench/spans.py wraps them by name
 from .simulate import (
     estimates,
     sample_trajectory,
@@ -158,12 +159,11 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
         return EXIT_CHECK_FAILED, [], {"monotone": False}, None
     surface = ValueSurface(curve)
     vhat = float(surface.value(cfg.sim.start_u, cfg.sim.start_pi))
-    res, stop = simulate_paired(curve, cfg.sim)
+    res, stop, traj = simulate_paired(curve, cfg.sim, cfg.trajectory_path)
     full = simulate_baseline(curve, cfg.sim, "full_now")
     doc, checks = estimates(res, stop, full, stop_at_c_reference(curve, cfg.sim), vhat)
     write_json(out / "estimates.json", doc)
     outputs = ["estimates.json", "trajectory.csv"]
-    traj = sample_trajectory(curve, cfg.sim, cfg.trajectory_path)
     save_trajectory(traj, out / "trajectory.csv")
     if cfg.write_paths:
         save_paths(res, out / "paths.csv")

@@ -36,9 +36,10 @@ strategy's barrier is logit(b(U)), and its hook moves U to h at the maximum
 and books the integral of b - k over the growth; stop_at_c's barrier is
 logit(c(u0)); the filter check runs with no hook.  A leg that starts at
 capacity 1 with no hook is closed form and draws nothing: full_now, and
-stop_at_c from pi0 >= c(u0).  A trajectory is a one-key run of the
-reflecting strategy that hands the kernel a trace list, so a plotted path
-is by construction one of the batch paths.
+stop_at_c from pi0 >= c(u0).  A trajectory is the trace the kernel keeps
+of one path of the reflecting strategy, so a plotted path is by
+construction one of the batch paths: `simulate_paired` traces it within the
+batch, and `sample_trajectory` runs its key alone, to the same numbers.
 
 Several strategies can share one pass of the kernel: their rows are
 stacked, each row knows its leg, and each step hands every leg's hook its
@@ -78,8 +79,9 @@ from .model import (ConfigError, ModelParams, RateSpec, _integer, _number, logit
                     stopping_threshold_c, stopping_value_v)
 
 # Steps drawn at a time: the normals of a chunk take CHUNK_STEPS float64
-# per live stream, and its uniforms as many per stream within reach.
-CHUNK_STEPS = 256
+# (1 KiB) per live stream, and its uniforms as many per stream within reach,
+# so at most 2 KiB per path: 16 MB at 8 000 paths, 41 MB at 20 000.
+CHUNK_STEPS = 128
 DRAW_BLOCK = 256  # streams per transposed block in _draws
 
 # The reach screen of `_run`.  A sampled maximum is at most the larger end
@@ -167,8 +169,10 @@ class SimConfig:
 
     At the default step the discretization bias of the reflecting and
     stop_at_c estimates, measured on 200 000 paths of
-    configs/linear_noise.json, is under half the standard error of a
-    default 20 000-path run; at twice the step it is not.
+    configs/linear_noise.json, is under half the standard error of the
+    plain reflecting estimate of a default 20 000-path run (about 1.5e-4
+    against 5.8e-4); at twice the step it is not.  The paired estimate's
+    standard error is about 1.66e-4, so the same bias is about 0.9 of it.
     """
 
     start_u: float = 0.0
@@ -258,10 +262,6 @@ def _streams(seed: int, keys: Sequence[int], counter=None) -> List[np.random.Gen
     return gens
 
 
-def _substreams(seed: int, keys: Sequence[int]) -> List[np.random.Generator]:
-    return _streams(seed, keys)
-
-
 def _maximum_streams(seed: int, keys: Sequence[int], at: int) -> List[np.random.Generator]:
     """Second substream of each path, for the uniforms of its in-step
     maxima, at uniform number `at`.
@@ -293,10 +293,11 @@ def _draws(method: str, streams: Callable[[np.ndarray], List[np.random.Generator
     """
     out = np.empty((span, pos.size))
     block = np.empty((DRAW_BLOCK, span))
+    views = list(block)  # one per row, made once
     for lo in range(0, pos.size, DRAW_BLOCK):
         keys = pos[lo:lo + DRAW_BLOCK]
-        for row, gen in enumerate(streams(keys)):
-            getattr(gen, method)(out=block[row])
+        for row, gen in zip(views, streams(keys)):
+            getattr(gen, method)(out=row)
         gen = None  # frees the block's last generator before the next block's are built
         out[:, lo:lo + keys.size] = block[:keys.size].T
     return out
@@ -323,7 +324,8 @@ Strategy = Tuple[Leg, float, np.ndarray]
 
 
 def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int],
-         strategies: Sequence[Strategy], trace: Optional[list] = None) -> List[SimResult]:
+         strategies: Sequence[Strategy], trace: Optional[list] = None,
+         traced: int = 0) -> List[SimResult]:
     """Step the belief of the paths keyed `keys` from (u0, start_pi) under
     each of `strategies` in one pass; one SimResult per strategy.
 
@@ -345,8 +347,8 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     (SQRT_E_CAP vol / 2 + ROUNDING), and M is sampled (and counted in
     `bridged`) only on rows with max(a, b) >= floor; a row below its floor
     cannot cross.  A dead row is frozen (zero drift and volatility,
-    infinite barrier and floor) until the chunk ends, when the batch is
-    compacted.
+    infinite barrier and floor) until the chunk ends, when its terminal U
+    and Pi are written and the batch is compacted.
 
     The legs share the substreams: the generators are built and theta is
     drawn once, and each chunk's normals are drawn once for the streams
@@ -360,12 +362,16 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     stream drew none raises ArithmeticError.  Every path's streams are read
     in the order of a one-leg run, so each leg's result is bit for bit what
     it would be alone.  Given a `trace` list, the kernel appends (t, U, phi)
-    of the first key of the first leg after each step it lives.
+    of the first leg's row of keys[traced] after each step it lives; the
+    first leg has no rows if it starts at capacity 1, and the trace stays
+    empty.  The pass counters hold the uniforms drawn, the second streams
+    built and `draw_bytes`, the most bytes one chunk's normals and uniforms
+    took.
     """
     u0s, hooks, barriers = zip(*(leg for leg, _, _ in strategies))
     closed = [u0 >= 1.0 and hook is None for u0, hook in zip(u0s, hooks)]
     n, n_legs = len(keys), len(strategies)
-    gens = None if all(closed) else _substreams(cfg.seed, keys)
+    gens = None if all(closed) else _streams(cfg.seed, keys)
     theta = np.zeros(n) if gens is None else _draw_theta(gens, cfg.start_pi)
     stepped = np.array([j for j, u0 in enumerate(u0s) if u0 < 1.0], dtype=int)
     hooked = any(hooks[j] for j in stepped)
@@ -393,13 +399,24 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     n_live = [n if u0 < 1.0 else 0 for u0 in u0s]
     steps, dead_steps, crossings = [0] * n_legs, [0] * n_legs, [0] * n_legs
     bridged = np.zeros(n_legs, dtype=int)
-    uniforms_drawn = maximum_streams_built = 0
+    uniforms_drawn = maximum_streams_built = draw_bytes = 0
+
+    def settle(sel):
+        # terminal U and Pi of the rows in the mask sel
+        for j in stepped:
+            mine = sel & (rows.leg == j)
+            terminal_u[j][rows.pos[mine]] = rows.u[mine]
+            terminal_pi[j][rows.pos[mine]] = _expit(rows.phi[mine])
+
+    # the traced row, -1 if none: the first leg's rows lead, in key order
+    tr = traced if trace is not None and stepped.size and stepped[0] == 0 else -1
     steps_done = 0
     while steps_done < n_steps and any(n_live):
         span = min(CHUNK_STEPS, n_steps - steps_done)
         streams, col = np.unique(rows.pos, return_inverse=True)
         starts = np.searchsorted(rows.leg, np.arange(n_legs + 1))
         z = _draws("standard_normal", lambda block: [gens[i] for i in block], streams, span)
+        chunk_bytes = z.nbytes
         if hooked:
             total, top = np.zeros(streams.size), np.zeros(streams.size)
             for zk in z:
@@ -413,15 +430,17 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                 cfg.seed, [keys[i] for i in block], steps_done), drawing, span)
             uniforms_drawn += drawing.size * span
             maximum_streams_built += drawing.size
+            chunk_bytes += uniforms.nbytes
             ucol = np.full(streams.size, -1)
             ucol[need] = np.arange(drawing.size)
             ucol = ucol[col]  # each row's column of `uniforms`, -1 if none
+        draw_bytes = max(draw_bytes, chunk_bytes)
         alive = np.ones(rows.pos.size, dtype=bool)
 
         for step in range(span):
             done = steps_done + step + 1
             t = done * dt
-            tracing = trace is not None and alive[0] and rows.leg[0] == 0 and rows.pos[0] == 0
+            tracing = tr >= 0 and alive[tr]
             start = rows.phi
             rows.phi = start + rows.drift + rows.vol * z[step][col]
             near = np.flatnonzero(np.maximum(start, rows.phi) >= rows.floor) if hooked else ()
@@ -450,8 +469,6 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                     crossings[j] += idx.size
                     grew, died = hooks[j](t - 0.5 * dt, rows, idx, peak[cuts[j]:cuts[j + 1]])
                     if died is not None and died.size:
-                        terminal_u[j][rows.pos[died]] = rows.u[died]
-                        terminal_pi[j][rows.pos[died]] = _expit(rows.phi[died])
                         alive[died] = False
                         rows.drift[died] = rows.vol[died] = rows.var[died] = 0.0
                         rows.barrier[died] = rows.floor[died] = math.inf
@@ -462,7 +479,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                     if grew is not None and grew.size:
                         refresh(grew)
             if tracing:
-                trace.append((t, rows.u[0], rows.phi[0]))
+                trace.append((t, rows.u[tr], rows.phi[tr]))
             if not any(n_live):
                 span = step + 1
                 break
@@ -470,15 +487,16 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         steps_done += span
         z = uniforms = None  # free this chunk's draws before the next chunk's are made
         if not alive.all():
+            settle(~alive)
+            tr = int(np.count_nonzero(alive[:tr])) if tr >= 0 and alive[tr] else -1
             rows = SimpleNamespace(**{name: c[alive] for name, c in vars(rows).items()})
 
+    settle(np.ones(rows.pos.size, dtype=bool))
     truncation = math.exp(-params.r * cfg.horizon) * (1.0 - params.k)
-    shared = {"uniforms_drawn": uniforms_drawn, "maximum_streams_built": maximum_streams_built}
+    shared = {"uniforms_drawn": uniforms_drawn, "maximum_streams_built": maximum_streams_built,
+              "draw_bytes": draw_bytes}
     results = []
     for j, (_, jump, payoffs) in enumerate(strategies):
-        mine = rows.leg == j
-        terminal_u[j][rows.pos[mine]] = rows.u[mine]
-        terminal_pi[j][rows.pos[mine]] = _expit(rows.phi[mine])
         if n_live[j]:
             steps[j] = steps_done
         frac_alive = n_live[j] / n
@@ -516,12 +534,16 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
     jump = (cfg.start_pi - k) * (u_start - cfg.start_u) if u_start > cfg.start_u else 0.0
     payoffs = np.full(n, jump)
     phi_full = _logit(float(curve.b_values[-1]))  # where U reaches 1
+    integral = curve.b_integral(np.full(n, u_start))  # of b from 0 to each path's U
 
     def hook(t, rows, idx, peak):
+        pos = rows.pos[idx]
         u_old = rows.u[idx]
         u_new = np.maximum(curve.h_at(_expit(peak)), u_old)
-        gain = curve.b_integral(u_new) - curve.b_integral(u_old) - k * (u_new - u_old)
-        payoffs[rows.pos[idx]] += math.exp(-r * t) * gain
+        b_new = curve.b_integral(u_new)
+        gain = b_new - integral[pos] - k * (u_new - u_old)
+        integral[pos] = b_new
+        payoffs[pos] += math.exp(-r * t) * gain
         rows.u[idx] = u_new
         full = u_new >= 1.0
         died = idx[full]
@@ -604,16 +626,27 @@ def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimRes
                 [_BASELINES[kind](curve, cfg, cfg.n_paths)])[0]
 
 
-def simulate_paired(curve: BoundaryCurve, cfg: SimConfig) -> Tuple[SimResult, SimResult]:
+def simulate_paired(curve: BoundaryCurve, cfg: SimConfig,
+                    trajectory_path: Optional[int] = None) -> tuple:
     """(reflecting, stop_at_c): the two strategies stepped in one pass.
 
     The results equal, bit for bit, simulate_reflecting(curve, cfg) and
     simulate_baseline(curve, cfg, "stop_at_c"), whose payoffs are common
     random numbers; the pass builds each path's generators and draws its
-    random numbers once for both.
+    random numbers once for both.  Given a `trajectory_path` below n_paths,
+    the pass also traces that path of the reflecting strategy and returns
+    (reflecting, stop_at_c, trajectory), the trajectory equal to
+    sample_trajectory(curve, cfg, trajectory_path).
     """
-    return tuple(_run(curve.spec, curve.params, cfg, range(cfg.n_paths),
-                      [_reflect_leg(curve, cfg, cfg.n_paths), _stop_leg(curve, cfg, cfg.n_paths)]))
+    if trajectory_path is not None and not 0 <= trajectory_path < cfg.n_paths:
+        raise ValueError(f"trajectory_path must lie in [0, {cfg.n_paths}), got {trajectory_path}")
+    reflect = _reflect_leg(curve, cfg, cfg.n_paths)
+    trace = None if trajectory_path is None else []
+    res, stop = _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
+                     [reflect, _stop_leg(curve, cfg, cfg.n_paths)], trace, trajectory_path or 0)
+    if trace is None:
+        return res, stop
+    return res, stop, _trajectory(cfg, reflect, trace, res.theta[trajectory_path], trajectory_path)
 
 
 def stop_at_c_reference(curve: BoundaryCurve, cfg: SimConfig) -> float:
@@ -720,9 +753,16 @@ def sample_trajectory(
     strategy = _reflect_leg(curve, cfg, 1)
     trace = []
     res, = _run(curve.spec, curve.params, cfg, [path_index], [strategy], trace)
+    return _trajectory(cfg, strategy, trace, res.theta[0], path_index)
+
+
+def _trajectory(cfg: SimConfig, strategy: Strategy, trace: list, theta: float,
+                path_index: int) -> dict:
+    """The (t, U, Pi) arrays of path path_index under the reflecting
+    strategy, from the start and the trace `_run` kept of it."""
     t, u, phi = np.array([(0.0, strategy[0][0], 0.0)] + trace).T
     pi = np.concatenate(([cfg.start_pi], _expit(phi[1:])))
-    return {"t": t, "u": u, "pi": pi, "theta": float(res.theta[0]), "path_index": path_index}
+    return {"t": t, "u": u, "pi": pi, "theta": float(theta), "path_index": path_index}
 
 
 def save_trajectory(traj: dict, csv_path: Union[str, Path]) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import investlearn
+import investlearn.simulate as sim_mod
 from investlearn.cli import main
 from investlearn.config import load_config
 from investlearn.discrete import discrete_verification_suite, ladder_from_spec, save_ladder
@@ -364,9 +365,11 @@ def test_simulate_writes_estimates(tmp_path):
     # deterministic work counts, one set per stepped strategy, no timing
     assert set(man["counters"]) == {"reflecting", "stop_at_c", "pass"}
     shared = man["counters"].pop("pass")
-    assert set(shared) == {"uniforms_drawn", "maximum_streams_built"}
+    assert set(shared) == {"uniforms_drawn", "maximum_streams_built", "draw_bytes"}
     # a stream that draws takes a uniform for each step of its chunk
     assert 0 < shared["maximum_streams_built"] < shared["uniforms_drawn"]
+    # a chunk holds at most one normal and one uniform per path and step
+    assert 0 < shared["draw_bytes"] <= 16 * sim_mod.CHUNK_STEPS * 400
     for name, counts in man["counters"].items():
         assert set(counts) == {"steps", "path_steps", "barrier_crossings", "bridge_rows",
                                "frac_alive_at_horizon"}
@@ -383,6 +386,21 @@ def test_simulate_writes_estimates(tmp_path):
     # a stop_at_c path crosses once, when it stops
     stopped = round((1.0 - man["counters"]["stop_at_c"]["frac_alive_at_horizon"]) * 400)
     assert man["counters"]["stop_at_c"]["barrier_crossings"] == stopped
+
+
+@pytest.mark.parametrize("path", [0, 5])
+def test_simulate_trajectory_is_the_sample_trajectory(tmp_path, path):
+    # the command traces the path within its paired pass; the file is the
+    # one the one-key run of that path writes
+    doc = {**BASE, "sim": {"start_pi": 0.6, "horizon": 30.0, "n_paths": 64, "seed": 3,
+                           "trajectory_path": path}}
+    path_cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path_cfg), "--out", str(out), "--quiet"]) == 0
+    cfg = load_config(path_cfg)
+    curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
+    save_trajectory(sample_trajectory(curve, cfg.sim, path), tmp_path / "alone.csv")
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_simulate_reads_boundary_csv(tmp_path, solved):

@@ -141,6 +141,11 @@ def test_results_pinned_bit_for_bit(linear_curve):
             assert got == want, (name, field)
 
 
+# chunk lengths the kernel's results must not depend on: the default, a
+# longer one over which the chunk bound is looser, and 7, at which the
+# uniform streams start inside a Philox block of four words
+CHUNKS = [sim_mod.CHUNK_STEPS, 256, 7]
+
 C0 = float(stopping_threshold_c(LINEAR, PARAMS, 0.0))
 PAIRED_CASES = {
     "pinned": PINNED_CFG,
@@ -165,7 +170,7 @@ def _assert_same_result(a, b):
     assert a.summary() == b.summary()
 
 
-@pytest.mark.parametrize("chunk", [sim_mod.CHUNK_STEPS, 7])
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("case", list(PAIRED_CASES))
 def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, chunk):
     monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
@@ -209,7 +214,7 @@ def test_streams_draw_what_their_keys_draw(seed):
     # key's numbers; the repeated key must give two equal, separate streams,
     # also when each is built past a position it draws up to
     keys = [7999, 0, 5, 5]
-    first = sim_mod._substreams(seed, keys)
+    first = sim_mod._streams(seed, keys)
     second = sim_mod._maximum_streams(seed, keys, 0)
     positioned = sim_mod._maximum_streams(seed, keys, 5)
     for i, gen, ugen, pgen in zip(keys, first, second, positioned):
@@ -235,7 +240,7 @@ SCREEN_CFGS = [SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_pa
                for s in (1, 2)]
 
 
-@pytest.mark.parametrize("chunk", [256, 7])
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("cfg", SCREEN_CFGS, ids=["seed1", "seed2"])
 def test_reach_screen_matches_unscreened_kernel(linear_curve, monkeypatch, cfg, chunk):
     # with an infinite cap on sqrt(e) every row is in reach at every step,
@@ -299,7 +304,7 @@ class _Live:
         self.gen.random(out=out)
 
 
-@pytest.mark.parametrize("chunk", [256, 7])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, chunk):
     # the second streams are built per chunk, no more than DRAW_BLOCK at a
     # time, and dropped before the next block's; at chunk 7 they start
@@ -324,6 +329,46 @@ def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, chunk
     assert any(at % 4 for at in ats) == (chunk == 7)
     for a, b in zip(got, want):
         _assert_same_result(a, b)
+
+
+def test_draw_bytes_pinned(linear_curve):
+    # the first chunk draws the normals of all 400 streams and the uniforms
+    # of the 367 within reach; no chunk holds more than 2 CHUNK_STEPS float64
+    # per path
+    reflect, stop = simulate_paired(linear_curve, SCREEN_CFGS[0])
+    got = reflect.pass_counters["draw_bytes"]
+    assert got == 8 * sim_mod.CHUNK_STEPS * (400 + 367) == 785408
+    assert got <= 16 * sim_mod.CHUNK_STEPS * SCREEN_CFGS[0].n_paths
+    assert stop.pass_counters == reflect.pass_counters
+    # a run without a barrier draws normals only
+    frozen, = sim_mod._run(LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
+                           [((PINNED_CFG.start_u, None, math.inf), 0.0, np.zeros(64))])
+    assert frozen.pass_counters["draw_bytes"] == 8 * sim_mod.CHUNK_STEPS * 64
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("case", list(PAIRED_CASES))
+def test_paired_pass_traces_the_sample_trajectory(linear_curve, monkeypatch, case, chunk):
+    # the trace of a batch path is the one-key run of its key, whether the
+    # path lives to the horizon, dies within a chunk or has no row at all
+    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    cfg = PAIRED_CASES[case]
+    want = simulate_paired(linear_curve, cfg)
+    for i in sorted({0, 1, cfg.n_paths - 1}):
+        *got, traj = simulate_paired(linear_curve, cfg, i)
+        for a, b in zip(got, want):
+            _assert_same_result(a, b)
+        alone = sample_trajectory(linear_curve, cfg, i)
+        assert traj.keys() == alone.keys()
+        for name, value in alone.items():
+            assert np.array_equal(traj[name], value), (case, i, name)
+
+
+def test_paired_trace_rejects_a_path_outside_the_batch(linear_curve):
+    cfg = PAIRED_CASES["legs_on_disjoint_paths"]
+    for i in (-1, cfg.n_paths):
+        with pytest.raises(ValueError, match="trajectory_path"):
+            simulate_paired(linear_curve, cfg, i)
 
 
 class _StepEnds:
@@ -441,11 +486,12 @@ def test_stop_at_c_immediate_above_threshold(linear_curve):
 
 
 def test_runs_without_a_step_draw_nothing(linear_curve, monkeypatch):
-    # full_now and an immediate stop_at_c are closed form: no substream is built
-    def no_streams(seed, keys):
+    # full_now and an immediate stop_at_c are closed form: no substream is
+    # built, neither a path's first stream nor a stream of its maxima
+    def no_streams(seed, keys, counter=None):
         raise AssertionError("substreams built for a run that takes no step")
 
-    monkeypatch.setattr(sim_mod, "_substreams", no_streams)
+    monkeypatch.setattr(sim_mod, "_streams", no_streams)
     # c(0.2) is below 0.8, so stop_at_c stops at time zero
     cfg = SimConfig(start_u=0.2, start_pi=0.8, dt=0.01, horizon=1.0, n_paths=8, seed=5)
     for kind in ("full_now", "stop_at_c"):
