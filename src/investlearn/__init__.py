@@ -48,9 +48,7 @@ from .simulate import (
     SimResult,
     filter_calibration,
     sample_trajectory,
-    simulate_baseline,
-    simulate_paired,
-    simulate_reflecting,
+    simulate_strategies,
     stop_at_c_reference,
 )
 from .value import ValueSurface, verify_surface
@@ -83,9 +81,7 @@ __all__ = [
     "rho",
     "sample_trajectory",
     "save_curve",
-    "simulate_baseline",
-    "simulate_paired",
-    "simulate_reflecting",
+    "simulate_strategies",
     "solve_boundary",
     "solve_ladder",
     "spec_from_dict",

@@ -44,16 +44,16 @@ from .discrete import (
 )
 from .model import ConfigError, stopping_threshold_c, zero_level_B
 from .plots import plot_boundary, plot_ladder, plot_trajectory
-# simulate_reflecting and sample_trajectory are unused here but stay bound:
-# bench/spans.py wraps them by name
+# simulate_reflecting, simulate_baseline and sample_trajectory are unused
+# here but stay bound: bench/spans.py wraps them by name
 from .simulate import (
     estimates,
     sample_trajectory,
     save_paths,
     save_trajectory,
     simulate_baseline,
-    simulate_paired,
     simulate_reflecting,
+    simulate_strategies,
     stop_at_c_reference,
 )
 from .value import ValueSurface, verify_surface
@@ -159,12 +159,13 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
         return EXIT_CHECK_FAILED, [], {"monotone": False}, None
     surface = ValueSurface(curve)
     vhat = float(surface.value(cfg.sim.start_u, cfg.sim.start_pi))
-    res, stop, traj = simulate_paired(curve, cfg.sim, cfg.trajectory_path)
-    full = simulate_baseline(curve, cfg.sim, "full_now")
-    doc, checks = estimates(res, stop, full, stop_at_c_reference(curve, cfg.sim), vhat)
+    results = simulate_strategies(curve, cfg.sim, ["reflecting", "stop_at_c", "full_now"],
+                                  cfg.trajectory_path)
+    res = results["reflecting"]
+    doc, checks = estimates(results, stop_at_c_reference(curve, cfg.sim), vhat)
     write_json(out / "estimates.json", doc)
     outputs = ["estimates.json", "trajectory.csv"]
-    save_trajectory(traj, out / "trajectory.csv")
+    save_trajectory(res.trajectory, out / "trajectory.csv")
     if cfg.write_paths:
         save_paths(res, out / "paths.csv")
         outputs.append("paths.csv")
@@ -175,7 +176,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
                 f" ({_in_se(paired['error_over_se'])})")
     _report(quiet, checks)  # a failed Monte Carlo check is recorded, not an exit 1
     return (EXIT_OK, outputs, checks,
-            {"reflecting": res.counters, "stop_at_c": stop.counters, "pass": res.pass_counters})
+            {"reflecting": res.counters, "stop_at_c": results["stop_at_c"].counters,
+             "pass": res.pass_counters})
 
 
 def _config_ladder(cfg: RunConfig):

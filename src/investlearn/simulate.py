@@ -21,10 +21,10 @@ and that a step's payoff is discounted at the step's midpoint.
 
 Every simulation runs through one kernel, `_run`.  It owns the random
 numbers, the update above, and the bookkeeping of live and finished paths,
-and it returns one result per strategy.  A strategy is a leg, its payoff at
-time zero and the payoff array its hook books into.  The leg gives every
-row a start capacity, a barrier in log odds and a hook, which the kernel
-calls once per step on the live rows whose in-step maximum reached their
+and it returns one result per leg.  A `Leg` is one strategy: its name, the
+start capacity and barrier in log odds of its rows, a hook, its payoff at
+time zero and the payoff array its hook books into.  The kernel calls the
+hook once per step on the live rows whose in-step maximum reached their
 barrier; the hook books payoffs and says which rows grew (U moved) and
 which died (U reached 1).  The kernel caches the drift
 (theta - 1/2) rho^2 dt and the volatility rho sqrt(dt) per path and calls
@@ -37,15 +37,15 @@ and books the integral of b - k over the growth; stop_at_c's barrier is
 logit(c(u0)); the filter check runs with no hook.  A leg that starts at
 capacity 1 with no hook is closed form and draws nothing: full_now, and
 stop_at_c from pi0 >= c(u0).  A trajectory is the trace the kernel keeps
-of one path of the reflecting strategy, so a plotted path is by
-construction one of the batch paths: `simulate_paired` traces it within the
-batch, and `sample_trajectory` runs its key alone, to the same numbers.
+of one path of its first leg, so a plotted path is by construction one of
+the batch paths: `simulate_strategies` traces it within the batch, and
+`sample_trajectory` runs its key alone, to the same numbers.
 
-Several strategies can share one pass of the kernel: their rows are
-stacked, each row knows its leg, and each step hands every leg's hook its
-own crossing rows.  `simulate_paired` steps the reflecting and stop_at_c
-legs together, so the random numbers of each path are drawn once for both;
-`simulate_reflecting` and `simulate_baseline` are one-strategy passes.
+Several legs share one pass of the kernel: their rows are stacked, each row
+knows its leg, and each step hands every leg's hook its own crossing rows.
+`simulate_strategies` builds the legs it is named from one registry and
+steps them together, so the random numbers of each path are drawn once for
+all of them.
 
 Each path owns a counter-based substream keyed (seed, path index), so results
 are reproducible bit for bit, independent of chunking and of which legs
@@ -66,10 +66,10 @@ generator gathers OS entropy it would then discard.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,12 +104,11 @@ def _mean_se(x: np.ndarray) -> Tuple[float, float]:
     return float(np.sum(x) / n), float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
-def estimates(res: SimResult, stop: SimResult, full: SimResult, ref: float,
-              vhat: float) -> Tuple[dict, dict]:
+def estimates(results: Dict[str, SimResult], ref: float, vhat: float) -> Tuple[dict, dict]:
     """The `estimates.json` document and the five checks of a `simulate` run.
 
-    res, stop and full are the reflecting, stop_at_c and full_now results
-    on common random numbers, ref is the closed-form value stop_at_c
+    results holds the reflecting, stop_at_c and full_now results on common
+    random numbers by name, ref is the closed-form value stop_at_c
     estimates and vhat the surface value at the start.  stop_at_c is a
     control variate with a known mean (Glasserman 2003, 4.1): the paired
     estimate is ref plus the mean paired difference from it, with that
@@ -117,6 +116,7 @@ def estimates(res: SimResult, stop: SimResult, full: SimResult, ref: float,
     run of fewer than two paths has no standard error and raises
     ConfigError; an error over a zero SE (every payoff equal) is None.
     """
+    res, stop, full = (results[name] for name in ("reflecting", "stop_at_c", "full_now"))
     if res.payoffs.size < 2:
         raise ConfigError(f"simulate needs n_paths >= 2 for a standard error, got {res.payoffs.size}")
     d_stop, se_stop = _mean_se(res.payoffs - stop.payoffs)
@@ -223,7 +223,9 @@ class SimResult:
     terminal_u: np.ndarray
     terminal_pi: np.ndarray
     counters: dict  # deterministic work counts of the strategy, for the manifest
-    pass_counters: dict  # uniforms drawn and second streams built by the pass
+    # uniforms drawn, second streams built and draw_bytes of the pass
+    pass_counters: dict
+    trajectory: Optional[dict] = None  # the traced path, on the first leg's result
 
     def summary(self) -> dict:
         """The scalar results and the run's config, as `estimates.json` holds them."""
@@ -313,21 +315,26 @@ Hook = Callable[[float, SimpleNamespace, np.ndarray, np.ndarray],
                 Tuple[Optional[np.ndarray], Optional[np.ndarray]]]
 
 
-# A leg, the rows of one strategy: (u0, hook, barrier).  Its rows start at
-# capacity u0 with the barrier in log odds, and the hook acts on their
-# crossings; a leg with no hook is (u0, None, inf).
-Leg = Tuple[float, Optional[Hook], float]
+@dataclass(frozen=True)
+class Leg:
+    """One strategy as `_run` steps it: its rows start at capacity u0 with
+    the barrier in log odds, and the hook acts on their crossings (None for
+    a leg whose rows only step, with barrier inf); jump is the payoff of each
+    path at time zero and payoffs the array the hook books into.  The name
+    keys the leg's result, so the legs of a pass have distinct names."""
 
-# A strategy stepped by `_run`: (leg, jump, payoffs), jump the payoff of
-# each path at time zero and payoffs the array its hook books into.
-Strategy = Tuple[Leg, float, np.ndarray]
+    name: str
+    u0: float
+    barrier: float
+    hook: Optional[Hook]
+    jump: float
+    payoffs: np.ndarray
 
 
 def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int],
-         strategies: Sequence[Strategy], trace: Optional[list] = None,
-         traced: int = 0) -> List[SimResult]:
+         legs: Sequence[Leg], traced: Optional[int] = None) -> Dict[str, SimResult]:
     """Step the belief of the paths keyed `keys` from (u0, start_pi) under
-    each of `strategies` in one pass; one SimResult per strategy.
+    each of `legs` in one pass; one SimResult per leg, by leg name.
 
     A leg with u0 < 1 has a row per key, and the rows of all legs are
     stacked in leg order; a leg with u0 >= 1 has no rows, its paths being
@@ -336,9 +343,9 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     substreams.  A row carries its leg `leg`, output position `pos`, log
     odds `phi`, capacity `u`, `theta`, the cached `drift`, `vol` and
     variance `var` = vol^2 of a step, the `barrier` in log odds that its
-    leg's hook acts on, and its `floor`.  With a hook, the
-    kernel samples the exact maximum M of Phi over a step given both ends a
-    and b (a Brownian bridge with drift: Glasserman 2003, section 6.4),
+    leg's hook acts on, and its `floor`.  With a hook, the kernel samples
+    the exact maximum M of Phi over a step given both ends a and b (a
+    Brownian bridge with drift: Glasserman 2003, section 6.4),
 
         M = (a + b + sqrt((b - a)^2 - 2 var ln V)) / 2,   V ~ U(0, 1],
 
@@ -361,32 +368,28 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     reads the uniform numbered s of its stream.  A row within reach whose
     stream drew none raises ArithmeticError.  Every path's streams are read
     in the order of a one-leg run, so each leg's result is bit for bit what
-    it would be alone.  Given a `trace` list, the kernel appends (t, U, phi)
-    of the first leg's row of keys[traced] after each step it lives; the
-    first leg has no rows if it starts at capacity 1, and the trace stays
-    empty.  The pass counters hold the uniforms drawn, the second streams
-    built and `draw_bytes`, the most bytes one chunk's normals and uniforms
-    took.
+    it would be alone.  Given `traced`, the first leg's result carries the
+    `trajectory` (t, U, Pi) of its row of keys[traced] after each step the
+    row lives, its start alone if the leg has no rows.  The pass counters
+    hold the uniforms drawn, the second streams built and `draw_bytes`, the
+    most bytes one chunk's normals and uniforms took.
     """
-    u0s, hooks, barriers = zip(*(leg for leg, _, _ in strategies))
-    closed = [u0 >= 1.0 and hook is None for u0, hook in zip(u0s, hooks)]
-    n, n_legs = len(keys), len(strategies)
+    closed = [leg.u0 >= 1.0 and leg.hook is None for leg in legs]
+    n, n_legs = len(keys), len(legs)
     gens = None if all(closed) else _streams(cfg.seed, keys)
     theta = np.zeros(n) if gens is None else _draw_theta(gens, cfg.start_pi)
-    stepped = np.array([j for j, u0 in enumerate(u0s) if u0 < 1.0], dtype=int)
-    hooked = any(hooks[j] for j in stepped)
-    terminal_u = [np.full(n, u0) for u0 in u0s]
-    terminal_pi = [np.full(n, cfg.start_pi) for _ in strategies]
-    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
-    n_steps = cfg.n_steps
+    stepped = np.array([j for j, leg in enumerate(legs) if leg.u0 < 1.0], dtype=int)
+    hooked = any(legs[j].hook for j in stepped)
+    terminal_u = [np.full(n, leg.u0) for leg in legs]
+    terminal_pi = [np.full(n, cfg.start_pi) for _ in legs]
+    dt, sqdt, n_steps = cfg.dt, math.sqrt(cfg.dt), cfg.n_steps
     m = n * stepped.size
     rows = SimpleNamespace(leg=np.repeat(stepped, n), pos=np.tile(np.arange(n), stepped.size),
                            phi=np.full(m, _logit(cfg.start_pi)),
-                           u=np.repeat([u0s[j] for j in stepped], n),
+                           u=np.repeat([legs[j].u0 for j in stepped], n),
                            theta=np.tile(theta, stepped.size), drift=np.empty(m),
-                           vol=np.empty(m), var=np.empty(m),
-                           barrier=np.repeat([barriers[j] for j in stepped], n),
-                           floor=np.empty(m))
+                           vol=np.empty(m), var=np.empty(m), floor=np.empty(m),
+                           barrier=np.repeat([legs[j].barrier for j in stepped], n))
 
     def refresh(sel):
         rv = rho(spec, params, rows.u[sel])
@@ -396,7 +399,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         rows.floor[sel] = rows.barrier[sel] - (0.5 * SQRT_E_CAP * rows.vol[sel] + ROUNDING)
 
     refresh(slice(None))
-    n_live = [n if u0 < 1.0 else 0 for u0 in u0s]
+    n_live = [n if leg.u0 < 1.0 else 0 for leg in legs]
     steps, dead_steps, crossings = [0] * n_legs, [0] * n_legs, [0] * n_legs
     bridged = np.zeros(n_legs, dtype=int)
     uniforms_drawn = maximum_streams_built = draw_bytes = 0
@@ -409,8 +412,8 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             terminal_pi[j][rows.pos[mine]] = _expit(rows.phi[mine])
 
     # the traced row, -1 if none: the first leg's rows lead, in key order
-    tr = traced if trace is not None and stepped.size and stepped[0] == 0 else -1
-    steps_done = 0
+    tr = traced if traced is not None and stepped.size and stepped[0] == 0 else -1
+    trace, steps_done = [], 0
     while steps_done < n_steps and any(n_live):
         span = min(CHUNK_STEPS, n_steps - steps_done)
         streams, col = np.unique(rows.pos, return_inverse=True)
@@ -467,7 +470,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                     if not idx.size:
                         continue
                     crossings[j] += idx.size
-                    grew, died = hooks[j](t - 0.5 * dt, rows, idx, peak[cuts[j]:cuts[j + 1]])
+                    grew, died = legs[j].hook(t - 0.5 * dt, rows, idx, peak[cuts[j]:cuts[j + 1]])
                     if died is not None and died.size:
                         alive[died] = False
                         rows.drift[died] = rows.vol[died] = rows.var[died] = 0.0
@@ -495,20 +498,20 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     truncation = math.exp(-params.r * cfg.horizon) * (1.0 - params.k)
     shared = {"uniforms_drawn": uniforms_drawn, "maximum_streams_built": maximum_streams_built,
               "draw_bytes": draw_bytes}
-    results = []
-    for j, (_, jump, payoffs) in enumerate(strategies):
+    results = {}
+    for j, leg in enumerate(legs):
         if n_live[j]:
             steps[j] = steps_done
         frac_alive = n_live[j] / n
-        estimate, std_error = _mean_se(payoffs)
-        results.append(SimResult(
+        estimate, std_error = _mean_se(leg.payoffs)
+        results[leg.name] = SimResult(
             estimate=estimate,
             std_error=std_error,
-            initial_jump=jump,
+            initial_jump=leg.jump,
             truncation_bound=truncation,
             frac_alive_at_horizon=frac_alive,
             config=cfg,
-            payoffs=payoffs,
+            payoffs=leg.payoffs,
             theta=None if closed[j] else theta,
             terminal_u=terminal_u[j],
             terminal_pi=terminal_pi[j],
@@ -516,14 +519,20 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                       "barrier_crossings": crossings[j], "bridge_rows": int(bridged[j]),
                       "frac_alive_at_horizon": frac_alive},
             pass_counters=dict(shared),
-        ))
+        )
+    if traced is not None:
+        t, u, phi = np.array([(0.0, legs[0].u0, 0.0)] + trace).T
+        pi = np.concatenate(([cfg.start_pi], _expit(phi[1:])))
+        results[legs[0].name].trajectory = {"t": t, "u": u, "pi": pi, "theta": float(theta[traced]),
+                                            "path_index": keys[traced]}
     return results
 
 
-def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
-                 n: int) -> Strategy:
-    """The reflecting strategy on n paths: (leg, jump, payoffs), the hook
-    booking into payoffs, which start at the time-zero payoff jump.
+def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
+    """The reflecting strategy on n paths.  A path collects
+    (pi0 - k)(h(pi0) - u0)^+ at time zero if the start lies above the
+    boundary, plus the discounted stream of (Pi - k) dU increments while U
+    climbs toward 1; the payoffs start at that jump.
 
     A row's barrier is logit(b(U)).  When the step's maximum M passes it,
     U grows to h(expit(M)); Pi rode the boundary meanwhile, so the step pays
@@ -555,26 +564,29 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig,
         return grew, died
 
     barrier = _logit(float(curve.b_at(u_start))) if u_start < 1.0 else math.inf
-    return (u_start, hook, barrier), jump, payoffs
+    return Leg("reflecting", u_start, barrier, hook, jump, payoffs)
 
 
-def _full_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Strategy:
+def _full_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
     """full_now on n paths: everything is installed at time zero, paying
     (pi0 - k)(1 - u0), so the leg has no rows and no hook."""
     jump = (cfg.start_pi - curve.params.k) * (1.0 - cfg.start_u)
-    return (1.0, None, math.inf), jump, np.full(n, jump)
+    return Leg("full_now", 1.0, math.inf, None, jump, np.full(n, jump))
 
 
-def _stop_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Strategy:
-    """stop_at_c on n paths, like `_reflect_leg`; when pi0 >= c(u0) every
-    path stops at time zero, and it is `_full_leg`.  The barrier is
-    logit(c(u0)); a crossing pays (c - k)(1 - u0) discounted at the step
-    midpoint and ends the path on the threshold."""
+def _stop_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
+    """stop_at_c on n paths: rho stays frozen at the start capacity, and a
+    path invests everything the first time Pi reaches the one-shot threshold
+    c(u0).  The barrier is logit(c(u0)); a crossing pays (c - k)(1 - u0)
+    discounted at the step midpoint and ends the path on the threshold, so
+    the estimate reproduces (1 - u0) v(pi0; u0) up to the discounting within
+    a step.  When pi0 >= c(u0) every path stops at time zero, as in
+    `_full_leg`."""
     spec, params = curve.spec, curve.params
     r, k = params.r, params.k
     cbar = float(stopping_threshold_c(spec, params, cfg.start_u))
     if cfg.start_pi >= cbar:
-        return _full_leg(curve, cfg, n)
+        return replace(_full_leg(curve, cfg, n), name="stop_at_c")
     scale = 1.0 - cfg.start_u
     payoffs = np.zeros(n)
     phi_c = _logit(cbar)
@@ -585,68 +597,44 @@ def _stop_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Strategy:
         rows.phi[idx] = phi_c
         return None, idx
 
-    return (cfg.start_u, hook, phi_c), 0.0, payoffs
+    return Leg("stop_at_c", cfg.start_u, phi_c, hook, 0.0, payoffs)
 
 
-_BASELINES = {"full_now": _full_leg, "stop_at_c": _stop_leg}
+_STRATEGIES = {"reflecting": _reflect_leg, "stop_at_c": _stop_leg, "full_now": _full_leg}
+
+
+def simulate_strategies(curve: BoundaryCurve, cfg: SimConfig, names: Sequence[str],
+                        trajectory_path: Optional[int] = None) -> Dict[str, SimResult]:
+    """The strategies `names` ("reflecting", "stop_at_c", "full_now") for
+    the boundary in `curve`, stepped in one pass; one SimResult per name.
+
+    The payoffs of the strategies are common random numbers, and each
+    result equals, bit for bit, that of a pass of its strategy alone.  A
+    path ends when U reaches 1 or the horizon runs out; the reported
+    truncation bound caps what the horizon cut can have discarded per path.
+    full_now, and stop_at_c from pi0 >= c(u0), are closed form: they draw
+    nothing, and their theta is None.  Given a `trajectory_path` below
+    n_paths, the pass also traces that path of the first strategy, and its
+    result's `trajectory` equals sample_trajectory(curve, cfg,
+    trajectory_path) when that strategy is the reflecting one.
+    """
+    if not set(names) <= _STRATEGIES.keys() or len(set(names)) < len(names):
+        raise ValueError(f"strategies must be distinct names of {list(_STRATEGIES)}, "
+                         f"got {list(names)}")
+    if trajectory_path is not None and not 0 <= trajectory_path < cfg.n_paths:
+        raise ValueError(f"trajectory_path must lie in [0, {cfg.n_paths}), got {trajectory_path}")
+    legs = [_STRATEGIES[name](curve, cfg, cfg.n_paths) for name in names]
+    return _run(curve.spec, curve.params, cfg, range(cfg.n_paths), legs, trajectory_path)
 
 
 def simulate_reflecting(curve: BoundaryCurve, cfg: SimConfig) -> SimResult:
-    """Run the reflecting strategy for the boundary in `curve`.
-
-    The payoff of a path is (pi0 - k)(h(pi0) - u0)^+ collected at time zero if
-    the start lies above the boundary, plus the discounted stream of
-    (Pi - k) dU increments while U climbs toward 1.  A path ends when U
-    reaches 1 or the horizon runs out; the reported truncation bound caps
-    what the horizon cut can have discarded per path.
-    """
-    return _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
-                [_reflect_leg(curve, cfg, cfg.n_paths)])[0]
+    """The reflecting strategy alone."""
+    return simulate_strategies(curve, cfg, ["reflecting"])["reflecting"]
 
 
 def simulate_baseline(curve: BoundaryCurve, cfg: SimConfig, kind: str) -> SimResult:
-    """Reference strategies for the reflecting run.
-
-    "full_now":  invest to capacity 1 immediately; deterministic payoff
-                 (pi0 - k)(1 - u0).
-    "stop_at_c": keep rho frozen at the start capacity and invest everything
-                 the first time Pi reaches the one-shot threshold c(u0),
-                 paying (c - k)(1 - u0) discounted at the midpoint of the
-                 step in which the path's maximum reached c; its value is
-                 (1 - u0) v(pi0; u0), which the estimate reproduces up to
-                 the discounting within a step.  It steps the same random
-                 numbers as the reflecting run.
-
-    full_now, and stop_at_c from pi0 >= c(u0), are closed form: they draw
-    nothing, and their theta is None.
-    """
-    if kind not in _BASELINES:
-        raise ValueError(f"unknown baseline {kind!r}")
-    return _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
-                [_BASELINES[kind](curve, cfg, cfg.n_paths)])[0]
-
-
-def simulate_paired(curve: BoundaryCurve, cfg: SimConfig,
-                    trajectory_path: Optional[int] = None) -> tuple:
-    """(reflecting, stop_at_c): the two strategies stepped in one pass.
-
-    The results equal, bit for bit, simulate_reflecting(curve, cfg) and
-    simulate_baseline(curve, cfg, "stop_at_c"), whose payoffs are common
-    random numbers; the pass builds each path's generators and draws its
-    random numbers once for both.  Given a `trajectory_path` below n_paths,
-    the pass also traces that path of the reflecting strategy and returns
-    (reflecting, stop_at_c, trajectory), the trajectory equal to
-    sample_trajectory(curve, cfg, trajectory_path).
-    """
-    if trajectory_path is not None and not 0 <= trajectory_path < cfg.n_paths:
-        raise ValueError(f"trajectory_path must lie in [0, {cfg.n_paths}), got {trajectory_path}")
-    reflect = _reflect_leg(curve, cfg, cfg.n_paths)
-    trace = None if trajectory_path is None else []
-    res, stop = _run(curve.spec, curve.params, cfg, range(cfg.n_paths),
-                     [reflect, _stop_leg(curve, cfg, cfg.n_paths)], trace, trajectory_path or 0)
-    if trace is None:
-        return res, stop
-    return res, stop, _trajectory(cfg, reflect, trace, res.theta[trajectory_path], trajectory_path)
+    """The strategy `kind` ("full_now" or "stop_at_c") alone."""
+    return simulate_strategies(curve, cfg, [kind])[kind]
 
 
 def stop_at_c_reference(curve: BoundaryCurve, cfg: SimConfig) -> float:
@@ -696,7 +684,8 @@ def filter_calibration(
     n = cfg.n_paths
     if n < 2 * n_bins:
         raise ValueError(f"filter_calibration needs n_paths >= 2 n_bins = {2 * n_bins}, got {n}")
-    res, = _run(spec, params, cfg, range(n), [((cfg.start_u, None, math.inf), 0.0, np.zeros(n))])
+    leg = Leg("filter", cfg.start_u, math.inf, None, 0.0, np.zeros(n))
+    res = _run(spec, params, cfg, range(n), [leg])["filter"]
     theta, pi_end = res.theta, res.terminal_pi
     mean_pi, se_pi = _mean_se(pi_end)
     martingale_ok = abs(mean_pi - cfg.start_pi) <= SE_MULTIPLE * se_pi
@@ -750,19 +739,8 @@ def sample_trajectory(
     """
     if path_index < 0:
         raise ValueError(f"path_index must be nonnegative, got {path_index}")
-    strategy = _reflect_leg(curve, cfg, 1)
-    trace = []
-    res, = _run(curve.spec, curve.params, cfg, [path_index], [strategy], trace)
-    return _trajectory(cfg, strategy, trace, res.theta[0], path_index)
-
-
-def _trajectory(cfg: SimConfig, strategy: Strategy, trace: list, theta: float,
-                path_index: int) -> dict:
-    """The (t, U, Pi) arrays of path path_index under the reflecting
-    strategy, from the start and the trace `_run` kept of it."""
-    t, u, phi = np.array([(0.0, strategy[0][0], 0.0)] + trace).T
-    pi = np.concatenate(([cfg.start_pi], _expit(phi[1:])))
-    return {"t": t, "u": u, "pi": pi, "theta": float(theta), "path_index": path_index}
+    res = _run(curve.spec, curve.params, cfg, [path_index], [_reflect_leg(curve, cfg, 1)], traced=0)
+    return res["reflecting"].trajectory
 
 
 def save_trajectory(traj: dict, csv_path: Union[str, Path]) -> None:

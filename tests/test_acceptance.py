@@ -31,8 +31,7 @@ from investlearn.model import (
 from investlearn.simulate import (
     SimConfig,
     filter_calibration,
-    simulate_baseline,
-    simulate_paired,
+    simulate_strategies,
     stop_at_c_reference,
 )
 from investlearn.value import ValueSurface, verify_surface
@@ -143,8 +142,8 @@ def test_05_monte_carlo_optimality():
     surface = ValueSurface(solve_boundary(LINEAR, PARAMS))
     v_hat = surface.value(cfg.start_u, cfg.start_pi)
 
-    reflect, stop = simulate_paired(surface.curve, cfg)
-    full = simulate_baseline(surface.curve, cfg, "full_now")
+    reflect, stop, full = simulate_strategies(
+        surface.curve, cfg, ["reflecting", "stop_at_c", "full_now"]).values()
 
     gap = abs(reflect.estimate - v_hat)
     assert gap <= 3.0 * reflect.std_error

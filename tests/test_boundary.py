@@ -23,7 +23,8 @@ from investlearn.model import (
     Tabulated,
     stopping_threshold_c,
 )
-from investlearn.simulate import SimConfig, sample_trajectory, simulate_paired, simulate_reflecting
+from investlearn.simulate import (SimConfig, sample_trajectory, simulate_reflecting,
+                                  simulate_strategies)
 from investlearn.value import ValueSurface
 
 PARAMS = ModelParams(r=0.1, k=0.5)
@@ -108,7 +109,8 @@ INVERSE_READERS = {
     "h_at": lambda curve, cfg: curve.h_at(0.7),
     "h_slope": lambda curve, cfg: curve.h_slope(0.7),
     "simulate_reflecting": simulate_reflecting,
-    "simulate_paired": simulate_paired,
+    "simulate_strategies": lambda curve, cfg: simulate_strategies(
+        curve, cfg, ["reflecting", "stop_at_c", "full_now"]),
     "sample_trajectory": sample_trajectory,
     "ValueSurface": lambda curve, cfg: ValueSurface(curve),
 }

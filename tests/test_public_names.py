@@ -19,6 +19,15 @@ def test_every_public_name_resolves():
         assert hasattr(investlearn, name), name
 
 
+def test_no_public_name_shadows_a_submodule():
+    # importing a submodule binds it as a package attribute; a function
+    # exported under the same name would replace it there
+    submodules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert {"model", "boundary", "value", "simulate", "discrete", "config", "cli",
+            "artifacts", "plots"} <= submodules
+    assert not submodules & set(investlearn.__all__)
+
+
 def test_readme_library_imports_run():
     # only the import statements: the rest of the block solves and simulates
     block = README.read_text(encoding="utf-8").split("## Library", 1)[1]

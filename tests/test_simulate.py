@@ -20,13 +20,14 @@ from investlearn.simulate import (
     save_paths,
     save_trajectory,
     simulate_baseline,
-    simulate_paired,
     simulate_reflecting,
+    simulate_strategies,
     stop_at_c_reference,
 )
 
 PARAMS = ModelParams(r=0.1, k=0.5)
 LINEAR = LinearNoise(C=0.25, D=0.9)
+PAIR = ["reflecting", "stop_at_c"]
 
 # surface value at (0, 0.5) for the parameters above, pinned in test_value
 V_AT_START = 0.09747346480428755
@@ -42,13 +43,9 @@ def batch(linear_curve):
     # one shared run per strategy at the shipped step; the strategies see
     # common random numbers, and reflecting and stop_at_c share one pass
     cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_paths=2000, seed=1)
-    reflect, stop = simulate_paired(linear_curve, cfg)
-    return {
-        "cfg": cfg,
-        "reflect": reflect,
-        "stop": stop,
-        "full": simulate_baseline(linear_curve, cfg, "full_now"),
-    }
+    res = simulate_strategies(linear_curve, cfg, ["reflecting", "stop_at_c", "full_now"])
+    return {"cfg": cfg, "reflect": res["reflecting"], "stop": res["stop_at_c"],
+            "full": res["full_now"]}
 
 
 def test_log_odds_transition_moments(linear_curve):
@@ -133,7 +130,8 @@ def test_results_pinned_bit_for_bit(linear_curve):
         # the run behind filter_calibration
         "frozen_capacity": sim_mod._run(
             LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
-            [((PINNED_CFG.start_u, None, math.inf), 0.0, np.zeros(PINNED_CFG.n_paths))])[0],
+            [sim_mod.Leg("frozen_capacity", PINNED_CFG.start_u, math.inf, None, 0.0,
+                         np.zeros(PINNED_CFG.n_paths))])["frozen_capacity"],
     }
     for name, res in runs.items():
         for field, want in PINNED_SHA1[name].items():
@@ -173,11 +171,14 @@ def _assert_same_result(a, b):
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("case", list(PAIRED_CASES))
 def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, chunk):
+    # full_now comes last: a closed-form leg after the stepped ones
     monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
     cfg = PAIRED_CASES[case]
-    reflect, stop = simulate_paired(linear_curve, cfg)
-    _assert_same_result(reflect, simulate_reflecting(linear_curve, cfg))
-    _assert_same_result(stop, simulate_baseline(linear_curve, cfg, "stop_at_c"))
+    got = simulate_strategies(linear_curve, cfg, PAIR + ["full_now"])
+    for name, res in got.items():
+        _assert_same_result(res, simulate_strategies(linear_curve, cfg, [name])[name])
+    assert got["full_now"].theta is None
+    reflect, stop = got["reflecting"], got["stop_at_c"]
     if case == "pinned":
         for name, res in (("reflecting", reflect), ("stop_at_c", stop)):
             for field, want in PINNED_SHA1[name].items():
@@ -196,10 +197,11 @@ def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
     # the empty leg comes first, so every stacked row belongs to leg 1
     cfg = PAIRED_CASES["stop_finishes_early"]
     keys, n = range(cfg.n_paths), cfg.n_paths
-    alone, = sim_mod._run(LINEAR, PARAMS, cfg, keys, [sim_mod._stop_leg(linear_curve, cfg, n)])
+    alone, = sim_mod._run(LINEAR, PARAMS, cfg, keys,
+                          [sim_mod._stop_leg(linear_curve, cfg, n)]).values()
     empty, stop = sim_mod._run(LINEAR, PARAMS, cfg, keys,
-                               [((1.0, None, math.inf), 0.0, np.zeros(n)),
-                                sim_mod._stop_leg(linear_curve, cfg, n)])
+                               [sim_mod.Leg("empty", 1.0, math.inf, None, 0.0, np.zeros(n)),
+                                sim_mod._stop_leg(linear_curve, cfg, n)]).values()
     _assert_same_result(stop, alone)
     assert empty.theta is None
     assert empty.counters == {"steps": 0, "path_steps": 0, "barrier_crossings": 0,
@@ -246,12 +248,12 @@ def test_reach_screen_matches_unscreened_kernel(linear_curve, monkeypatch, cfg, 
     # with an infinite cap on sqrt(e) every row is in reach at every step,
     # so every live stream draws its uniforms: the kernel without the screen
     monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
-    screened = simulate_paired(linear_curve, cfg)
+    screened = simulate_strategies(linear_curve, cfg, PAIR)
     monkeypatch.setattr(sim_mod, "SQRT_E_CAP", math.inf)
-    unscreened = simulate_paired(linear_curve, cfg)
-    drawn = screened[0].pass_counters["uniforms_drawn"]
-    assert 0 < drawn < unscreened[0].pass_counters["uniforms_drawn"]
-    for a, b in zip(screened, unscreened):
+    unscreened = simulate_strategies(linear_curve, cfg, PAIR)
+    drawn = screened["reflecting"].pass_counters["uniforms_drawn"]
+    assert 0 < drawn < unscreened["reflecting"].pass_counters["uniforms_drawn"]
+    for a, b in zip(screened.values(), unscreened.values()):
         for field in ("payoffs", "theta", "terminal_u", "terminal_pi"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         bridged = a.counters.pop("bridge_rows")
@@ -267,7 +269,7 @@ def test_row_in_reach_without_uniforms_raises(linear_curve, monkeypatch):
     # then come within reach; the kernel must refuse rather than sample M
     monkeypatch.setattr(sim_mod, "ROUNDING", -0.5)
     with pytest.raises(ArithmeticError, match="within reach of its barrier"):
-        simulate_paired(linear_curve, SCREEN_CFGS[0])
+        simulate_strategies(linear_curve, SCREEN_CFGS[0], PAIR)
 
 
 @pytest.mark.parametrize("start", [0, 1, 3, 4])
@@ -310,7 +312,7 @@ def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, chunk
     # time, and dropped before the next block's; at chunk 7 they start
     # inside a Philox block of four words
     monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
-    want = simulate_paired(linear_curve, SCREEN_CFGS[0])
+    want = simulate_strategies(linear_curve, SCREEN_CFGS[0], PAIR)
     built, ats = [], set()
     build = sim_mod._maximum_streams
 
@@ -322,27 +324,30 @@ def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, chunk
     monkeypatch.setattr(sim_mod, "_maximum_streams", live_streams)
     monkeypatch.setattr(sim_mod, "DRAW_BLOCK", 64)
     monkeypatch.setattr(_Live, "most", 0)
-    got = simulate_paired(linear_curve, SCREEN_CFGS[0])
+    got = simulate_strategies(linear_curve, SCREEN_CFGS[0], PAIR)
+    reflect = got["reflecting"]
     assert max(built) == 64 and _Live.most == 64 and _Live.alive == 0
-    assert sum(built) == got[0].pass_counters["maximum_streams_built"]
-    assert got[0].pass_counters == want[0].pass_counters == got[1].pass_counters
+    assert sum(built) == reflect.pass_counters["maximum_streams_built"]
+    assert reflect.pass_counters == want["reflecting"].pass_counters == \
+        got["stop_at_c"].pass_counters
     assert any(at % 4 for at in ats) == (chunk == 7)
-    for a, b in zip(got, want):
-        _assert_same_result(a, b)
+    for name in PAIR:
+        _assert_same_result(got[name], want[name])
 
 
 def test_draw_bytes_pinned(linear_curve):
     # the first chunk draws the normals of all 400 streams and the uniforms
     # of the 367 within reach; no chunk holds more than 2 CHUNK_STEPS float64
     # per path
-    reflect, stop = simulate_paired(linear_curve, SCREEN_CFGS[0])
+    reflect, stop = simulate_strategies(linear_curve, SCREEN_CFGS[0], PAIR).values()
     got = reflect.pass_counters["draw_bytes"]
     assert got == 8 * sim_mod.CHUNK_STEPS * (400 + 367) == 785408
     assert got <= 16 * sim_mod.CHUNK_STEPS * SCREEN_CFGS[0].n_paths
     assert stop.pass_counters == reflect.pass_counters
     # a run without a barrier draws normals only
     frozen, = sim_mod._run(LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
-                           [((PINNED_CFG.start_u, None, math.inf), 0.0, np.zeros(64))])
+                           [sim_mod.Leg("frozen", PINNED_CFG.start_u, math.inf, None, 0.0,
+                                        np.zeros(64))]).values()
     assert frozen.pass_counters["draw_bytes"] == 8 * sim_mod.CHUNK_STEPS * 64
 
 
@@ -353,11 +358,14 @@ def test_paired_pass_traces_the_sample_trajectory(linear_curve, monkeypatch, cas
     # path lives to the horizon, dies within a chunk or has no row at all
     monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
     cfg = PAIRED_CASES[case]
-    want = simulate_paired(linear_curve, cfg)
+    want = simulate_strategies(linear_curve, cfg, PAIR)
+    assert want["reflecting"].trajectory is None
     for i in sorted({0, 1, cfg.n_paths - 1}):
-        *got, traj = simulate_paired(linear_curve, cfg, i)
-        for a, b in zip(got, want):
-            _assert_same_result(a, b)
+        got = simulate_strategies(linear_curve, cfg, PAIR, i)
+        for name in PAIR:
+            _assert_same_result(got[name], want[name])
+        traj = got["reflecting"].trajectory
+        assert got["stop_at_c"].trajectory is None
         alone = sample_trajectory(linear_curve, cfg, i)
         assert traj.keys() == alone.keys()
         for name, value in alone.items():
@@ -368,7 +376,7 @@ def test_paired_trace_rejects_a_path_outside_the_batch(linear_curve):
     cfg = PAIRED_CASES["legs_on_disjoint_paths"]
     for i in (-1, cfg.n_paths):
         with pytest.raises(ValueError, match="trajectory_path"):
-            simulate_paired(linear_curve, cfg, i)
+            simulate_strategies(linear_curve, cfg, PAIR, i)
 
 
 class _StepEnds:
@@ -508,6 +516,9 @@ def test_unknown_baseline_rejected(linear_curve):
     for kind in ("hold", "frozen"):
         with pytest.raises(ValueError):
             simulate_baseline(linear_curve, cfg, kind)
+    # a name keys its result, so it may not repeat
+    with pytest.raises(ValueError, match="distinct"):
+        simulate_strategies(linear_curve, cfg, ["reflecting", "reflecting"])
 
 
 def test_zero_horizon_above_boundary_pays_jump(linear_curve):
@@ -574,7 +585,7 @@ def test_estimates_checks(vhat, mc_ok):
     res = _result([1.0, 1.5, 0.5, 1.0])
     stop = _result([1.5, 1.75, 1.25, 1.5])
     full = _result([0.25] * 4)
-    doc, checks = estimates(res, stop, full, 1.5, vhat)
+    doc, checks = estimates({"reflecting": res, "stop_at_c": stop, "full_now": full}, 1.5, vhat)
     se = math.sqrt(0.125 / 3.0) / 2.0
     assert doc["diff_vs_stop_at_c"] == pytest.approx({"mean": -0.5, "se": se}, rel=1e-15)
     assert doc["diff_vs_full_now"] == pytest.approx({"mean": 0.75, "se": 2.0 * se}, rel=1e-15)
@@ -593,8 +604,8 @@ def test_estimates_checks(vhat, mc_ok):
 
 def test_estimates_zero_se_has_no_ratio():
     # equal payoffs: the errors stand, but no SE can measure them
-    res, stop, full = _result([0.5] * 3), _result([0.25] * 3), _result([0.75] * 3)
-    doc, checks = estimates(res, stop, full, 0.5, 1.0)
+    doc, checks = estimates({"reflecting": _result([0.5] * 3), "stop_at_c": _result([0.25] * 3),
+                             "full_now": _result([0.75] * 3)}, 0.5, 1.0)
     assert doc["abs_error_vs_value_hat"] == 0.5
     assert doc["error_over_se"] is None
     assert doc["paired_estimate"] == {"estimate": 0.75, "se": 0.0,
@@ -605,7 +616,8 @@ def test_estimates_zero_se_has_no_ratio():
 def test_estimates_rejects_single_path():
     # one path has no standard error, so no check can be judged
     with pytest.raises(ConfigError, match="n_paths >= 2"):
-        estimates(_result([0.5]), _result([0.25]), _result([0.75]), 0.25, 0.5)
+        estimates({"reflecting": _result([0.5]), "stop_at_c": _result([0.25]),
+                   "full_now": _result([0.75])}, 0.25, 0.5)
 
 
 @pytest.mark.parametrize(
