@@ -41,6 +41,13 @@ of one path of its first leg, so a plotted path is by construction one of
 the batch paths: `simulate_strategies` traces it within the batch, and
 `sample_trajectory` runs its key alone, to the same numbers.
 
+A path is also absorbed once what it can still earn is below the horizon
+cut's truncation bound e^{-rT}(1 - k).  Pi is a martingale, so by Doob's
+maximal inequality it reaches beta = expit(barrier) with probability at most
+Pi_t / beta, and only then can a hook pay, at most (1 - k) discounted by
+e^{-rt}.  So the kernel ends a live row of a hooked leg once
+phi < log beta - r (T - t); it keeps its U < 1 and counts as alive.
+
 Several legs share one pass of the kernel: their rows are stacked, each row
 knows its leg, and each step hands every leg's hook its own crossing rows.
 `simulate_strategies` builds the legs it is named from one registry and
@@ -91,6 +98,9 @@ DRAW_BLOCK = 256  # streams per transposed block in _draws
 # logit of a float in (0, 1) and so less than 745 in size.
 SQRT_E_CAP = math.sqrt(74.0)
 ROUNDING = 1e-9
+
+# `_run` tests for absorption at the steps numbered a multiple of this
+ABSORB_STRIDE = 16
 
 # the statistical checks allow a gap of this many standard errors (the "3se"
 # in the manifest's check names)
@@ -310,7 +320,8 @@ def _draws(method: str, streams: Callable[[np.ndarray], List[np.random.Generator
 # barrier during the step whose midpoint is t.  It may book payoffs, move
 # rows.u and rows.barrier, and returns the subsets of idx whose U grew and
 # of those that died, or None for either.  A dying row's phi is set to the
-# level at which it died.
+# level at which it died.  Absorption relies on the payoff contract: a hook
+# pays only on a crossing, and at most (1 - k) per unit of capacity left.
 Hook = Callable[[float, SimpleNamespace, np.ndarray, np.ndarray],
                 Tuple[Optional[np.ndarray], Optional[np.ndarray]]]
 
@@ -355,7 +366,10 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     `bridged`) only on rows with max(a, b) >= floor; a row below its floor
     cannot cross.  A dead row is frozen (zero drift and volatility,
     infinite barrier and floor) until the chunk ends, when its terminal U
-    and Pi are written and the batch is compacted.
+    and Pi are written and the batch is compacted.  After the hooks of each
+    ABSORB_STRIDE-th step but the last, a row with phi < logb - r (T - t)
+    ends as a dead row does and counts in `absorbed`; `logb` is
+    log expit(barrier), -inf for an infinite one (hookless leg, dead row).
 
     The legs share the substreams: the generators are built and theta is
     drawn once, and each chunk's normals are drawn once for the streams
@@ -389,6 +403,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                            u=np.repeat([legs[j].u0 for j in stepped], n),
                            theta=np.tile(theta, stepped.size), drift=np.empty(m),
                            vol=np.empty(m), var=np.empty(m), floor=np.empty(m),
+                           logb=np.empty(m),
                            barrier=np.repeat([legs[j].barrier for j in stepped], n))
 
     def refresh(sel):
@@ -397,12 +412,25 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         rows.vol[sel] = rv * sqdt
         rows.var[sel] = rows.vol[sel] * rows.vol[sel]
         rows.floor[sel] = rows.barrier[sel] - (0.5 * SQRT_E_CAP * rows.vol[sel] + ROUNDING)
+        barrier = rows.barrier[sel]
+        rows.logb[sel] = np.where(barrier < math.inf, -np.logaddexp(0.0, -barrier), -math.inf)
 
     refresh(slice(None))
     n_live = [n if leg.u0 < 1.0 else 0 for leg in legs]
-    steps, dead_steps, crossings = [0] * n_legs, [0] * n_legs, [0] * n_legs
+    steps, dead_steps, crossings, absorbed = ([0] * n_legs for _ in range(4))
     bridged = np.zeros(n_legs, dtype=int)
     uniforms_drawn = maximum_streams_built = draw_bytes = 0
+
+    def end(j, idx, done):
+        # freeze the rows idx of leg j, which end at step done
+        alive[idx] = False
+        rows.drift[idx] = rows.vol[idx] = rows.var[idx] = 0.0
+        rows.barrier[idx] = rows.floor[idx] = math.inf
+        rows.logb[idx] = -math.inf
+        dead_steps[j] += idx.size * done
+        n_live[j] -= idx.size
+        if not n_live[j]:
+            steps[j] = done
 
     def settle(sel):
         # terminal U and Pi of the rows in the mask sel
@@ -472,15 +500,17 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                     crossings[j] += idx.size
                     grew, died = legs[j].hook(t - 0.5 * dt, rows, idx, peak[cuts[j]:cuts[j + 1]])
                     if died is not None and died.size:
-                        alive[died] = False
-                        rows.drift[died] = rows.vol[died] = rows.var[died] = 0.0
-                        rows.barrier[died] = rows.floor[died] = math.inf
-                        dead_steps[j] += died.size * done
-                        n_live[j] -= died.size
-                        if not n_live[j]:
-                            steps[j] = done
+                        end(j, died, done)
                     if grew is not None and grew.size:
                         refresh(grew)
+            if hooked and done % ABSORB_STRIDE == 0 and done < n_steps:
+                out = np.flatnonzero(rows.phi < rows.logb - params.r * (cfg.horizon - t))
+                cuts = np.searchsorted(out, starts)
+                for j in range(n_legs):
+                    idx = out[cuts[j]:cuts[j + 1]]
+                    if idx.size:
+                        absorbed[j] += idx.size
+                        end(j, idx, done)
             if tracing:
                 trace.append((t, rows.u[tr], rows.phi[tr]))
             if not any(n_live):
@@ -502,7 +532,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     for j, leg in enumerate(legs):
         if n_live[j]:
             steps[j] = steps_done
-        frac_alive = n_live[j] / n
+        frac_alive = (n_live[j] + absorbed[j]) / n
         estimate, std_error = _mean_se(leg.payoffs)
         results[leg.name] = SimResult(
             estimate=estimate,
@@ -517,7 +547,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             terminal_pi=terminal_pi[j],
             counters={"steps": steps[j], "path_steps": dead_steps[j] + n_live[j] * steps[j],
                       "barrier_crossings": crossings[j], "bridge_rows": int(bridged[j]),
-                      "frac_alive_at_horizon": frac_alive},
+                      "absorbed": absorbed[j], "frac_alive_at_horizon": frac_alive},
             pass_counters=dict(shared),
         )
     if traced is not None:
@@ -610,8 +640,9 @@ def simulate_strategies(curve: BoundaryCurve, cfg: SimConfig, names: Sequence[st
 
     The payoffs of the strategies are common random numbers, and each
     result equals, bit for bit, that of a pass of its strategy alone.  A
-    path ends when U reaches 1 or the horizon runs out; the reported
-    truncation bound caps what the horizon cut can have discarded per path.
+    path ends when U reaches 1, when the horizon runs out, or by absorption
+    (see the module docstring); the reported truncation bound caps what
+    either cut can have discarded per path in expectation.
     full_now, and stop_at_c from pi0 >= c(u0), are closed form: they draw
     nothing, and their theta is None.  Given a `trajectory_path` below
     n_paths, the pass also traces that path of the first strategy, and its

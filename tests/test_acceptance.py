@@ -133,6 +133,13 @@ def test_04_value_diagnostics():
     assert elapsed < 30.0
 
 
+# the reflecting, stop_at_c and paired estimates of the run below before
+# the kernel ended paths by absorption, which may move each by at most the
+# truncation bound
+UNABSORBED_05 = {"reflecting": 0.09681504107329932, "stop_at_c": 0.09321334367015445,
+                 "paired": 0.09728848975058031}
+
+
 def test_05_monte_carlo_optimality():
     t0 = time.perf_counter()
     # the step of configs/linear_noise.json; the barrier is monitored inside
@@ -166,6 +173,10 @@ def test_05_monte_carlo_optimality():
     mean_d, se_d = diffs["stop_at_c"]
     paired_gap = abs(ref + mean_d - v_hat)
     assert paired_gap <= 3.0 * se_d
+
+    for name, got in (("reflecting", reflect.estimate), ("stop_at_c", stop.estimate),
+                      ("paired", ref + mean_d)):
+        assert abs(got - UNABSORBED_05[name]) <= reflect.truncation_bound, name
 
     elapsed = time.perf_counter() - t0
     _line(5, "monte carlo optimality", elapsed <= 60.0,

@@ -333,12 +333,12 @@ def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, faul
         assert SIDECAR_FAULTS[fault][0] in err
 
 
-# sha1 of the files the 400-path run below writes, taken before the three
-# strategies came to share one call; that change moved no byte
+# sha1 of the files the 400-path run below writes, taken when the kernel
+# began to end paths by absorption
 SIMULATE_400_SHA1 = {
-    "estimates.json": "20f0018bbd2e5ebf3b5c47f6619b1c05af7b03b3",
-    "trajectory.csv": "ec552dd602030c3e513c27ecacfef5d02fcb87f4",
-    "paths.csv": "9e67a57d11d53e621b419d5a0088c55315cb7a5f",
+    "estimates.json": "c050e0a13fd52d1465c7546fc9747b3489c35390",
+    "trajectory.csv": "59bb124dbc9a11ece48d5b036e9e523c5e28e99d",
+    "paths.csv": "89ac929728e77b2a2edae55db2f5dbf00484f021",
 }
 
 
@@ -381,12 +381,15 @@ def test_simulate_writes_estimates(tmp_path):
     assert 0 < shared["draw_bytes"] <= 16 * sim_mod.CHUNK_STEPS * 400
     for name, counts in man["counters"].items():
         assert set(counts) == {"steps", "path_steps", "barrier_crossings", "bridge_rows",
-                               "frac_alive_at_horizon"}
+                               "absorbed", "frac_alive_at_horizon"}
         assert counts["frac_alive_at_horizon"] == est[name]["frac_alive_at_horizon"]
+        # an absorbed path counts as alive at the horizon, as its U is below 1
         alive = round(counts["frac_alive_at_horizon"] * 400)
-        assert counts["steps"] == 6000 if alive else counts["steps"] <= 6000
-        # every path lives at least one step, the survivors all of them
-        assert 400 + alive * (counts["steps"] - 1) <= counts["path_steps"] <= 400 * counts["steps"]
+        assert 0 < counts["absorbed"] <= alive
+        live = alive - counts["absorbed"]
+        assert counts["steps"] == 6000 if live else counts["steps"] <= 6000
+        # every path lives at least one step, those that reach the horizon all of them
+        assert 400 + live * (counts["steps"] - 1) <= counts["path_steps"] <= 400 * counts["steps"]
         assert counts["barrier_crossings"] > 0
         # a crossing is found by sampling the row's in-step maximum
         assert counts["bridge_rows"] >= counts["barrier_crossings"]

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -99,21 +99,22 @@ def test_chunking_does_not_change_results(linear_curve, monkeypatch):
 
 
 # sha1 of tobytes() of the float64 result arrays for PINNED_CFG.  The
-# reflecting and stop_at_c hashes were taken when the kernel began to
-# monitor the barrier through the exact in-step maximum.  The frozen-capacity
+# reflecting and stop_at_c hashes were taken when the kernel began to end
+# paths by absorption (15 and 12 of the 64 paths end so on this short
+# horizon).  The frozen-capacity
 # run draws no uniforms, and its hashes come from the kernel before that
 # change: its theta and normals must not move.
 PINNED_CFG = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
 PINNED_SHA1 = {
     "reflecting": {
-        "payoffs": "bcb6cecef09ee6abdb0aa321195760ad78e20a38",
-        "terminal_u": "52c6fbfe3cbc493f6d5aa98e52c09df932a3a19d",
-        "terminal_pi": "c827403aa90644cc3b84bde7be2366405b08f831",
+        "payoffs": "d381f64db3becc797cecb3b070c4344c470ff3fa",
+        "terminal_u": "894e98aa8c922aa635f4983cec32fd4beb565d3e",
+        "terminal_pi": "def01f56454e10e840d5e787d3ee8160fcd60c7e",
     },
     "stop_at_c": {
-        "payoffs": "d45cdb58854e73f10cbbb2ff91acab4142866337",
-        "terminal_u": "69be92c2450e3aa801e9b66d1f8457810b7c7193",
-        "terminal_pi": "0e17dc9e5c4e747d4be7bb1f5d5adbdf0cf60b2c",
+        "payoffs": "ac0dd6171a9451afb93e682431b7e180124e8c52",
+        "terminal_u": "762af398e5b0b73035f96984e7667bb8e0f3c85c",
+        "terminal_pi": "cd77a279d2514432fe2b5f85976bf088b9746f43",
     },
     "frozen_capacity": {
         "theta": "9e86fe8a360060d08927652aaf30fa83bdb4c75f",
@@ -185,9 +186,10 @@ def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, chunk
                 got = hashlib.sha1(getattr(res, field).tobytes()).hexdigest()
                 assert got == want, (name, field)
     elif case == "stop_finishes_early":
-        # each leg counts its steps up to the death of its own last path
-        assert stop.counters["steps"] == 13
-        assert reflect.counters["steps"] == cfg.n_steps
+        # each leg counts its steps up to the end of its own last path: the
+        # reflecting leg's last 7 live paths are absorbed at step 1 088
+        assert stop.counters["steps"] == 13 and stop.counters["absorbed"] == 0
+        assert reflect.counters["steps"] == 1088 and reflect.counters["absorbed"] == 7
     elif case == "reflecting_without_rows":
         assert reflect.initial_jump > 0.0 and reflect.counters["path_steps"] == 0
         assert stop.theta is None
@@ -205,7 +207,7 @@ def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
     _assert_same_result(stop, alone)
     assert empty.theta is None
     assert empty.counters == {"steps": 0, "path_steps": 0, "barrier_crossings": 0,
-                              "bridge_rows": 0, "frac_alive_at_horizon": 0.0}
+                              "bridge_rows": 0, "absorbed": 0, "frac_alive_at_horizon": 0.0}
     assert np.all(empty.terminal_u == 1.0) and np.all(empty.terminal_pi == cfg.start_pi)
 
 
@@ -419,6 +421,46 @@ def test_trajectory_ends_at_its_batch_path(linear_curve):
         assert traj["theta"] == batch_run.theta[i]
         assert traj["u"][-1] == batch_run.terminal_u[i]
         assert traj["pi"][-1] == batch_run.terminal_pi[i]
+
+
+# the shipped run of configs/linear_noise.json (seed 1) on fewer paths; a
+# path's result does not depend on how many paths run beside it
+SHIPPED_CFG = SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_paths=8000, seed=1)
+
+
+def test_absorption_counts(linear_curve):
+    # a hookless leg stepped beside the hooked ones keeps every path to the
+    # horizon, as it does alone
+    cfg, n = SHIPPED_CFG, SHIPPED_CFG.n_paths
+    frozen = sim_mod.Leg("frozen", cfg.start_u, math.inf, None, 0.0, np.zeros(n))
+    legs = [sim_mod._reflect_leg(linear_curve, cfg, n), sim_mod._stop_leg(linear_curve, cfg, n)]
+    got = sim_mod._run(LINEAR, PARAMS, cfg, range(n), legs + [frozen])
+    for name in PAIR:
+        counts = got[name].counters
+        assert 0 < counts["absorbed"] <= counts["frac_alive_at_horizon"] * n
+    alone, = sim_mod._run(LINEAR, PARAMS, cfg, range(n), [frozen]).values()
+    _assert_same_result(got["frozen"], alone)
+    assert alone.counters["absorbed"] == 0 and alone.counters["steps"] == cfg.n_steps
+
+
+def test_absorbed_trajectory_ends_on_the_rule(linear_curve):
+    # key 5 grows to U 0.69, then its belief falls and it is absorbed: at the
+    # first check step where phi < log b(U) - r (T - t)
+    cfg = replace(SHIPPED_CFG, n_paths=64)
+    traj = sample_trajectory(linear_curve, cfg, 5)
+    t, u, pi = traj["t"], traj["u"], traj["pi"]
+    last = t.size - 1
+    assert 0 < last < cfg.n_steps and 0.0 < u[-1] < 1.0
+    checks = np.arange(sim_mod.ABSORB_STRIDE, last + 1, sim_mod.ABSORB_STRIDE)
+    assert checks[-1] == last
+    phi = np.log(pi[checks]) - np.log1p(-pi[checks])
+    level = np.log(linear_curve.b_at(u[checks])) - PARAMS.r * (cfg.horizon - t[checks])
+    below = phi < level
+    assert below[-1] and not below[:-1].any()
+    batch = simulate_strategies(linear_curve, cfg, PAIR, 5)["reflecting"].trajectory
+    assert batch.keys() == traj.keys()
+    for name, value in traj.items():
+        assert np.array_equal(batch[name], value), name
 
 
 def test_seed_reproducibility(linear_curve):
