@@ -159,6 +159,10 @@ class BoundaryCurve:
         """Integral of b from 0 to u, exact for the cubic Hermite interpolant."""
         return self._b.integral(u)
 
+    def b_and_integral(self, u):
+        """b_at(u) and b_integral(u), from one knot search."""
+        return self._b.value_and_integral(u)
+
     def h_at(self, pi):
         """Inverse boundary h(pi): first capacity level whose threshold exceeds pi.
 

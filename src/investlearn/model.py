@@ -251,10 +251,13 @@ class _Hermite:
         """Integral of segment i's cubic from its base to base + s."""
         return s * (self.c0[i] + s * (self.c1[i] / 2.0 + s * (self.c2[i] / 3.0 + s * self.c3[i] / 4.0)))
 
+    def _segment_value(self, i, s):
+        """Segment i's cubic at base + s, by Horner."""
+        return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+
     def __call__(self, q):
         i = np.searchsorted(self.x, q, side="right")
-        s = q - self.base[i]
-        return self.c0[i] + s * (self.c1[i] + s * (self.c2[i] + s * self.c3[i]))
+        return self._segment_value(i, q - self.base[i])
 
     def derivative(self, q):
         """Slope of the interpolant: m_j exactly at every knot x_j (the left
@@ -268,6 +271,13 @@ class _Hermite:
         """Integral of the interpolant from x_0 to q, closed form per segment."""
         i = np.searchsorted(self.x, q, side="right")
         return self.cum[i] + self._segment_integral(i, q - self.base[i])
+
+    def value_and_integral(self, q):
+        """The interpolant and its integral from x_0 at q, from one knot
+        search; each is bit for bit what `__call__` and `integral` give."""
+        i = np.searchsorted(self.x, q, side="right")
+        s = q - self.base[i]
+        return self._segment_value(i, s), self.cum[i] + self._segment_integral(i, s)
 
     def derivatives(self, q):
         """Value and first three derivatives on [x_0, x_n], x_n from the left."""

@@ -60,14 +60,16 @@ share a pass, and paths are common random numbers across strategies with
 the same seed.  Draw 0 of each stream is the uniform that decides theta;
 normals follow.  A run with a hook draws the uniforms of the in-step maxima
 from a second stream of the same key, so theta and the normals of a path do
-not depend on whether it is monitored.  A path draws a chunk's uniforms only
-when its normals over the chunk can bring it within reach of its barrier,
-from a second stream built at the counter of the chunk's first step, so the
-uniform of step s is always number s of its stream and the results are
-those of drawing them all.  The stream of key (seed, i) is
-Philox(key=[seed, i]) (the second one started at counter [0, 0, 1, 0]),
-built from a seed-sequence holder whose state is that key, so that no
-generator gathers OS entropy it would then discard.
+not depend on whether it is monitored.  The draws are made a chunk of steps
+at a time into two buffers made once per pass, which hold DRAW_BUDGET
+float64 per path between them; as paths end, a chunk spans more steps.  A
+path draws a chunk's uniforms only when its normals over the chunk can bring
+it within reach of its barrier, from a second stream built at the counter of
+the chunk's first step, so the uniform of step s is always number s of its
+stream and the results are those of drawing them all.  The stream of key
+(seed, i) is Philox(key=[seed, i]) (the second one started at counter
+[0, 0, 1, 0]), built from a seed-sequence holder whose state is that key,
+so that no generator gathers OS entropy it would then discard.
 """
 
 from __future__ import annotations
@@ -85,11 +87,14 @@ from .boundary import BoundaryCurve
 from .model import (ConfigError, ModelParams, RateSpec, _integer, _number, logit, rho,
                     stopping_threshold_c, stopping_value_v)
 
-# Steps drawn at a time: the normals of a chunk take CHUNK_STEPS float64
-# (1 KiB) per live stream, and its uniforms as many per stream within reach,
-# so at most 2 KiB per path: 16 MB at 8 000 paths, 41 MB at 20 000.
-CHUNK_STEPS = 128
+# The float64 per path of a pass (1 KiB) that a chunk's draws may hold: a
+# pass with a hook splits it evenly between its normals and its uniforms, a
+# pass without one gives it all to the normals.  The two buffers are made
+# once per pass, 8.2 MB at 8 000 paths and 20.5 MB at 20 000, and a chunk
+# spans as many steps as they hold for the streams still live.
+DRAW_BUDGET = 128
 DRAW_BLOCK = 256  # streams per transposed block in _draws
+BLOCK_FLOATS = 128 * DRAW_BLOCK  # float64 (256 KiB) a transposed block in _draws may hold
 
 # The reach screen of `_run`.  A sampled maximum is at most the larger end
 # of its step plus vol * sqrt(e) / 2, and e = -2 ln(1 - U) <= 106 ln 2 < 74,
@@ -233,7 +238,7 @@ class SimResult:
     terminal_u: np.ndarray
     terminal_pi: np.ndarray
     counters: dict  # deterministic work counts of the strategy, for the manifest
-    # uniforms drawn, second streams built and draw_bytes of the pass
+    # uniforms drawn, second streams built, draw_bytes and chunks of the pass
     pass_counters: dict
     trajectory: Optional[dict] = None  # the traced path, on the first leg's result
 
@@ -258,7 +263,9 @@ def _streams(seed: int, keys: Sequence[int], counter=None) -> List[np.random.Gen
     below returns [seed, i].  Philox copies the key when it is built, so one
     holder serves the whole set.  The holder's class is made here, not at
     import, because numpy loads numpy.random on first use only, and the
-    commands that never simulate should not pay for loading it.
+    commands that never simulate should not pay for loading it.  The
+    counter is handed over as one uint64 array, which Philox copies: a list,
+    an int or None would cost each build a conversion, up to a third of it.
     """
 
     class Key(np.random.bit_generator.ISeedSequence):
@@ -266,6 +273,8 @@ def _streams(seed: int, keys: Sequence[int], counter=None) -> List[np.random.Gen
             return key
 
     key = np.array([seed, 0], dtype=np.uint64)
+    counter = np.zeros(4, dtype=np.uint64) if counter is None else \
+        np.asarray(counter, dtype=np.uint64)
     holder = Key()
     gens = []
     for i in keys:
@@ -297,17 +306,20 @@ def _draw_theta(gens: List[np.random.Generator], start_pi: float) -> np.ndarray:
 
 
 def _draws(method: str, streams: Callable[[np.ndarray], List[np.random.Generator]],
-           pos: np.ndarray, span: int) -> np.ndarray:
-    """The next `span` draws <method>() of the stream of each position
-    pos[j] in column j: one row per step, so each step reads contiguous
-    memory.  streams(block) gives the generators of a block of DRAW_BLOCK
-    positions; each fills a row of the block, which is transposed into place.
+           pos: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out, of shape (span, pos.size), with the next span draws
+    <method>() of the stream of each position pos[j] in column j: one row
+    per step, so each step reads contiguous memory.  streams(block) gives
+    the generators of a block of at most DRAW_BLOCK positions, and no more
+    than BLOCK_FLOATS draws a block; each fills a row of the block, which is
+    transposed into place.
     """
-    out = np.empty((span, pos.size))
-    block = np.empty((DRAW_BLOCK, span))
+    span = out.shape[0]
+    size = max(1, min(DRAW_BLOCK, BLOCK_FLOATS // span))
+    block = np.empty((size, span))
     views = list(block)  # one per row, made once
-    for lo in range(0, pos.size, DRAW_BLOCK):
-        keys = pos[lo:lo + DRAW_BLOCK]
+    for lo in range(0, pos.size, size):
+        keys = pos[lo:lo + size]
         for row, gen in zip(views, streams(keys)):
             getattr(gen, method)(out=row)
         gen = None  # frees the block's last generator before the next block's are built
@@ -374,7 +386,12 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     The legs share the substreams: the generators are built and theta is
     drawn once, and each chunk's normals are drawn once for the streams
     still live in any leg, one column per stream; a row reads its stream's
-    column `col`.  Over a chunk of `span` steps a row's log odds stay below
+    column `col`.  The normals `z` and uniforms of a chunk are views of two
+    buffers of the pass, DRAW_BUDGET / 2 float64 per path each (all of it
+    to the normals without a hook).  A chunk spans as many steps as the
+    normals buffer holds for the live streams, rounded down to a multiple
+    of 4, so that the second streams start on a Philox block, and at most
+    the steps left.  Over a chunk of `span` steps a row's log odds stay below
     phi + max(0, span drift) + vol max(0, S), with S the largest partial
     sum of its stream's normals in the chunk.  Only the streams with a row
     whose bound reaches its floor draw the chunk's uniforms, from second
@@ -385,8 +402,8 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     it would be alone.  Given `traced`, the first leg's result carries the
     `trajectory` (t, U, Pi) of its row of keys[traced] after each step the
     row lives, its start alone if the leg has no rows.  The pass counters
-    hold the uniforms drawn, the second streams built and `draw_bytes`, the
-    most bytes one chunk's normals and uniforms took.
+    hold the uniforms drawn, the second streams built, `draw_bytes`, the
+    most bytes one chunk's normals and uniforms took, and the `chunks`.
     """
     closed = [leg.u0 >= 1.0 and leg.hook is None for leg in legs]
     n, n_legs = len(keys), len(legs)
@@ -419,7 +436,11 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     n_live = [n if leg.u0 < 1.0 else 0 for leg in legs]
     steps, dead_steps, crossings, absorbed = ([0] * n_legs for _ in range(4))
     bridged = np.zeros(n_legs, dtype=int)
-    uniforms_drawn = maximum_streams_built = draw_bytes = 0
+    uniforms_drawn = maximum_streams_built = draw_bytes = chunks = 0
+    # the pass's draw buffers, each chunk's z and uniforms a view of one
+    share = DRAW_BUDGET // 2 if hooked else DRAW_BUDGET
+    z_buf = np.empty(share * n)
+    u_buf = np.empty(share * n) if hooked else None
 
     def end(j, idx, done):
         # freeze the rows idx of leg j, which end at step done
@@ -443,10 +464,13 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     tr = traced if traced is not None and stepped.size and stepped[0] == 0 else -1
     trace, steps_done = [], 0
     while steps_done < n_steps and any(n_live):
-        span = min(CHUNK_STEPS, n_steps - steps_done)
         streams, col = np.unique(rows.pos, return_inverse=True)
+        span = z_buf.size // streams.size
+        span = min(span - span % 4 if span >= 4 else span, n_steps - steps_done)
         starts = np.searchsorted(rows.leg, np.arange(n_legs + 1))
-        z = _draws("standard_normal", lambda block: [gens[i] for i in block], streams, span)
+        z = _draws("standard_normal", lambda block: [gens[i] for i in block], streams,
+                   z_buf[:span * streams.size].reshape(span, streams.size))
+        chunks += 1
         chunk_bytes = z.nbytes
         if hooked:
             total, top = np.zeros(streams.size), np.zeros(streams.size)
@@ -458,7 +482,8 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             need[col[bound >= rows.floor - ROUNDING]] = True
             drawing = streams[need]
             uniforms = _draws("random", lambda block: _maximum_streams(
-                cfg.seed, [keys[i] for i in block], steps_done), drawing, span)
+                cfg.seed, [keys[i] for i in block], steps_done), drawing,
+                u_buf[:span * drawing.size].reshape(span, drawing.size))
             uniforms_drawn += drawing.size * span
             maximum_streams_built += drawing.size
             chunk_bytes += uniforms.nbytes
@@ -518,7 +543,6 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                 break
 
         steps_done += span
-        z = uniforms = None  # free this chunk's draws before the next chunk's are made
         if not alive.all():
             settle(~alive)
             tr = int(np.count_nonzero(alive[:tr])) if tr >= 0 and alive[tr] else -1
@@ -527,7 +551,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     settle(np.ones(rows.pos.size, dtype=bool))
     truncation = math.exp(-params.r * cfg.horizon) * (1.0 - params.k)
     shared = {"uniforms_drawn": uniforms_drawn, "maximum_streams_built": maximum_streams_built,
-              "draw_bytes": draw_bytes}
+              "draw_bytes": draw_bytes, "chunks": chunks}
     results = {}
     for j, leg in enumerate(legs):
         if n_live[j]:
@@ -567,6 +591,7 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
     A row's barrier is logit(b(U)).  When the step's maximum M passes it,
     U grows to h(expit(M)); Pi rode the boundary meanwhile, so the step pays
     the integral of b(u) - k over the growth, discounted at the midpoint.
+    b and its integral at the new U come from one knot search.
     """
     r, k = curve.params.r, curve.params.k
     u_start = max(cfg.start_u, float(curve.h_at(cfg.start_pi)))
@@ -579,18 +604,18 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
         pos = rows.pos[idx]
         u_old = rows.u[idx]
         u_new = np.maximum(curve.h_at(_expit(peak)), u_old)
-        b_new = curve.b_integral(u_new)
-        gain = b_new - integral[pos] - k * (u_new - u_old)
-        integral[pos] = b_new
+        b_new, area = curve.b_and_integral(u_new)
+        gain = area - integral[pos] - k * (u_new - u_old)
+        integral[pos] = area
         payoffs[pos] += math.exp(-r * t) * gain
         rows.u[idx] = u_new
         full = u_new >= 1.0
         died = idx[full]
         rows.u[died] = 1.0
         rows.phi[died] = phi_full
-        grew = idx[~full & (u_new > u_old)]
-        b_new = curve.b_at(rows.u[grew])
-        rows.barrier[grew] = logit(b_new)
+        moved = ~full & (u_new > u_old)
+        grew = idx[moved]
+        rows.barrier[grew] = logit(b_new[moved])
         return grew, died
 
     barrier = _logit(float(curve.b_at(u_start))) if u_start < 1.0 else math.inf

@@ -29,6 +29,7 @@ from investlearn.model import (
     zero_level_B,
 )
 from investlearn.simulate import (
+    DRAW_BUDGET,
     SimConfig,
     filter_calibration,
     simulate_strategies,
@@ -177,6 +178,8 @@ def test_05_monte_carlo_optimality():
     for name, got in (("reflecting", reflect.estimate), ("stop_at_c", stop.estimate),
                       ("paired", ref + mean_d)):
         assert abs(got - UNABSORBED_05[name]) <= reflect.truncation_bound, name
+    # no chunk's draws hold more than the budget per path
+    assert reflect.pass_counters["draw_bytes"] <= 8 * DRAW_BUDGET * cfg.n_paths
 
     elapsed = time.perf_counter() - t0
     _line(5, "monte carlo optimality", elapsed <= 60.0,

@@ -182,6 +182,17 @@ def test_b_integral_matches_quadrature(linear_curve, hyperbolic_curve, lo, hi):
     assert linear_curve.b_integral(0.0) == 0.0
 
 
+def test_b_and_integral_is_b_at_and_b_integral(linear_curve, hyperbolic_curve):
+    # one knot search gives both, bit for bit: at knots, between them, on
+    # the constant ends and past them
+    for curve in (linear_curve, hyperbolic_curve):
+        grid = curve.u_grid
+        u = np.concatenate((grid, 0.5 * (grid[1:] + grid[:-1]), [-0.5, 1.5]))
+        b, area = curve.b_and_integral(u)
+        assert np.array_equal(b, curve.b_at(u))
+        assert np.array_equal(area, curve.b_integral(u))
+
+
 class CountingSpec(RateSpec):
     """Wraps a rate spec and counts its gamma_derivs calls."""
 

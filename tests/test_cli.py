@@ -374,11 +374,12 @@ def test_simulate_writes_estimates(tmp_path):
     # deterministic work counts, one set per stepped strategy, no timing
     assert set(man["counters"]) == {"reflecting", "stop_at_c", "pass"}
     shared = man["counters"].pop("pass")
-    assert set(shared) == {"uniforms_drawn", "maximum_streams_built", "draw_bytes"}
+    assert set(shared) == {"uniforms_drawn", "maximum_streams_built", "draw_bytes", "chunks"}
     # a stream that draws takes a uniform for each step of its chunk
     assert 0 < shared["maximum_streams_built"] < shared["uniforms_drawn"]
-    # a chunk holds at most one normal and one uniform per path and step
-    assert 0 < shared["draw_bytes"] <= 16 * sim_mod.CHUNK_STEPS * 400
+    # a chunk's draws hold at most the pass's budget per path
+    assert 0 < shared["draw_bytes"] <= 8 * sim_mod.DRAW_BUDGET * 400
+    assert shared["chunks"] > 1
     for name, counts in man["counters"].items():
         assert set(counts) == {"steps", "path_steps", "barrier_crossings", "bridge_rows",
                                "absorbed", "frac_alive_at_horizon"}

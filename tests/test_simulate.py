@@ -89,7 +89,7 @@ def test_chunking_does_not_change_results(linear_curve, monkeypatch):
                 filter_calibration(LINEAR, PARAMS, cfg, n_bins=4))
 
     *base, base_filter = runs()
-    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", 7)
+    monkeypatch.setattr(sim_mod, "DRAW_BUDGET", 7)
     *small, small_filter = runs()
     for b, s in zip(base, small):
         assert np.array_equal(b.payoffs, s.payoffs)
@@ -140,10 +140,11 @@ def test_results_pinned_bit_for_bit(linear_curve):
             assert got == want, (name, field)
 
 
-# chunk lengths the kernel's results must not depend on: the default, a
-# longer one over which the chunk bound is looser, and 7, at which the
-# uniform streams start inside a Philox block of four words
-CHUNKS = [sim_mod.CHUNK_STEPS, 256, 7]
+# draw budgets the kernel's results must not depend on: the default, a
+# larger one whose longer chunks loosen the chunk bound, and 7, whose
+# chunks of 3 steps while every stream lives start the uniform streams
+# inside a Philox block of four words and make dozens of chunks
+BUDGETS = [sim_mod.DRAW_BUDGET, 256, 7]
 
 C0 = float(stopping_threshold_c(LINEAR, PARAMS, 0.0))
 PAIRED_CASES = {
@@ -169,11 +170,11 @@ def _assert_same_result(a, b):
     assert a.summary() == b.summary()
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("case", list(PAIRED_CASES))
-def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, chunk):
+def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, budget):
     # full_now comes last: a closed-form leg after the stepped ones
-    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    monkeypatch.setattr(sim_mod, "DRAW_BUDGET", budget)
     cfg = PAIRED_CASES[case]
     got = simulate_strategies(linear_curve, cfg, PAIR + ["full_now"])
     for name, res in got.items():
@@ -244,12 +245,12 @@ SCREEN_CFGS = [SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_pa
                for s in (1, 2)]
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("cfg", SCREEN_CFGS, ids=["seed1", "seed2"])
-def test_reach_screen_matches_unscreened_kernel(linear_curve, monkeypatch, cfg, chunk):
+def test_reach_screen_matches_unscreened_kernel(linear_curve, monkeypatch, cfg, budget):
     # with an infinite cap on sqrt(e) every row is in reach at every step,
     # so every live stream draws its uniforms: the kernel without the screen
-    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    monkeypatch.setattr(sim_mod, "DRAW_BUDGET", budget)
     screened = simulate_strategies(linear_curve, cfg, PAIR)
     monkeypatch.setattr(sim_mod, "SQRT_E_CAP", math.inf)
     unscreened = simulate_strategies(linear_curve, cfg, PAIR)
@@ -308,12 +309,13 @@ class _Live:
         self.gen.random(out=out)
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, chunk):
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, budget):
     # the second streams are built per chunk, no more than DRAW_BLOCK at a
-    # time, and dropped before the next block's; at chunk 7 they start
-    # inside a Philox block of four words
-    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    # time, and dropped before the next block's; every chunk starts on a
+    # Philox block of four words, except at budget 7, whose 3-step chunks
+    # start them inside one
+    monkeypatch.setattr(sim_mod, "DRAW_BUDGET", budget)
     want = simulate_strategies(linear_curve, SCREEN_CFGS[0], PAIR)
     built, ats = [], set()
     build = sim_mod._maximum_streams
@@ -332,33 +334,69 @@ def test_uniform_streams_live_a_block_at_a_time(linear_curve, monkeypatch, chunk
     assert sum(built) == reflect.pass_counters["maximum_streams_built"]
     assert reflect.pass_counters == want["reflecting"].pass_counters == \
         got["stop_at_c"].pass_counters
-    assert any(at % 4 for at in ats) == (chunk == 7)
+    assert any(at % 4 for at in ats) == (budget == 7)
     for name in PAIR:
         _assert_same_result(got[name], want[name])
 
 
+def _frozen_run(cfg):
+    # a pass without a barrier: it draws normals only
+    leg = sim_mod.Leg("frozen", cfg.start_u, math.inf, None, 0.0, np.zeros(cfg.n_paths))
+    return sim_mod._run(LINEAR, PARAMS, cfg, range(cfg.n_paths), [leg])["frozen"]
+
+
 def test_draw_bytes_pinned(linear_curve):
-    # the first chunk draws the normals of all 400 streams and the uniforms
-    # of the 367 within reach; no chunk holds more than 2 CHUNK_STEPS float64
-    # per path
+    # the first chunk spans half the budget, 64 steps, and holds the normals
+    # of all 400 streams and the uniforms of the 351 within reach
     reflect, stop = simulate_strategies(linear_curve, SCREEN_CFGS[0], PAIR).values()
     got = reflect.pass_counters["draw_bytes"]
-    assert got == 8 * sim_mod.CHUNK_STEPS * (400 + 367) == 785408
-    assert got <= 16 * sim_mod.CHUNK_STEPS * SCREEN_CFGS[0].n_paths
+    assert got == 8 * (sim_mod.DRAW_BUDGET // 2) * (400 + 351) == 384512
     assert stop.pass_counters == reflect.pass_counters
-    # a run without a barrier draws normals only
-    frozen, = sim_mod._run(LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
-                           [sim_mod.Leg("frozen", PINNED_CFG.start_u, math.inf, None, 0.0,
-                                        np.zeros(64))]).values()
-    assert frozen.pass_counters["draw_bytes"] == 8 * sim_mod.CHUNK_STEPS * 64
+    # without a hook the whole budget goes to the normals, 128 steps a chunk
+    frozen = _frozen_run(PINNED_CFG)
+    assert frozen.pass_counters["draw_bytes"] == 8 * sim_mod.DRAW_BUDGET * 64
+    assert frozen.pass_counters["chunks"] == 3
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_chunks_draw_into_two_buffers(linear_curve, monkeypatch, budget):
+    # every chunk's normals are a view of one buffer and its uniforms of
+    # another, made once per pass, and the draws never hold more than the
+    # budget per path, hooked or not; a transposed block of _draws holds at
+    # most BLOCK_FLOATS draws, or one stream's
+    monkeypatch.setattr(sim_mod, "DRAW_BUDGET", budget)
+    draws, blocks = sim_mod._draws, []
+
+    def spy(method, streams, pos, out):
+        def counted(block):
+            blocks.append(block.size * out.shape[0] <= sim_mod.BLOCK_FLOATS or block.size == 1)
+            return streams(block)
+        outs[method].append(out)
+        return draws(method, counted, pos, out)
+
+    monkeypatch.setattr(sim_mod, "_draws", spy)
+    for hook in (True, False):
+        outs = {"standard_normal": [], "random": []}
+        cfg = SCREEN_CFGS[0] if hook else PINNED_CFG
+        res = (simulate_strategies(linear_curve, cfg, PAIR)["reflecting"] if hook
+               else _frozen_run(cfg))
+        normals, uniforms = outs["standard_normal"], outs["random"]
+        chunks = res.pass_counters["chunks"]
+        assert len(normals) == chunks > 1 and len(uniforms) == (chunks if hook else 0)
+        for group in (normals, uniforms):
+            # a chunk in which no stream is within reach draws no uniforms
+            assert all(np.shares_memory(out, group[0]) for out in group if out.size)
+        assert not any(np.shares_memory(out, normals[0]) for out in uniforms)
+        assert res.pass_counters["draw_bytes"] <= 8 * budget * cfg.n_paths
+    assert all(blocks)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("case", list(PAIRED_CASES))
-def test_paired_pass_traces_the_sample_trajectory(linear_curve, monkeypatch, case, chunk):
+def test_paired_pass_traces_the_sample_trajectory(linear_curve, monkeypatch, case, budget):
     # the trace of a batch path is the one-key run of its key, whether the
     # path lives to the horizon, dies within a chunk or has no row at all
-    monkeypatch.setattr(sim_mod, "CHUNK_STEPS", chunk)
+    monkeypatch.setattr(sim_mod, "DRAW_BUDGET", budget)
     cfg = PAIRED_CASES[case]
     want = simulate_strategies(linear_curve, cfg, PAIR)
     assert want["reflecting"].trajectory is None
