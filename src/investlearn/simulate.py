@@ -41,12 +41,14 @@ of one path of its first leg, so a plotted path is by construction one of
 the batch paths: `simulate_strategies` traces it within the batch, and
 `sample_trajectory` runs its key alone, to the same numbers.
 
-A path is also absorbed once what it can still earn is below the horizon
-cut's truncation bound e^{-rT}(1 - k).  Pi is a martingale, so by Doob's
-maximal inequality it reaches beta = expit(barrier) with probability at most
-Pi_t / beta, and only then can a hook pay, at most (1 - k) discounted by
-e^{-rt}.  So the kernel ends a live row of a hooked leg once
-phi < log beta - r (T - t); it keeps its U < 1 and counts as alive.
+A path is also absorbed once what it can still earn is below
+e^{-rT}(1 - k), which is at most the horizon cut's truncation bound.  Pi is
+a martingale, so by Doob's maximal inequality it reaches
+beta = expit(barrier) with probability at most Pi_t / beta, and only then
+can a hook pay, at most (1 - k) discounted by e^{-rt}.  So the kernel ends a
+live row once phi < log beta - r (T - t); it keeps its U < 1 and counts as
+alive.  A row without a hook has barrier inf, so it is never absorbed,
+never within reach and draws no uniform.
 
 Several legs share one pass of the kernel: their rows are stacked, each row
 knows its leg, and each step hands every leg's hook its own crossing rows.
@@ -58,14 +60,14 @@ Each path owns a counter-based substream keyed (seed, path index), so results
 are reproducible bit for bit, independent of chunking and of which legs
 share a pass, and paths are common random numbers across strategies with
 the same seed.  Draw 0 of each stream is the uniform that decides theta;
-normals follow.  A run with a hook draws the uniforms of the in-step maxima
-from a second stream of the same key, so theta and the normals of a path do
-not depend on whether it is monitored.  The draws are made a chunk of steps
-at a time into two buffers made once per pass, which hold DRAW_BUDGET
-float64 per path between them; as paths end, a chunk spans more steps.  A
-path draws a chunk's uniforms only when its normals over the chunk can bring
-it within reach of its barrier, from a second stream built at the counter of
-the chunk's first step, so the uniform of step s is always number s of its
+normals follow.  The uniforms of the in-step maxima come from a second
+stream of the same key, so theta and the normals of a path do not depend on
+whether it is monitored.  The draws are made a chunk of steps at a time
+into two buffers made once per pass, which hold DRAW_BUDGET float64 per
+path between them; as paths end, a chunk spans more steps.  A path draws
+a chunk's uniforms only when its normals over the chunk can bring it within
+reach of its barrier, from a second stream built at the counter of the
+chunk's first step, so the uniform of step s is always number s of its
 stream and the results are those of drawing them all.  The stream of key
 (seed, i) is Philox(key=[seed, i]) (the second one started at counter
 [0, 0, 1, 0]), built from a seed-sequence holder whose state is that key,
@@ -87,11 +89,10 @@ from .boundary import BoundaryCurve
 from .model import (ConfigError, ModelParams, RateSpec, _integer, _number, logit, rho,
                     stopping_threshold_c, stopping_value_v)
 
-# The float64 per path of a pass (1 KiB) that a chunk's draws may hold: a
-# pass with a hook splits it evenly between its normals and its uniforms, a
-# pass without one gives it all to the normals.  The two buffers are made
-# once per pass, 8.2 MB at 8 000 paths and 20.5 MB at 20 000, and a chunk
-# spans as many steps as they hold for the streams still live.
+# The float64 per path of a pass (1 KiB) that a chunk's draws may hold,
+# split evenly between its normals and its uniforms.  The two buffers are
+# made once per pass, 8.2 MB at 8 000 paths and 20.5 MB at 20 000, and a
+# chunk spans as many steps as they hold for the streams still live.
 DRAW_BUDGET = 128
 DRAW_BLOCK = 256  # streams per transposed block in _draws
 BLOCK_FLOATS = 128 * DRAW_BLOCK  # float64 (256 KiB) a transposed block in _draws may hold
@@ -300,11 +301,6 @@ def _maximum_streams(seed: int, keys: Sequence[int], at: int) -> List[np.random.
     return gens
 
 
-def _draw_theta(gens: List[np.random.Generator], start_pi: float) -> np.ndarray:
-    unif = np.array([g.random() for g in gens])
-    return (unif < start_pi).astype(float)
-
-
 def _draws(method: str, streams: Callable[[np.ndarray], List[np.random.Generator]],
            pos: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out, of shape (span, pos.size), with the next span draws
@@ -331,11 +327,11 @@ def _draws(method: str, streams: Callable[[np.ndarray], List[np.random.Generator
 # live rows idx of its leg whose in-step maximum of Phi, peak, reached their
 # barrier during the step whose midpoint is t.  It may book payoffs, move
 # rows.u and rows.barrier, and returns the subsets of idx whose U grew and
-# of those that died, or None for either.  A dying row's phi is set to the
-# level at which it died.  Absorption relies on the payoff contract: a hook
-# pays only on a crossing, and at most (1 - k) per unit of capacity left.
-Hook = Callable[[float, SimpleNamespace, np.ndarray, np.ndarray],
-                Tuple[Optional[np.ndarray], Optional[np.ndarray]]]
+# of those that died, each an index array, empty if none.  A dying row's
+# phi is set to the level at which it died.  Absorption relies on the
+# payoff contract: a hook pays only on a crossing, and at most (1 - k) per
+# unit of capacity left.
+Hook = Callable[[float, SimpleNamespace, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -364,34 +360,36 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     finished before the first step.  A leg with no rows and no hook is
     closed form: its theta is None, and a pass of such legs alone builds no
     substreams.  A row carries its leg `leg`, output position `pos`, log
-    odds `phi`, capacity `u`, `theta`, the cached `drift`, `vol` and
-    variance `var` = vol^2 of a step, the `barrier` in log odds that its
-    leg's hook acts on, and its `floor`.  With a hook, the kernel samples
-    the exact maximum M of Phi over a step given both ends a and b (a
-    Brownian bridge with drift: Glasserman 2003, section 6.4),
+    odds `phi`, capacity `u`, `theta`, the cached `drift` and `vol` of a
+    step, the `barrier` in log odds that its leg's hook acts on, and its
+    `floor`.  The kernel samples the exact maximum M of Phi over a step
+    given both ends a and b (a Brownian bridge with drift: Glasserman 2003,
+    section 6.4),
 
-        M = (a + b + sqrt((b - a)^2 - 2 var ln V)) / 2,   V ~ U(0, 1],
+        M = (a + b + sqrt((b - a)^2 - 2 vol^2 ln V)) / 2,   V ~ U(0, 1],
 
     and each leg's hook sees its rows with M >= barrier.  M is at most
     max(a, b) + SQRT_E_CAP vol / 2, so a row's floor is barrier -
     (SQRT_E_CAP vol / 2 + ROUNDING), and M is sampled (and counted in
     `bridged`) only on rows with max(a, b) >= floor; a row below its floor
     cannot cross.  A dead row is frozen (zero drift and volatility,
-    infinite barrier and floor) until the chunk ends, when its terminal U
-    and Pi are written and the batch is compacted.  After the hooks of each
-    ABSORB_STRIDE-th step but the last, a row with phi < logb - r (T - t)
-    ends as a dead row does and counts in `absorbed`; `logb` is
-    log expit(barrier), -inf for an infinite one (hookless leg, dead row).
+    infinite barrier and floor) until the chunk ends, when the terminal U
+    and Pi of the dead rows, (legs x keys) arrays, are written and the
+    batch is compacted.  After the hooks of each ABSORB_STRIDE-th step but
+    the last, a row with phi < logb - r (T - t) ends as a dead row does and
+    counts in `absorbed`; `logb` is log expit(barrier), -inf for an
+    infinite one.  A row of a leg without a hook has barrier and floor inf
+    and logb -inf, so it is never within reach and never absorbed.
 
     The legs share the substreams: the generators are built and theta is
     drawn once, and each chunk's normals are drawn once for the streams
     still live in any leg, one column per stream; a row reads its stream's
     column `col`.  The normals `z` and uniforms of a chunk are views of two
-    buffers of the pass, DRAW_BUDGET / 2 float64 per path each (all of it
-    to the normals without a hook).  A chunk spans as many steps as the
-    normals buffer holds for the live streams, rounded down to a multiple
-    of 4, so that the second streams start on a Philox block, and at most
-    the steps left.  Over a chunk of `span` steps a row's log odds stay below
+    buffers of the pass, DRAW_BUDGET / 2 float64 per path each.  A chunk
+    spans as many steps as the normals buffer holds for the live streams,
+    rounded down to a multiple of 4, so that the second streams start on a
+    Philox block, and at most the steps left.  Over a chunk of `span` steps
+    a row's log odds stay below
     phi + max(0, span drift) + vol max(0, S), with S the largest partial
     sum of its stream's normals in the chunk.  Only the streams with a row
     whose bound reaches its floor draw the chunk's uniforms, from second
@@ -408,26 +406,25 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     closed = [leg.u0 >= 1.0 and leg.hook is None for leg in legs]
     n, n_legs = len(keys), len(legs)
     gens = None if all(closed) else _streams(cfg.seed, keys)
-    theta = np.zeros(n) if gens is None else _draw_theta(gens, cfg.start_pi)
+    theta = np.zeros(n) if gens is None else \
+        (np.array([g.random() for g in gens]) < cfg.start_pi).astype(float)
     stepped = np.array([j for j, leg in enumerate(legs) if leg.u0 < 1.0], dtype=int)
-    hooked = any(legs[j].hook for j in stepped)
-    terminal_u = [np.full(n, leg.u0) for leg in legs]
-    terminal_pi = [np.full(n, cfg.start_pi) for _ in legs]
+    # float, also where cfg.start_u is an int: an int array would truncate U
+    u0 = np.array([leg.u0 for leg in legs], dtype=float)
+    terminal_u = np.repeat(u0[:, None], n, axis=1)
+    terminal_pi = np.full((n_legs, n), cfg.start_pi)
     dt, sqdt, n_steps = cfg.dt, math.sqrt(cfg.dt), cfg.n_steps
     m = n * stepped.size
     rows = SimpleNamespace(leg=np.repeat(stepped, n), pos=np.tile(np.arange(n), stepped.size),
-                           phi=np.full(m, _logit(cfg.start_pi)),
-                           u=np.repeat([legs[j].u0 for j in stepped], n),
+                           phi=np.full(m, _logit(cfg.start_pi)), u=np.repeat(u0[stepped], n),
                            theta=np.tile(theta, stepped.size), drift=np.empty(m),
-                           vol=np.empty(m), var=np.empty(m), floor=np.empty(m),
-                           logb=np.empty(m),
+                           vol=np.empty(m), floor=np.empty(m), logb=np.empty(m),
                            barrier=np.repeat([legs[j].barrier for j in stepped], n))
 
     def refresh(sel):
         rv = rho(spec, params, rows.u[sel])
         rows.drift[sel] = (rows.theta[sel] - 0.5) * rv * rv * dt
         rows.vol[sel] = rv * sqdt
-        rows.var[sel] = rows.vol[sel] * rows.vol[sel]
         rows.floor[sel] = rows.barrier[sel] - (0.5 * SQRT_E_CAP * rows.vol[sel] + ROUNDING)
         barrier = rows.barrier[sel]
         rows.logb[sel] = np.where(barrier < math.inf, -np.logaddexp(0.0, -barrier), -math.inf)
@@ -438,14 +435,12 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     bridged = np.zeros(n_legs, dtype=int)
     uniforms_drawn = maximum_streams_built = draw_bytes = chunks = 0
     # the pass's draw buffers, each chunk's z and uniforms a view of one
-    share = DRAW_BUDGET // 2 if hooked else DRAW_BUDGET
-    z_buf = np.empty(share * n)
-    u_buf = np.empty(share * n) if hooked else None
+    z_buf, u_buf = np.empty(DRAW_BUDGET // 2 * n), np.empty(DRAW_BUDGET // 2 * n)
 
     def end(j, idx, done):
         # freeze the rows idx of leg j, which end at step done
         alive[idx] = False
-        rows.drift[idx] = rows.vol[idx] = rows.var[idx] = 0.0
+        rows.drift[idx] = rows.vol[idx] = 0.0
         rows.barrier[idx] = rows.floor[idx] = math.inf
         rows.logb[idx] = -math.inf
         dead_steps[j] += idx.size * done
@@ -454,11 +449,9 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             steps[j] = done
 
     def settle(sel):
-        # terminal U and Pi of the rows in the mask sel
-        for j in stepped:
-            mine = sel & (rows.leg == j)
-            terminal_u[j][rows.pos[mine]] = rows.u[mine]
-            terminal_pi[j][rows.pos[mine]] = _expit(rows.phi[mine])
+        # terminal U and Pi of the rows sel
+        terminal_u[rows.leg[sel], rows.pos[sel]] = rows.u[sel]
+        terminal_pi[rows.leg[sel], rows.pos[sel]] = _expit(rows.phi[sel])
 
     # the traced row, -1 if none: the first leg's rows lead, in key order
     tr = traced if traced is not None and stepped.size and stepped[0] == 0 else -1
@@ -470,27 +463,24 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
         starts = np.searchsorted(rows.leg, np.arange(n_legs + 1))
         z = _draws("standard_normal", lambda block: [gens[i] for i in block], streams,
                    z_buf[:span * streams.size].reshape(span, streams.size))
+        total, top = np.zeros(streams.size), np.zeros(streams.size)
+        for zk in z:
+            total += zk
+            np.maximum(top, total, out=top)
+        bound = rows.phi + np.maximum(span * rows.drift, 0.0) + rows.vol * top[col]
+        need = np.zeros(streams.size, dtype=bool)
+        need[col[bound >= rows.floor - ROUNDING]] = True
+        drawing = streams[need]
+        uniforms = _draws("random", lambda block: _maximum_streams(
+            cfg.seed, [keys[i] for i in block], steps_done), drawing,
+            u_buf[:span * drawing.size].reshape(span, drawing.size))
         chunks += 1
-        chunk_bytes = z.nbytes
-        if hooked:
-            total, top = np.zeros(streams.size), np.zeros(streams.size)
-            for zk in z:
-                total += zk
-                np.maximum(top, total, out=top)
-            bound = rows.phi + np.maximum(span * rows.drift, 0.0) + rows.vol * top[col]
-            need = np.zeros(streams.size, dtype=bool)
-            need[col[bound >= rows.floor - ROUNDING]] = True
-            drawing = streams[need]
-            uniforms = _draws("random", lambda block: _maximum_streams(
-                cfg.seed, [keys[i] for i in block], steps_done), drawing,
-                u_buf[:span * drawing.size].reshape(span, drawing.size))
-            uniforms_drawn += drawing.size * span
-            maximum_streams_built += drawing.size
-            chunk_bytes += uniforms.nbytes
-            ucol = np.full(streams.size, -1)
-            ucol[need] = np.arange(drawing.size)
-            ucol = ucol[col]  # each row's column of `uniforms`, -1 if none
-        draw_bytes = max(draw_bytes, chunk_bytes)
+        uniforms_drawn += drawing.size * span
+        maximum_streams_built += drawing.size
+        draw_bytes = max(draw_bytes, z.nbytes + uniforms.nbytes)
+        ucol = np.full(streams.size, -1)
+        ucol[need] = np.arange(drawing.size)
+        ucol = ucol[col]  # each row's column of `uniforms`, -1 if none
         alive = np.ones(rows.pos.size, dtype=bool)
 
         for step in range(span):
@@ -499,8 +489,8 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
             tracing = tr >= 0 and alive[tr]
             start = rows.phi
             rows.phi = start + rows.drift + rows.vol * z[step][col]
-            near = np.flatnonzero(np.maximum(start, rows.phi) >= rows.floor) if hooked else ()
-            if len(near):
+            near = np.flatnonzero(np.maximum(start, rows.phi) >= rows.floor)
+            if near.size:
                 cols = ucol[near]
                 if cols.min() < 0:
                     raise ArithmeticError(
@@ -513,7 +503,8 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                 e *= -2.0
                 a = start[near]
                 d = rows.phi[near] - a
-                peak = a + 0.5 * (d + np.sqrt(d * d + rows.var[near] * e))
+                vol = rows.vol[near]
+                peak = a + 0.5 * (d + np.sqrt(d * d + vol * vol * e))
                 hit = peak >= rows.barrier[near]
                 crossed, peak = near[hit], peak[hit]
                 bridged += np.diff(np.searchsorted(near, starts))
@@ -524,11 +515,11 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                         continue
                     crossings[j] += idx.size
                     grew, died = legs[j].hook(t - 0.5 * dt, rows, idx, peak[cuts[j]:cuts[j + 1]])
-                    if died is not None and died.size:
+                    if died.size:
                         end(j, died, done)
-                    if grew is not None and grew.size:
+                    if grew.size:
                         refresh(grew)
-            if hooked and done % ABSORB_STRIDE == 0 and done < n_steps:
+            if done % ABSORB_STRIDE == 0 and done < n_steps:
                 out = np.flatnonzero(rows.phi < rows.logb - params.r * (cfg.horizon - t))
                 cuts = np.searchsorted(out, starts)
                 for j in range(n_legs):
@@ -543,13 +534,12 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
                 break
 
         steps_done += span
-        if not alive.all():
-            settle(~alive)
-            tr = int(np.count_nonzero(alive[:tr])) if tr >= 0 and alive[tr] else -1
-            rows = SimpleNamespace(**{name: c[alive] for name, c in vars(rows).items()})
+        settle(~alive)
+        tr = int(np.count_nonzero(alive[:tr])) if tr >= 0 and alive[tr] else -1
+        rows = SimpleNamespace(**{name: c[alive] for name, c in vars(rows).items()})
 
-    settle(np.ones(rows.pos.size, dtype=bool))
-    truncation = math.exp(-params.r * cfg.horizon) * (1.0 - params.k)
+    settle(slice(None))
+    truncation = math.exp(-params.r * min(cfg.horizon, n_steps * dt)) * (1.0 - params.k)
     shared = {"uniforms_drawn": uniforms_drawn, "maximum_streams_built": maximum_streams_built,
               "draw_bytes": draw_bytes, "chunks": chunks}
     results = {}
@@ -650,7 +640,7 @@ def _stop_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
         payoffs[rows.pos[idx]] = math.exp(-r * t) * (cbar - k) * scale
         rows.u[idx] = 1.0
         rows.phi[idx] = phi_c
-        return None, idx
+        return idx[:0], idx
 
     return Leg("stop_at_c", cfg.start_u, phi_c, hook, 0.0, payoffs)
 
@@ -666,8 +656,10 @@ def simulate_strategies(curve: BoundaryCurve, cfg: SimConfig, names: Sequence[st
     The payoffs of the strategies are common random numbers, and each
     result equals, bit for bit, that of a pass of its strategy alone.  A
     path ends when U reaches 1, when the horizon runs out, or by absorption
-    (see the module docstring); the reported truncation bound caps what
-    either cut can have discarded per path in expectation.
+    (see the module docstring); the reported truncation bound,
+    e^{-rT'}(1 - k) at the time T' = min(horizon, n_steps dt) of the last
+    simulated step, caps what either cut can have discarded per path in
+    expectation.
     full_now, and stop_at_c from pi0 >= c(u0), are closed form: they draw
     nothing, and their theta is None.  Given a `trajectory_path` below
     n_paths, the pass also traces that path of the first strategy, and its

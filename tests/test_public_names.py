@@ -1,9 +1,10 @@
 """The package's public names, the README's library imports and its config
 example resolve, so a reshaped module cannot leave any of them pointing at a
 name or a schema that is gone; and the package imports nothing but the
-standard library and numpy."""
+standard library and numpy, its one declared dependency."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -48,8 +49,9 @@ def test_readme_config_schema_loads(tmp_path):
 
 
 def test_package_imports_only_stdlib_and_numpy():
-    allowed = set(sys.stdlib_module_names) | {"numpy", "investlearn"}
-    for path in PACKAGE.glob("*.py"):
+    # the package's own modules import each other relatively (level > 0)
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in PACKAGE.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -59,3 +61,12 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_package_depends_on_numpy_only():
+    import tomllib
+
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+             for req in project["project"]["dependencies"]]
+    assert names == ["numpy"]

@@ -19,8 +19,6 @@ from investlearn.simulate import (
     sample_trajectory,
     save_paths,
     save_trajectory,
-    simulate_baseline,
-    simulate_reflecting,
     simulate_strategies,
     stop_at_c_reference,
 )
@@ -84,8 +82,8 @@ def test_chunking_does_not_change_results(linear_curve, monkeypatch):
     cfg = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
 
     def runs():
-        return (simulate_reflecting(linear_curve, cfg),
-                simulate_baseline(linear_curve, cfg, "stop_at_c"),
+        return (simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"],
+                simulate_strategies(linear_curve, cfg, ["stop_at_c"])["stop_at_c"],
                 filter_calibration(LINEAR, PARAMS, cfg, n_bins=4))
 
     *base, base_filter = runs()
@@ -126,8 +124,8 @@ PINNED_SHA1 = {
 
 def test_results_pinned_bit_for_bit(linear_curve):
     runs = {
-        "reflecting": simulate_reflecting(linear_curve, PINNED_CFG),
-        "stop_at_c": simulate_baseline(linear_curve, PINNED_CFG, "stop_at_c"),
+        "reflecting": simulate_strategies(linear_curve, PINNED_CFG, ["reflecting"])["reflecting"],
+        "stop_at_c": simulate_strategies(linear_curve, PINNED_CFG, ["stop_at_c"])["stop_at_c"],
         # the run behind filter_calibration
         "frozen_capacity": sim_mod._run(
             LINEAR, PARAMS, PINNED_CFG, range(PINNED_CFG.n_paths),
@@ -352,10 +350,11 @@ def test_draw_bytes_pinned(linear_curve):
     got = reflect.pass_counters["draw_bytes"]
     assert got == 8 * (sim_mod.DRAW_BUDGET // 2) * (400 + 351) == 384512
     assert stop.pass_counters == reflect.pass_counters
-    # without a hook the whole budget goes to the normals, 128 steps a chunk
+    # a pass without a hook takes the same path: it splits the budget too,
+    # so 64 steps a chunk, and draws no uniforms
     frozen = _frozen_run(PINNED_CFG)
-    assert frozen.pass_counters["draw_bytes"] == 8 * sim_mod.DRAW_BUDGET * 64
-    assert frozen.pass_counters["chunks"] == 3
+    assert frozen.pass_counters["draw_bytes"] == 8 * (sim_mod.DRAW_BUDGET // 2) * 64 == 32768
+    assert frozen.pass_counters["chunks"] == 5
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -382,7 +381,9 @@ def test_chunks_draw_into_two_buffers(linear_curve, monkeypatch, budget):
                else _frozen_run(cfg))
         normals, uniforms = outs["standard_normal"], outs["random"]
         chunks = res.pass_counters["chunks"]
-        assert len(normals) == chunks > 1 and len(uniforms) == (chunks if hook else 0)
+        assert len(normals) == len(uniforms) == chunks > 1
+        # no stream of a pass without a hook comes within reach
+        assert hook or not any(out.size for out in uniforms)
         for group in (normals, uniforms):
             # a chunk in which no stream is within reach draws no uniforms
             assert all(np.shares_memory(out, group[0]) for out in group if out.size)
@@ -432,12 +433,12 @@ def test_stop_at_c_exact_at_coarse_step(linear_curve, monkeypatch):
     # same kernel looking only at the step ends stops late and misses
     cfg = SimConfig(start_u=0.0, start_pi=0.6, dt=0.2, horizon=150.0, n_paths=20000, seed=1)
     ref = stop_at_c_reference(linear_curve, cfg)
-    bridge = simulate_baseline(linear_curve, cfg, "stop_at_c")
+    bridge = simulate_strategies(linear_curve, cfg, ["stop_at_c"])["stop_at_c"]
     assert abs(bridge.estimate - ref) <= 3.0 * bridge.std_error
 
     monkeypatch.setattr(sim_mod, "_maximum_streams",
                         lambda seed, keys, at: [_StepEnds()] * len(keys))
-    ends = simulate_baseline(linear_curve, cfg, "stop_at_c")
+    ends = simulate_strategies(linear_curve, cfg, ["stop_at_c"])["stop_at_c"]
     assert ref - ends.estimate > 3.0 * ends.std_error
 
     # a stopped path ends on the threshold and pays no overshoot
@@ -451,7 +452,7 @@ def test_stop_at_c_exact_at_coarse_step(linear_curve, monkeypatch):
 
 def test_trajectory_ends_at_its_batch_path(linear_curve):
     cfg = PINNED_CFG
-    batch_run = simulate_reflecting(linear_curve, cfg)
+    batch_run = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
     # some paths reach capacity 1 before the horizon, some do not
     assert 0.0 < batch_run.frac_alive_at_horizon < 1.0
     for i in range(cfg.n_paths):
@@ -503,11 +504,11 @@ def test_absorbed_trajectory_ends_on_the_rule(linear_curve):
 
 def test_seed_reproducibility(linear_curve):
     cfg = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=2.0, n_paths=32, seed=1)
-    r1 = simulate_reflecting(linear_curve, cfg)
-    r2 = simulate_reflecting(linear_curve, cfg)
+    r1 = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
+    r2 = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
     assert np.array_equal(r1.payoffs, r2.payoffs)
     cfg2 = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=2.0, n_paths=32, seed=2)
-    r3 = simulate_reflecting(linear_curve, cfg2)
+    r3 = simulate_strategies(linear_curve, cfg2, ["reflecting"])["reflecting"]
     assert not np.array_equal(r1.terminal_pi, r3.terminal_pi)
 
 
@@ -551,7 +552,7 @@ def test_summary_keys(batch):
 
 def test_full_now_is_deterministic(linear_curve):
     cfg = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=1.0, n_paths=16, seed=5)
-    r = simulate_baseline(linear_curve, cfg, "full_now")
+    r = simulate_strategies(linear_curve, cfg, ["full_now"])["full_now"]
     assert r.estimate == pytest.approx(0.15, abs=1e-15)
     assert r.std_error == 0.0
     assert r.initial_jump == pytest.approx(0.15, abs=1e-15)
@@ -559,7 +560,7 @@ def test_full_now_is_deterministic(linear_curve):
 
 def test_full_now_at_breakeven_is_zero(linear_curve):
     cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.01, horizon=1.0, n_paths=4, seed=5)
-    r = simulate_baseline(linear_curve, cfg, "full_now")
+    r = simulate_strategies(linear_curve, cfg, ["full_now"])["full_now"]
     assert r.estimate == 0.0
     assert r.std_error == 0.0
 
@@ -567,7 +568,7 @@ def test_full_now_at_breakeven_is_zero(linear_curve):
 def test_stop_at_c_immediate_above_threshold(linear_curve):
     # c(0) is about 0.744 here, so 0.8 stops at time zero
     cfg = SimConfig(start_u=0.0, start_pi=0.8, dt=0.01, horizon=1.0, n_paths=8, seed=5)
-    r = simulate_baseline(linear_curve, cfg, "stop_at_c")
+    r = simulate_strategies(linear_curve, cfg, ["stop_at_c"])["stop_at_c"]
     assert r.estimate == pytest.approx(0.3, abs=1e-15)
     assert np.all(r.terminal_u == 1.0)
     assert r.frac_alive_at_horizon == 0.0
@@ -583,7 +584,7 @@ def test_runs_without_a_step_draw_nothing(linear_curve, monkeypatch):
     # c(0.2) is below 0.8, so stop_at_c stops at time zero
     cfg = SimConfig(start_u=0.2, start_pi=0.8, dt=0.01, horizon=1.0, n_paths=8, seed=5)
     for kind in ("full_now", "stop_at_c"):
-        r = simulate_baseline(linear_curve, cfg, kind)
+        r = simulate_strategies(linear_curve, cfg, [kind])[kind]
         assert np.all(r.payoffs == (0.8 - 0.5) * (1.0 - 0.2))
         assert r.initial_jump == (0.8 - 0.5) * (1.0 - 0.2)
         assert np.all(r.terminal_u == 1.0) and np.all(r.terminal_pi == 0.8)
@@ -595,7 +596,7 @@ def test_unknown_baseline_rejected(linear_curve):
     cfg = SimConfig(n_paths=4, horizon=1.0)
     for kind in ("hold", "frozen"):
         with pytest.raises(ValueError):
-            simulate_baseline(linear_curve, cfg, kind)
+            simulate_strategies(linear_curve, cfg, [kind])[kind]
     # a name keys its result, so it may not repeat
     with pytest.raises(ValueError, match="distinct"):
         simulate_strategies(linear_curve, cfg, ["reflecting", "reflecting"])
@@ -603,7 +604,7 @@ def test_unknown_baseline_rejected(linear_curve):
 
 def test_zero_horizon_above_boundary_pays_jump(linear_curve):
     cfg = SimConfig(start_u=0.0, start_pi=0.99, dt=0.005, horizon=0.0, n_paths=4, seed=1)
-    r = simulate_reflecting(linear_curve, cfg)
+    r = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
     assert r.estimate == pytest.approx(0.49, rel=1e-12)
     assert r.std_error == 0.0
     assert r.frac_alive_at_horizon == 0.0
@@ -611,7 +612,7 @@ def test_zero_horizon_above_boundary_pays_jump(linear_curve):
 
 def test_zero_horizon_below_boundary_pays_nothing(linear_curve):
     cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.005, horizon=0.0, n_paths=4, seed=1)
-    r = simulate_reflecting(linear_curve, cfg)
+    r = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
     assert r.estimate == 0.0
     assert r.initial_jump == 0.0
     assert r.frac_alive_at_horizon == 1.0
@@ -733,9 +734,29 @@ def test_config_accepts_ints_and_numpy_scalars():
     assert cfg.n_steps == 40
 
 
-def test_n_steps_rounds():
+def test_int_start_capacity_runs_as_a_float(linear_curve):
+    # a config document may give start_u as the int 0; capacity held in an
+    # int array would drop every growth of U below 1
+    got = simulate_strategies(linear_curve, replace(PINNED_CFG, start_u=0), PAIR + ["full_now"])
+    for name, res in got.items():
+        assert res.terminal_u.dtype == np.float64
+        _assert_same_result(res, simulate_strategies(linear_curve, PINNED_CFG, [name])[name])
+
+
+def test_n_steps_rounds(linear_curve):
+    # the last step ends at t = 0.9, so the horizon cut can discard up to
+    # e^{-0.09}(1 - k): the bound is taken there, not at the horizon
     cfg = SimConfig(dt=0.3, horizon=1.0, n_paths=1)
     assert cfg.n_steps == 3
+    for name, res in simulate_strategies(linear_curve, cfg, PAIR + ["full_now"]).items():
+        want = math.exp(-PARAMS.r * 0.9) * (1.0 - PARAMS.k)
+        assert res.truncation_bound == pytest.approx(want, rel=1e-12), name
+    # a step count that rounds up ends past the horizon; the bound stays at it
+    cfg = SimConfig(dt=0.3, horizon=1.1, n_paths=1)
+    assert cfg.n_steps == 4
+    res = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
+    assert res.truncation_bound == pytest.approx(math.exp(-PARAMS.r * 1.1) * (1.0 - PARAMS.k),
+                                                 rel=1e-12)
 
 
 def test_nonmonotone_curve_rejected():
@@ -745,7 +766,7 @@ def test_nonmonotone_curve_rejected():
     assert not curve.monotone
     cfg = SimConfig(n_paths=4, horizon=1.0)
     with pytest.raises(ValueError):
-        simulate_reflecting(curve, cfg)
+        simulate_strategies(curve, cfg, ["reflecting"])["reflecting"]
     with pytest.raises(ValueError):
         sample_trajectory(curve, cfg)
 
@@ -766,7 +787,7 @@ def test_trajectory_shape_and_determinism(linear_curve):
     again = sample_trajectory(linear_curve, cfg, path_index=3)
     assert np.array_equal(traj["pi"], again["pi"])
     # the trajectory reuses the batch substream for its path index
-    batch_run = simulate_reflecting(linear_curve, cfg)
+    batch_run = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
     assert batch_run.theta[3] == traj["theta"]
 
 
@@ -784,7 +805,7 @@ def test_save_trajectory_roundtrip(linear_curve, tmp_path):
 
 def test_save_paths_roundtrip(linear_curve, tmp_path):
     cfg = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=0.5, n_paths=8, seed=9)
-    r = simulate_reflecting(linear_curve, cfg)
+    r = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
     out = tmp_path / "paths.csv"
     save_paths(r, out)
     lines = out.read_text().strip().splitlines()
