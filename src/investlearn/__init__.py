@@ -4,8 +4,10 @@ A firm expands capacity irreversibly while learning, from noisy demand,
 whether an unknown binary state favors investment.  The package solves the
 free boundary of the associated singular control problem, assembles the
 candidate value surface, validates it by PDE residuals and Monte Carlo,
-and solves the finite-expansion (ladder) variant, cross-checked by an
-independent finite-difference solve of its stopping problems.
+and solves the finite-expansion (ladder) variant.  An independent
+finite-difference solve of the ladder's stopping problems,
+`value_iteration_oracle`, cross-checks it in the acceptance test `test_08`
+and in the `ladder_oracle` benchmark; no CLI command runs it yet.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: solve, verify, simulate, discrete, compare, plot.  Each run is
-file-in/file-out: a JSON config document in, CSV/JSON/SVG artifacts plus a
-run manifest out, all through the artifact format of `artifacts`.  Exit
-codes are a stable contract: 0 success, 1 check failure, 2 configuration or
-input error (a malformed input file included).
+Commands: solve, verify, simulate, discrete, compare, plot; `COMMANDS`
+holds each with its help line.  One parser reads them all, and the five
+flags every command takes may stand before or after the command.  `main`
+applies --quiet once, sending the command's stdout to a discarding sink.
+
+Each run is file-in/file-out: a JSON config document in, CSV/JSON/SVG
+artifacts plus a run manifest out, all through the artifact format of
+`artifacts`.  Exit codes are a stable contract: 0 success, 1 check failure,
+2 configuration or input error (a malformed input file, and an output path
+that cannot be a directory, included).
 
 The manifest records the tool version, the hash of the effective config,
 per-check pass/fail flags, the output file list and deterministic work
@@ -24,6 +29,8 @@ given the config and seed.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import time
@@ -89,24 +96,19 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
     os.replace(tmp, out_dir / "manifest.json")
 
 
-def _say(quiet: bool, msg: str) -> None:
-    if not quiet:
-        print(msg)
-
-
-def _report(quiet: bool, checks: dict) -> int:
+def _report(checks: dict) -> int:
     """Print each check's verdict; EXIT_OK if all of them hold."""
     for name, ok in checks.items():
-        _say(quiet, f"{'PASS' if ok else 'FAIL'} {name}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
-def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> Result:
+def cmd_solve(cfg: RunConfig, out: Path) -> Result:
     curve = solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
     save_curve(curve, out / "boundary.csv")
     write_json(out / "conditions.json", curve.report())
-    _say(quiet, f"wrote {out / 'boundary.csv'}")
-    _say(quiet, f"monotone={curve.monotone} route={curve.conditions.route}")
+    print(f"wrote {out / 'boundary.csv'}")
+    print(f"monotone={curve.monotone} route={curve.conditions.route}")
     return (EXIT_OK, ["boundary.csv", "boundary.json", "conditions.json"],
             curve.checks(), curve.counters())
 
@@ -119,22 +121,22 @@ def _surface_csv(surface: ValueSurface, path: Path) -> None:
     write_grid_csv(path, ["u", "pi", "value"], us, pis, surface.value(u, pi))
 
 
-def _load_or_solve(cfg: RunConfig, quiet: bool):
+def _load_or_solve(cfg: RunConfig):
     """The config's saved boundary CSV if it names one, else a fresh solve."""
     if cfg.boundary_csv is not None:
-        _say(quiet, f"loaded boundary from {cfg.boundary_csv}")
+        print(f"loaded boundary from {cfg.boundary_csv}")
         return load_curve(cfg.boundary_csv)
     return solve_boundary(cfg.rate, cfg.model, grid_size=cfg.grid_size)
 
 
-def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> Result:
-    curve = _load_or_solve(cfg, quiet)
+def cmd_verify(cfg: RunConfig, out: Path) -> Result:
+    curve = _load_or_solve(cfg)
     counters = dict(curve.counters(), sweep_samples=0, boundary_points=0)
     if not curve.monotone:
         reason = curve.not_increasing_reason()
         write_json(out / "verify_report.json",
                    {"passed": False, "reason": reason, "monotone": False})
-        _say(quiet, f"FAIL {reason}")
+        print(f"FAIL {reason}")
         return (EXIT_CHECK_FAILED, ["verify_report.json"],
                 {"monotone": False, "diagnostics": False}, counters)
     surface = ValueSurface(curve)
@@ -145,17 +147,17 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> Result:
     _surface_csv(surface, out / "surface.csv")
     counters.update(sweep_samples=report.n_samples, boundary_points=report.n_boundary_points)
     checks = report.checks()
-    return _report(quiet, checks), ["verify_report.json", "surface.csv"], checks, counters
+    return _report(checks), ["verify_report.json", "surface.csv"], checks, counters
 
 
 def _in_se(ratio: Optional[float]) -> str:
     return "n/a se" if ratio is None else f"{ratio:.2f} se"
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
-    curve = _load_or_solve(cfg, quiet)
+def cmd_simulate(cfg: RunConfig, out: Path) -> Result:
+    curve = _load_or_solve(cfg)
     if not curve.monotone:
-        _say(quiet, f"FAIL {curve.not_increasing_reason()}, no reflection strategy")
+        print(f"FAIL {curve.not_increasing_reason()}, no reflection strategy")
         return EXIT_CHECK_FAILED, [], {"monotone": False}, None
     surface = ValueSurface(curve)
     vhat = float(surface.value(cfg.sim.start_u, cfg.sim.start_pi))
@@ -170,11 +172,11 @@ def cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> Result:
         save_paths(res, out / "paths.csv")
         outputs.append("paths.csv")
     paired = doc["paired_estimate"]
-    _say(quiet, f"reflecting estimate {res.estimate:.6f} +/- {res.std_error:.6f}"
-                f" vs value {vhat:.6f} ({_in_se(doc['error_over_se'])})")
-    _say(quiet, f"paired estimate {paired['estimate']:.6f} +/- {paired['se']:.6f}"
-                f" ({_in_se(paired['error_over_se'])})")
-    _report(quiet, checks)  # a failed Monte Carlo check is recorded, not an exit 1
+    print(f"reflecting estimate {res.estimate:.6f} +/- {res.std_error:.6f}"
+          f" vs value {vhat:.6f} ({_in_se(doc['error_over_se'])})")
+    print(f"paired estimate {paired['estimate']:.6f} +/- {paired['se']:.6f}"
+          f" ({_in_se(paired['error_over_se'])})")
+    _report(checks)  # a failed Monte Carlo check is recorded, not an exit 1
     return (EXIT_OK, outputs, checks,
             {"reflecting": res.counters, "stop_at_c": results["stop_at_c"].counters,
              "pass": res.pass_counters})
@@ -188,35 +190,35 @@ def _config_ladder(cfg: RunConfig):
     raise ConfigError("config needs a 'ladder' object with 'n_levels' or 'gamma'")
 
 
-def cmd_discrete(cfg: RunConfig, out: Path, quiet: bool) -> Result:
+def cmd_discrete(cfg: RunConfig, out: Path) -> Result:
     ladder = _config_ladder(cfg)
     save_ladder(ladder, out / "ladder.csv")
     suite = discrete_verification_suite(ladder)
     write_json(out / "discrete_report.json", suite.to_dict())
-    _say(quiet, f"wrote {out / 'ladder.csv'} ({ladder.n_levels + 1} levels)")
+    print(f"wrote {out / 'ladder.csv'} ({ladder.n_levels + 1} levels)")
     checks = suite.checks()
-    return (_report(quiet, checks), ["ladder.csv", "discrete_report.json"], checks,
+    return (_report(checks), ["ladder.csv", "discrete_report.json"], checks,
             {"ladder": ladder.counters()})
 
 
-def cmd_compare(cfg: RunConfig, out: Path, quiet: bool) -> Result:
+def cmd_compare(cfg: RunConfig, out: Path) -> Result:
     """Exploratory: ladder boundary points against the continuous boundary,
     the config's boundary_csv if it names one.
 
     No convergence claim is checked; the file is for eyeballing only.
     """
     ladder = _config_ladder(cfg)
-    curve = _load_or_solve(cfg, quiet)
+    curve = _load_or_solve(cfg)
     b_cont = curve.b_at(ladder.u_levels)
     write_csv(out / "compare.csv", ["n", "u_n", "b_ladder", "b_continuous", "difference"],
               np.arange(ladder.n_levels + 1), ladder.u_levels, ladder.b, b_cont,
               ladder.b - b_cont)
-    _say(quiet, f"wrote {out / 'compare.csv'}")
+    print(f"wrote {out / 'compare.csv'}")
     return (EXIT_OK, ["compare.csv"], {"completed": True},
             {"ladder": ladder.counters(), "curve": curve.counters()})
 
 
-def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> Result:
+def cmd_plot(cfg: RunConfig, out: Path) -> Result:
     if not cfg.plot_inputs:
         raise ConfigError("config needs a 'plot' object naming input CSVs")
     outputs = []
@@ -237,47 +239,37 @@ def cmd_plot(cfg: RunConfig, out: Path, quiet: bool) -> Result:
         plot_ladder(data[:, 1], data[:, 4], data[:, 3], out / "ladder.svg")
         outputs.append("ladder.svg")
     for name in outputs:
-        _say(quiet, f"wrote {out / name}")
+        print(f"wrote {out / name}")
     return EXIT_OK, outputs, {"completed": True}, None
 
 
+# name -> (function, help line)
 COMMANDS = {
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "discrete": cmd_discrete,
-    "compare": cmd_compare,
-    "plot": cmd_plot,
+    "solve": (cmd_solve, "integrate the free boundary and write (u, b) CSV"),
+    "verify": (cmd_verify, "run value-surface diagnostics against tolerances"),
+    "simulate": (cmd_simulate, "Monte Carlo payoff of the reflection strategy"),
+    "discrete": (cmd_discrete, "solve the finite expansion ladder"),
+    "compare": (cmd_compare, "ladder vs continuous boundary (exploratory)"),
+    "plot": (cmd_plot, "render CSV artifacts as standalone SVG"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="investlearn",
-        description="Solve and validate the irreversible-investment "
-                    "learning model: free boundary, value surface, "
-                    "Monte Carlo payoff checks, discrete ladder.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "solve": "integrate the free boundary and write (u, b) CSV",
-        "verify": "run value-surface diagnostics against tolerances",
-        "simulate": "Monte Carlo payoff of the reflection strategy",
-        "discrete": "solve the finite expansion ladder",
-        "compare": "ladder vs continuous boundary (exploratory)",
-        "plot": "render CSV artifacts as standalone SVG",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--config", required=True, metavar="PATH",
-                       help="JSON run document")
-        p.add_argument("--out", metavar="DIR",
-                       help="output directory (default: out_dir from config)")
-        p.add_argument("--seed", type=int, metavar="N",
-                       help="override sim.seed from the config")
-        p.add_argument("--grid", type=int, metavar="N",
-                       help="override grid_size")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress progress lines")
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Solve and validate the irreversible-investment learning model: "
+                    "free boundary,\nvalue surface, Monte Carlo payoff checks, discrete ladder.",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{text}"
+                                           for name, (_, text) in COMMANDS.items()))
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, metavar="PATH", help="JSON run document")
+    parser.add_argument("--out", metavar="DIR",
+                        help="output directory (default: out_dir from config)")
+    parser.add_argument("--seed", type=int, metavar="N", help="override sim.seed from the config")
+    parser.add_argument("--grid", type=int, metavar="N", help="override grid_size")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
 
@@ -290,12 +282,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if out is None:
             raise ConfigError("no output directory: set out_dir in the "
                               "config or pass --out")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    out.mkdir(parents=True, exist_ok=True)
+    quiet = contextlib.redirect_stdout(io.StringIO()) if args.quiet else contextlib.nullcontext()
     try:
-        code, outputs, checks, counters = COMMANDS[args.command](cfg, out, args.quiet)
+        with quiet:
+            code, outputs, checks, counters = COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -75,7 +75,8 @@ class _Evaluation:
 
     Each point is evaluated at its level: u below the boundary, h(pi) above
     it, where V is linear in u.  Without pi the points are (u, b(u)) on the
-    continuation branch; `above`, when given, replaces the split.
+    continuation branch; `above`, when given, replaces the split.  A given
+    pi must lie strictly in (0, 1), where log G is finite.
     """
 
     def __init__(self, surface: "ValueSurface", u, pi=None, above=None):
@@ -86,7 +87,11 @@ class _Evaluation:
         if pi is None:
             pi = b = curve.b_at(u)
             above = False
-        u, pi = np.broadcast_arrays(u, np.atleast_1d(np.asarray(pi, dtype=float)))
+        else:
+            pi = np.asarray(pi, dtype=float)
+            if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+                raise ValueError("pi must lie strictly in (0, 1)")
+        u, pi = np.broadcast_arrays(u, np.atleast_1d(pi))
         self.u, self.pi, self.lev = u, pi, u
         self.above = pi > curve.b_at(u) if above is None else np.broadcast_to(above, u.shape)
         self.below = ~self.above
@@ -360,7 +365,7 @@ class ValueCheckReport:
 
 
 def verify_surface(surface: ValueSurface) -> ValueCheckReport:
-    """Run every diagnostic; the CLI `verify` subcommand serializes this.
+    """Run every diagnostic; the CLI `verify` command serializes this.
 
     The surface is evaluated once at the sample sweep and once at the
     knot-segment midpoints (u, b(u)), which the continuity check also reads

@@ -12,7 +12,7 @@ import pytest
 
 import investlearn
 import investlearn.simulate as sim_mod
-from investlearn.cli import main
+from investlearn.cli import COMMANDS, main
 from investlearn.config import load_config
 from investlearn.discrete import discrete_verification_suite, ladder_from_spec, save_ladder
 from investlearn.model import ConfigError, HyperbolicGamma, ModelParams
@@ -982,6 +982,101 @@ def test_quiet_suppresses_output(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
     assert "monotone=True" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def quiet_configs(tmp_path_factory):
+    """One small config per command but solve, and the nonmonotone verify reject."""
+    d = tmp_path_factory.mktemp("quiet")
+    ladder = write_cfg(d, {**BASE, "rate": {"family": "hyperbolic_gamma", "A": 1.25, "beta": 0.2},
+                           "ladder": {"n_levels": 5}, "grid_size": 501}, "ladder.json")
+    assert main(["solve", "--config", str(write_cfg(d, {**BASE, "grid_size": 501})),
+                 "--out", str(d / "src"), "--quiet"]) == 0
+    return {
+        "verify": write_cfg(d, BASE, "verify.json"),
+        "verify-reject": write_cfg(d, {**BASE, "rate": nonmono_rate()}, "reject.json"),
+        "simulate": write_cfg(d, {**BASE, "grid_size": 501,
+                                  "sim": {"n_paths": 10, "horizon": 1.0}}, "sim.json"),
+        "discrete": ladder,
+        "compare": ladder,
+        "plot": write_cfg(d, {**BASE, "plot": {"boundary": str(d / "src" / "boundary.csv")}},
+                          "plot.json"),
+    }
+
+
+# test_quiet_suppresses_output covers solve
+@pytest.mark.parametrize("name,code", [("verify", 0), ("verify-reject", 1), ("simulate", 0),
+                                       ("discrete", 0), ("compare", 0), ("plot", 0)])
+def test_quiet_silences_every_command(tmp_path, capsys, quiet_configs, name, code):
+    command = name.split("-")[0]
+    cfg = str(quiet_configs[name])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "loud")]) == code
+    assert capsys.readouterr().out != ""
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "q"), "--quiet"]) == code
+    assert capsys.readouterr().out == ""
+    # the same run otherwise: only the wall clock may differ
+    assert strip_clock(tmp_path / "q") == strip_clock(tmp_path / "loud")
+
+
+def test_quiet_keeps_errors_on_stderr(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["discrete", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: config needs a 'ladder' object")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    for name, (_, help_line) in COMMANDS.items():
+        assert f"  {name}" in text and help_line in text
+    assert len(COMMANDS) == 6
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate", "--config", "cfg.json"],
+                                  ["solve", "--out", "o"]],
+                         ids=["no-arguments", "unknown-command", "no-config"])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: investlearn")
+
+
+def test_flags_before_or_after_the_command(tmp_path):
+    cfg = str(write_cfg(tmp_path, {**BASE, "grid_size": 501}))
+    orders = {
+        "after": ["solve", "--config", cfg, "--out", str(tmp_path / "after"), "--quiet"],
+        "before": ["--config", cfg, "--out", str(tmp_path / "before"), "--quiet", "solve"],
+        "around": ["--quiet", "--grid", "501", "solve", "--out", str(tmp_path / "around"),
+                   "--config", cfg],
+    }
+    for argv in orders.values():
+        assert main(argv) == 0
+    csvs = {(tmp_path / name / "boundary.csv").read_bytes() for name in orders}
+    assert len(csvs) == 1
+    assert strip_clock(tmp_path / "before") == strip_clock(tmp_path / "after")
+
+
+@pytest.mark.parametrize("below_a_file", [False, True])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, below_a_file):
+    # the output path is input: a path that cannot be a directory is a
+    # configuration error, reported without a traceback or a manifest
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below_a_file else blocker
+    cfg = write_cfg(tmp_path, {**BASE, "grid_size": 501})
+    rc = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
 
 def child_env():

@@ -335,3 +335,12 @@ def test_value_broadcasts(linear_surface):
     assert out.shape == (11,)
     single = float(linear_surface.value(u[3], pi[3]))
     assert single == pytest.approx(float(out[3]), abs=0)
+
+
+@pytest.mark.parametrize("pi", [0.0, 1.0, np.array([0.5, 1.0])])
+@pytest.mark.parametrize("reader", ["value", "log_value", "value_u"])
+def test_readers_reject_belief_outside_open_interval(linear_surface, reader, pi):
+    # log G is not finite at pi = 0 or 1, so the readers refuse such a
+    # belief, as DiscreteLadder.value and fundamental_G do
+    with pytest.raises(ValueError, match=r"pi must lie strictly in \(0, 1\)"):
+        getattr(linear_surface, reader)(0.3, pi)
