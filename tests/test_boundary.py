@@ -297,13 +297,14 @@ def test_solver_rejects_tiny_grid():
 
 
 # sha1 of b_values.tobytes() and n_projections, taken with the RK4 loop that
-# read the tabulated gamma arrays one item at a time; any change to the
-# order of the stepping arithmetic moves them
+# read the tabulated gamma arrays one item at a time, re-taken under the SIMD
+# dispatch tests/conftest.py fixes; any change to the order of the stepping
+# arithmetic moves them
 PINNED_B = {
-    ("linear", 2001): ("79afdeb47bd18728f4c15e696192245f06a4cc1a", 0),
-    ("linear", 20001): ("2e42f830b11c2a1046d80fb6f549da4946640a86", 0),
-    ("hyperbolic", 2001): ("6d2d724ba2f08222c04ed9ecaf8fc9486242fa35", 0),
-    ("hyperbolic", 20001): ("e1cdb0b57a7ca6269478790e964fd216dc449f42", 0),
+    ("linear", 2001): ("d1d5cf6251af4b6bfa775a13992cf005b768985f", 0),
+    ("linear", 20001): ("ed9bb2a11ca2b106b58684e7c135e26ee1eda64a", 0),
+    ("hyperbolic", 2001): ("fedf88ac6115063d451596ccdbdc644d1e3ecc41", 0),
+    ("hyperbolic", 20001): ("9ff6b546dc8f3cd643e7aeb1972bd2d138e0392f", 0),
 }
 
 

@@ -334,11 +334,12 @@ def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, faul
 
 
 # sha1 of the files the 400-path run below writes, taken when the kernel
-# began to end paths by absorption
+# began to end paths by absorption and re-taken under the SIMD dispatch
+# tests/conftest.py fixes
 SIMULATE_400_SHA1 = {
-    "estimates.json": "c050e0a13fd52d1465c7546fc9747b3489c35390",
-    "trajectory.csv": "59bb124dbc9a11ece48d5b036e9e523c5e28e99d",
-    "paths.csv": "89ac929728e77b2a2edae55db2f5dbf00484f021",
+    "estimates.json": "30baaf3b37c53d257d1efc6ca122af26d10aaca4",
+    "trajectory.csv": "6301d75786ea56636934114f96352de67f5269fc",
+    "paths.csv": "8609f5cb4ccfc8578933d6f2d899ede0103fb531",
 }
 
 
@@ -834,10 +835,11 @@ def test_bad_sim_seed_or_paths_exit_2(tmp_path, capsys, sim, override, reason):
 # taken with the csv.writer-based writer, the item-by-item RK4 loop and one
 # surface evaluation per u-row; surface.csv re-taken when A G came to be
 # formed as ratio x exp(log G(u, pi) - log G(u, b)), which moved 5 890 of its
-# values by at most 1.3e-15 relative
+# values by at most 1.3e-15 relative; both re-taken under the SIMD dispatch
+# tests/conftest.py fixes
 SHIPPED_LINEAR_SHA1 = {
-    "boundary.csv": "679cd7b9abdf46f2024c139124453fe067969eb4",
-    "surface.csv": "c4b508d9db994adff10d89d81780becb2bdb6b59",
+    "boundary.csv": "d33a482254222ca53c51f732dec1de264f5cadb3",
+    "surface.csv": "2d730b3e99f3b4f57475d2f39455f11c4ca8e305",
 }
 
 
@@ -852,10 +854,11 @@ def test_shipped_linear_csvs_pinned(tmp_path):
 
 # sha1 of the CSVs of solve on configs/hyperbolic_gamma.json at 20 001 nodes
 # and of the verify that audits that boundary.csv, taken before the RK4 stages
-# computed F inline and verify formatted each surface grid value once
+# computed F inline and verify formatted each surface grid value once, and
+# re-taken under the SIMD dispatch tests/conftest.py fixes
 SHIPPED_HYPERBOLIC_SHA1 = {
-    "boundary.csv": "129842b1745ad349ff78d0c55c73b5e2586c3e00",
-    "surface.csv": "79b3a65322a4fbfbfecf185f6f1b0efa13adf3bb",
+    "boundary.csv": "38614279e038ac7f9f6633c5a899d2e7aded41e9",
+    "surface.csv": "9d8a1a228f3300170dc6670de59fe77de16d7b05",
 }
 
 
@@ -906,10 +909,11 @@ def test_shipped_plots_pinned(tmp_path):
 # paths, taken when every row's in-step maximum was sampled and every live
 # stream drew its uniforms; estimates.json re-taken when value_hat and
 # stop_at_c_reference came to be formed in log space, which moved them and
-# the gaps derived from them in their last bits
+# the gaps derived from them in their last bits; both re-taken under the
+# SIMD dispatch tests/conftest.py fixes
 SHIPPED_SIMULATE_SHA1 = {
-    "estimates.json": "88fb9afa20a31065f0763b8fa1411a5d94064ce7",
-    "trajectory.csv": "a345814f99b60eef74ba3ddc79de68153077d9e4",
+    "estimates.json": "c18e03cc9e698baffa64c6f3d27f2e51f2036fa8",
+    "trajectory.csv": "903ee3486ce6b04dbd9ab2c8b41d97c63b188c3a",
 }
 
 
@@ -927,14 +931,15 @@ def test_shipped_linear_simulate_pinned(tmp_path):
 
 # sha1 of the reports verify and discrete write on the shipped configs,
 # taken before verify came to evaluate the value surface once per point set
-# and the ladder suite to compute each V_n once; neither moved a byte
+# and the ladder suite to compute each V_n once; neither moved a byte.  All
+# three re-taken under the SIMD dispatch tests/conftest.py fixes
 SHIPPED_REPORT_SHA1 = [
     ("verify", "linear_noise.json", (), "verify_report.json",
-     "513e3f7fe3b9083a60c6ec9104a5101f7851a955"),
+     "85c1d0661bccdc601d19ba12e44d1eca2588b97f"),
     ("verify", "hyperbolic_gamma.json", ("--grid", "20001"), "verify_report.json",
-     "0d5f578af3619cd0797172ee72e637274a78afb2"),
+     "5b50eec93f9aefeb5465954fa4f6b7cf55e6f6e0"),
     ("discrete", "hyperbolic_gamma.json", (), "discrete_report.json",
-     "da06a97ad5db13b47af06bd287832f7c2996b9c2"),
+     "5d86896e6d58abe5386b0c5b94541340db17736c"),
 ]
 
 

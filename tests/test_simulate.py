@@ -101,23 +101,24 @@ def test_chunking_does_not_change_results(linear_curve, monkeypatch):
 # paths by absorption (15 and 12 of the 64 paths end so on this short
 # horizon).  The frozen-capacity
 # run draws no uniforms, and its hashes come from the kernel before that
-# change: its theta and normals must not move.
+# change: its theta and normals must not move.  Every hash here was re-taken
+# under the SIMD dispatch tests/conftest.py fixes.
 PINNED_CFG = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
 PINNED_SHA1 = {
     "reflecting": {
-        "payoffs": "d381f64db3becc797cecb3b070c4344c470ff3fa",
+        "payoffs": "1639dd95528c744bd4f0b17994f2ee9ef0793fa9",
         "terminal_u": "894e98aa8c922aa635f4983cec32fd4beb565d3e",
-        "terminal_pi": "def01f56454e10e840d5e787d3ee8160fcd60c7e",
+        "terminal_pi": "70ffc00230ae3ecbe75c52cdc9d727b469690c97",
     },
     "stop_at_c": {
         "payoffs": "ac0dd6171a9451afb93e682431b7e180124e8c52",
         "terminal_u": "762af398e5b0b73035f96984e7667bb8e0f3c85c",
-        "terminal_pi": "cd77a279d2514432fe2b5f85976bf088b9746f43",
+        "terminal_pi": "3b8b939b5c9bf85ebc39c38ab0a134e3f1938729",
     },
     "frozen_capacity": {
         "theta": "9e86fe8a360060d08927652aaf30fa83bdb4c75f",
         "terminal_u": "5c3eb80066420002bc3dcc7ca4ab6efad7ed4ae5",
-        "terminal_pi": "86b729e772aecba0bc5635e5911122896def0276",
+        "terminal_pi": "98dc63cf9347ec1e9c77eeea4bc4bb5a3083f608",
     },
 }
 
