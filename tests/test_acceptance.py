@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from investlearn import cli
+from investlearn import cli, simulate
 from investlearn.boundary import solve_boundary
 from investlearn.discrete import (
     boundary_equation,
@@ -135,13 +135,13 @@ def test_04_value_diagnostics():
 
 
 # the reflecting, stop_at_c and paired estimates of the run below before
-# the kernel ended paths by absorption, which may move each by at most the
-# truncation bound
-UNABSORBED_05 = {"reflecting": 0.09681504107329932, "stop_at_c": 0.09321334367015445,
+# the kernel ended paths early; the same run with roulette switched off
+# (ROULETTE_EPS = 0) reproduces them to within the truncation bound
+UNENDED_05 = {"reflecting": 0.09681504107329932, "stop_at_c": 0.09321334367015445,
                  "paired": 0.09728848975058031}
 
 
-def test_05_monte_carlo_optimality():
+def test_05_monte_carlo_optimality(monkeypatch):
     t0 = time.perf_counter()
     # the step of configs/linear_noise.json; the barrier is monitored inside
     # each step, so the coarse step costs no bias these bounds can see
@@ -175,9 +175,18 @@ def test_05_monte_carlo_optimality():
     paired_gap = abs(ref + mean_d - v_hat)
     assert paired_gap <= 3.0 * se_d
 
+    # roulette is unbiased, not exact: each estimate lies within 3 paired SE
+    # of the pass that ends no path early, on the same normals
+    monkeypatch.setattr(simulate, "ROULETTE_EPS", 0.0)
+    whole = simulate_strategies(surface.curve, cfg, ["reflecting", "stop_at_c"])
+    ended = {"reflecting": reflect.payoffs - whole["reflecting"].payoffs,
+             "stop_at_c": stop.payoffs - whole["stop_at_c"].payoffs}
+    ended["paired"] = ended["reflecting"] - ended["stop_at_c"]
     for name, got in (("reflecting", reflect.estimate), ("stop_at_c", stop.estimate),
                       ("paired", ref + mean_d)):
-        assert abs(got - UNABSORBED_05[name]) <= reflect.truncation_bound, name
+        d = ended[name]
+        assert abs(float(np.mean(d))) <= 3.0 * float(np.std(d, ddof=1)) / math.sqrt(d.size), name
+        assert abs(got - float(np.mean(d)) - UNENDED_05[name]) <= reflect.truncation_bound, name
     # no chunk's draws hold more than the budget per path
     assert reflect.pass_counters["draw_bytes"] <= 8 * DRAW_BUDGET * cfg.n_paths
 

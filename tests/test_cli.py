@@ -333,13 +333,13 @@ def test_malformed_boundary_files_exit_2(tmp_path, solved, capsys, command, faul
         assert SIDECAR_FAULTS[fault][0] in err
 
 
-# sha1 of the files the 400-path run below writes, taken when the kernel
-# began to end paths by absorption and re-taken under the SIMD dispatch
-# tests/conftest.py fixes
+# sha1 of the files the 400-path run below writes, taken under the SIMD
+# dispatch tests/conftest.py fixes, when the kernel began to end far paths
+# by Russian roulette
 SIMULATE_400_SHA1 = {
-    "estimates.json": "30baaf3b37c53d257d1efc6ca122af26d10aaca4",
-    "trajectory.csv": "6301d75786ea56636934114f96352de67f5269fc",
-    "paths.csv": "8609f5cb4ccfc8578933d6f2d899ede0103fb531",
+    "estimates.json": "44a3e76565505d10cd2be6f50aa98508d6bf7ec6",
+    "trajectory.csv": "80ed42cd8d0b362b51669800a544531c3e324ab5",
+    "paths.csv": "650e82fb36367a6aae075b572439908209a497f0",
 }
 
 
@@ -375,7 +375,8 @@ def test_simulate_writes_estimates(tmp_path):
     # deterministic work counts, one set per stepped strategy, no timing
     assert set(man["counters"]) == {"reflecting", "stop_at_c", "pass"}
     shared = man["counters"].pop("pass")
-    assert set(shared) == {"uniforms_drawn", "maximum_streams_built", "draw_bytes", "chunks"}
+    assert set(shared) == {"uniforms_drawn", "maximum_streams_built", "draw_bytes", "chunks",
+                           "roulette_draws"}
     # a stream that draws takes a uniform for each step of its chunk
     assert 0 < shared["maximum_streams_built"] < shared["uniforms_drawn"]
     # a chunk's draws hold at most the pass's budget per path
@@ -383,12 +384,14 @@ def test_simulate_writes_estimates(tmp_path):
     assert shared["chunks"] > 1
     for name, counts in man["counters"].items():
         assert set(counts) == {"steps", "path_steps", "barrier_crossings", "bridge_rows",
-                               "absorbed", "frac_alive_at_horizon"}
+                               "roulette_ended", "frac_alive_at_horizon"}
         assert counts["frac_alive_at_horizon"] == est[name]["frac_alive_at_horizon"]
-        # an absorbed path counts as alive at the horizon, as its U is below 1
+        # a path that roulette ends counts as alive at the horizon, as its U
+        # is below 1; the legs share each key's draw at a step
         alive = round(counts["frac_alive_at_horizon"] * 400)
-        assert 0 < counts["absorbed"] <= alive
-        live = alive - counts["absorbed"]
+        assert 0 < counts["roulette_ended"] <= alive
+        assert counts["roulette_ended"] <= shared["roulette_draws"]
+        live = alive - counts["roulette_ended"]
         assert counts["steps"] == 6000 if live else counts["steps"] <= 6000
         # every path lives at least one step, those that reach the horizon all of them
         assert 400 + live * (counts["steps"] - 1) <= counts["path_steps"] <= 400 * counts["steps"]
@@ -910,9 +913,11 @@ def test_shipped_plots_pinned(tmp_path):
 # stream drew its uniforms; estimates.json re-taken when value_hat and
 # stop_at_c_reference came to be formed in log space, which moved them and
 # the gaps derived from them in their last bits; both re-taken under the
-# SIMD dispatch tests/conftest.py fixes
+# SIMD dispatch tests/conftest.py fixes, and estimates.json again when the
+# kernel began to end far paths by Russian roulette (trajectory 0 reaches
+# U = 1 and is not moved by it)
 SHIPPED_SIMULATE_SHA1 = {
-    "estimates.json": "c18e03cc9e698baffa64c6f3d27f2e51f2036fa8",
+    "estimates.json": "5f6314a22d2e32939915898c6738ae0f4ab0be75",
     "trajectory.csv": "903ee3486ce6b04dbd9ab2c8b41d97c63b188c3a",
 }
 

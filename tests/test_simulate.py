@@ -9,8 +9,8 @@ import pytest
 
 import investlearn.simulate as sim_mod
 from investlearn.boundary import BoundaryCurve, solve_boundary
-from investlearn.model import (ConfigError, LinearNoise, ModelParams, Tabulated, rho,
-                               stopping_threshold_c)
+from investlearn.model import (ConfigError, LinearNoise, ModelParams, Tabulated, gamma, log_G,
+                               rho, stopping_threshold_c)
 from investlearn.simulate import (
     SimConfig,
     SimResult,
@@ -96,24 +96,23 @@ def test_chunking_does_not_change_results(linear_curve, monkeypatch):
     assert base_filter == small_filter
 
 
-# sha1 of tobytes() of the float64 result arrays for PINNED_CFG.  The
-# reflecting and stop_at_c hashes were taken when the kernel began to end
-# paths by absorption (15 and 12 of the 64 paths end so on this short
-# horizon).  The frozen-capacity
-# run draws no uniforms, and its hashes come from the kernel before that
-# change: its theta and normals must not move.  Every hash here was re-taken
-# under the SIMD dispatch tests/conftest.py fixes.
+# sha1 of tobytes() of the float64 result arrays for PINNED_CFG, taken under
+# the SIMD dispatch tests/conftest.py fixes, when the kernel began to end
+# far paths by Russian roulette.  On this short horizon no row can earn so
+# little that it faces roulette, so no path ends early.  The frozen-capacity
+# run draws no uniforms and has no hook, and its hashes come from the
+# kernel before paths ended early: its theta and normals must not move.
 PINNED_CFG = SimConfig(start_u=0.0, start_pi=0.65, dt=0.01, horizon=3.0, n_paths=64, seed=11)
 PINNED_SHA1 = {
     "reflecting": {
-        "payoffs": "1639dd95528c744bd4f0b17994f2ee9ef0793fa9",
-        "terminal_u": "894e98aa8c922aa635f4983cec32fd4beb565d3e",
-        "terminal_pi": "70ffc00230ae3ecbe75c52cdc9d727b469690c97",
+        "payoffs": "3936fd5f5ea612455a1e73346bdad5b22d0cdf1f",
+        "terminal_u": "f84055f2dbea78e3ae5a49e857bbea629f4f6783",
+        "terminal_pi": "c827403aa90644cc3b84bde7be2366405b08f831",
     },
     "stop_at_c": {
-        "payoffs": "ac0dd6171a9451afb93e682431b7e180124e8c52",
-        "terminal_u": "762af398e5b0b73035f96984e7667bb8e0f3c85c",
-        "terminal_pi": "3b8b939b5c9bf85ebc39c38ab0a134e3f1938729",
+        "payoffs": "d45cdb58854e73f10cbbb2ff91acab4142866337",
+        "terminal_u": "69be92c2450e3aa801e9b66d1f8457810b7c7193",
+        "terminal_pi": "91ce6913294300a01176be296f7750f4842212a5",
     },
     "frozen_capacity": {
         "theta": "9e86fe8a360060d08927652aaf30fa83bdb4c75f",
@@ -123,7 +122,35 @@ PINNED_SHA1 = {
 }
 
 
+# the same at the shipped step and horizon, where roulette ends 27
+# reflecting and 23 stop_at_c paths of the 64, and survivors book payments
+# times their weights
+ROULETTE_CFG = SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_paths=64, seed=11)
+ROULETTE_SHA1 = {
+    "reflecting": {
+        "payoffs": "f2bbe917de931f6954707a0ff6172e9da332a648",
+        "terminal_u": "a3a6e8bc8c4e58b3d3c66c3de30372b278f8af4a",
+        "terminal_pi": "c97547c6e605ed7306ea612db3b455b57c492367",
+    },
+    "stop_at_c": {
+        "payoffs": "c5ecd53390ae0e28aa4bb2faa7bc072f664624b9",
+        "terminal_u": "c90c957f2cf899e8e213c4ce5ea1611d5376d921",
+        "terminal_pi": "5293c52afe345157ac85a18f7227517500e1a905",
+    },
+}
+
+
+def _assert_pinned(res, pins):
+    for field, want in pins.items():
+        got = hashlib.sha1(getattr(res, field).astype(np.float64).tobytes()).hexdigest()
+        assert got == want, field
+
+
 def test_results_pinned_bit_for_bit(linear_curve):
+    for name in PAIR:
+        res = simulate_strategies(linear_curve, ROULETTE_CFG, [name])[name]
+        assert res.counters["roulette_ended"] > 0
+        _assert_pinned(res, ROULETTE_SHA1[name])
     runs = {
         "reflecting": simulate_strategies(linear_curve, PINNED_CFG, ["reflecting"])["reflecting"],
         "stop_at_c": simulate_strategies(linear_curve, PINNED_CFG, ["stop_at_c"])["stop_at_c"],
@@ -134,9 +161,8 @@ def test_results_pinned_bit_for_bit(linear_curve):
                          np.zeros(PINNED_CFG.n_paths))])["frozen_capacity"],
     }
     for name, res in runs.items():
-        for field, want in PINNED_SHA1[name].items():
-            got = hashlib.sha1(getattr(res, field).astype(np.float64).tobytes()).hexdigest()
-            assert got == want, (name, field)
+        assert res.counters["roulette_ended"] == 0
+        _assert_pinned(res, PINNED_SHA1[name])
 
 
 # draw budgets the kernel's results must not depend on: the default, a
@@ -148,6 +174,7 @@ BUDGETS = [sim_mod.DRAW_BUDGET, 256, 7]
 C0 = float(stopping_threshold_c(LINEAR, PARAMS, 0.0))
 PAIRED_CASES = {
     "pinned": PINNED_CFG,
+    "roulette": ROULETTE_CFG,
     # every stop_at_c path has stopped by step 13; the reflecting leg runs on
     "stop_finishes_early": SimConfig(start_u=0.0, start_pi=C0 - 0.01, dt=0.05, horizon=150.0,
                                      n_paths=20, seed=3),
@@ -180,16 +207,15 @@ def test_paired_run_matches_separate_runs(linear_curve, monkeypatch, case, budge
         _assert_same_result(res, simulate_strategies(linear_curve, cfg, [name])[name])
     assert got["full_now"].theta is None
     reflect, stop = got["reflecting"], got["stop_at_c"]
-    if case == "pinned":
+    if case in ("pinned", "roulette"):
+        pins = PINNED_SHA1 if case == "pinned" else ROULETTE_SHA1
         for name, res in (("reflecting", reflect), ("stop_at_c", stop)):
-            for field, want in PINNED_SHA1[name].items():
-                got = hashlib.sha1(getattr(res, field).tobytes()).hexdigest()
-                assert got == want, (name, field)
+            _assert_pinned(res, pins[name])
     elif case == "stop_finishes_early":
         # each leg counts its steps up to the end of its own last path: the
-        # reflecting leg's last 7 live paths are absorbed at step 1 088
-        assert stop.counters["steps"] == 13 and stop.counters["absorbed"] == 0
-        assert reflect.counters["steps"] == 1088 and reflect.counters["absorbed"] == 7
+        # reflecting leg's last live path is ended by roulette at step 363
+        assert stop.counters["steps"] == 13 and stop.counters["roulette_ended"] == 0
+        assert reflect.counters["steps"] == 363 and reflect.counters["roulette_ended"] == 7
     elif case == "reflecting_without_rows":
         assert reflect.initial_jump > 0.0 and reflect.counters["path_steps"] == 0
         assert stop.theta is None
@@ -207,7 +233,8 @@ def test_leg_without_rows_beside_a_stepped_leg(linear_curve):
     _assert_same_result(stop, alone)
     assert empty.theta is None
     assert empty.counters == {"steps": 0, "path_steps": 0, "barrier_crossings": 0,
-                              "bridge_rows": 0, "absorbed": 0, "frac_alive_at_horizon": 0.0}
+                              "bridge_rows": 0, "roulette_ended": 0,
+                              "frac_alive_at_horizon": 0.0}
     assert np.all(empty.terminal_u == 1.0) and np.all(empty.terminal_pi == cfg.start_pi)
 
 
@@ -468,39 +495,154 @@ def test_trajectory_ends_at_its_batch_path(linear_curve):
 SHIPPED_CFG = SimConfig(start_u=0.0, start_pi=0.5, dt=0.05, horizon=150.0, n_paths=8000, seed=1)
 
 
-def test_absorption_counts(linear_curve):
-    # a hookless leg stepped beside the hooked ones keeps every path to the
-    # horizon, as it does alone
-    cfg, n = SHIPPED_CFG, SHIPPED_CFG.n_paths
+def test_roulette_counts(linear_curve):
+    # a hookless leg stepped beside the hooked ones never faces roulette and
+    # keeps every path to the horizon, as it does alone; a path that
+    # roulette ends keeps its U below 1 and counts as alive at the horizon
+    cfg = replace(SHIPPED_CFG, n_paths=2000)
+    n = cfg.n_paths
     frozen = sim_mod.Leg("frozen", cfg.start_u, math.inf, None, 0.0, np.zeros(n))
     legs = [sim_mod._reflect_leg(linear_curve, cfg, n), sim_mod._stop_leg(linear_curve, cfg, n)]
     got = sim_mod._run(LINEAR, PARAMS, cfg, range(n), legs + [frozen])
     for name in PAIR:
-        counts = got[name].counters
-        assert 0 < counts["absorbed"] <= counts["frac_alive_at_horizon"] * n
+        res = got[name]
+        ended = res.counters["roulette_ended"]
+        assert 0 < ended <= res.counters["frac_alive_at_horizon"] * n
+        assert np.count_nonzero(res.terminal_u < 1.0) == res.counters["frac_alive_at_horizon"] * n
+    # one draw per key and check step, shared by the legs: a pair of rows of
+    # one key that face roulette together reads one uniform
+    draws = got["reflecting"].pass_counters["roulette_draws"]
+    assert max(got[name].counters["roulette_ended"] for name in PAIR) < draws
     alone, = sim_mod._run(LINEAR, PARAMS, cfg, range(n), [frozen]).values()
     _assert_same_result(got["frozen"], alone)
-    assert alone.counters["absorbed"] == 0 and alone.counters["steps"] == cfg.n_steps
+    assert alone.counters["roulette_ended"] == 0 and alone.counters["steps"] == cfg.n_steps
+    assert alone.pass_counters["roulette_draws"] == 0
 
 
-def test_absorbed_trajectory_ends_on_the_rule(linear_curve):
-    # key 5 grows to U 0.69, then its belief falls and it is absorbed: at the
-    # first check step where phi < log b(U) - r (T - t)
-    cfg = replace(SHIPPED_CFG, n_paths=64)
-    traj = sample_trajectory(linear_curve, cfg, 5)
+def _roulette_replay(curve, cfg, key, traj):
+    """The roulette of a traced row, replayed from its trace with the
+    model's G: (check step, B / eps, uniform) at each check step where
+    B < eps, the weight divided by B / eps after each survival."""
     t, u, pi = traj["t"], traj["u"], traj["pi"]
-    last = t.size - 1
-    assert 0 < last < cfg.n_steps and 0.0 < u[-1] < 1.0
-    checks = np.arange(sim_mod.ABSORB_STRIDE, last + 1, sim_mod.ABSORB_STRIDE)
-    assert checks[-1] == last
-    phi = np.log(pi[checks]) - np.log1p(-pi[checks])
-    level = np.log(linear_curve.b_at(u[checks])) - PARAMS.r * (cfg.horizon - t[checks])
-    below = phi < level
-    assert below[-1] and not below[:-1].any()
-    batch = simulate_strategies(linear_curve, cfg, PAIR, 5)["reflecting"].trajectory
+    checks = np.arange(sim_mod.ROULETTE_STRIDE, t.size, sim_mod.ROULETTE_STRIDE)
+    checks = checks[checks < cfg.n_steps]
+    g = gamma(LINEAR, PARAMS, u[checks])
+    bound = np.exp(log_G(g, pi[checks]) - log_G(g, curve.b_at(u[checks]))
+                   - PARAMS.r * t[checks]) / sim_mod.ROULETTE_EPS
+    weight, faced = 1.0, []
+    for step, b in zip(checks, bound):
+        if weight * b < 1.0:
+            v = float(sim_mod._roulette_uniforms(cfg.seed, [key], int(step))[0])
+            faced.append((int(step), weight * b, v))
+            if v < weight * b:
+                weight /= weight * b
+    return faced
+
+
+def test_roulette_ended_trajectory_ends_on_the_rule(linear_curve):
+    # key 9 grows to U 0.64, then its belief falls: it survives roulette at
+    # steps 320 and 352, with its weight raised each time, and is ended at
+    # step 384, where B < eps and its uniform is at least B / eps
+    cfg = replace(SHIPPED_CFG, n_paths=64)
+    traj = sample_trajectory(linear_curve, cfg, 9)
+    last = traj["t"].size - 1
+    assert last == 384 and 0.0 < traj["u"][-1] < 1.0
+    faced = _roulette_replay(linear_curve, cfg, 9, traj)
+    assert [step for step, _, _ in faced] == [320, 352, 384]
+    assert all(v < b < 1.0 for _, b, v in faced[:-1])
+    assert faced[-1][1] <= faced[-1][2]
+    batch = simulate_strategies(linear_curve, cfg, PAIR, 9)["reflecting"].trajectory
     assert batch.keys() == traj.keys()
     for name, value in traj.items():
         assert np.array_equal(batch[name], value), name
+
+
+def test_traced_rows_end_where_the_replay_ends_them(linear_curve):
+    # every path of a short run ends by roulette exactly where the replay of
+    # its trace says it does, and lives on where the replay keeps it
+    cfg = replace(SHIPPED_CFG, n_paths=24)
+    batch = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
+    ended = 0
+    for key in range(cfg.n_paths):
+        traj = sample_trajectory(linear_curve, cfg, key)
+        faced = _roulette_replay(linear_curve, cfg, key, traj)
+        killed = [step for step, b, v in faced if v >= b]
+        if traj["u"][-1] < 1.0 and traj["t"].size - 1 < cfg.n_steps:
+            assert killed == [traj["t"].size - 1]
+            ended += 1
+        else:
+            assert not killed
+    assert ended == batch.counters["roulette_ended"] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1])
+def test_roulette_uniforms_match_numpy_philox(seed):
+    # the vectorized Philox4x64-10 reads the first random() of the third
+    # substream of each key at the step, bit for bit, for small and large
+    # keys, repeated keys, and steps from 0 to the last of a long run
+    keys = [0, 1, 5, 5, 7999, 2 ** 32 + 7, 2 ** 63 + 11, 2 ** 64 - 1]
+    for step in (0, 1, 16, 2999, 3000, 2 ** 40):
+        got = sim_mod._roulette_uniforms(seed, keys, step)
+        want = [np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64),
+            counter=np.array([step, 0, 2, 0], dtype=np.uint64))).random() for i in keys]
+        assert np.array_equal(got, want), step
+
+
+def _unweighted(make):
+    # a tampered leg whose hook books a survivor's payment at weight 1
+    def build(curve, cfg, n):
+        leg = make(curve, cfg, n)
+
+        def hook(t, rows, idx, peak):
+            rows.weight[idx] = 1.0
+            return leg.hook(t, rows, idx, peak)
+        return replace(leg, hook=hook)
+    return build
+
+
+def _roulette_gaps(curve, monkeypatch, eps):
+    # the gap of each leg's estimate at eps from a pass without roulette on
+    # the same normals, in paired standard errors, for seeds 1-4
+    gaps = []
+    for seed in (1, 2, 3, 4):
+        cfg = SimConfig(start_u=0.0, start_pi=0.5, dt=0.1, horizon=60.0, n_paths=1000, seed=seed)
+        monkeypatch.setattr(sim_mod, "ROULETTE_EPS", 0.0)
+        whole = simulate_strategies(curve, cfg, PAIR)
+        assert all(res.counters["roulette_ended"] == 0 for res in whole.values())
+        monkeypatch.setattr(sim_mod, "ROULETTE_EPS", eps)
+        got = simulate_strategies(curve, cfg, PAIR)
+        for name in PAIR:
+            assert got[name].counters["roulette_ended"] > 0
+            d = got[name].payoffs - whole[name].payoffs
+            gaps.append(float(np.mean(d)) / (float(np.std(d, ddof=1)) / math.sqrt(d.size)))
+    return np.array(gaps)
+
+
+def test_roulette_is_unbiased(linear_curve, monkeypatch):
+    # at an eps a hundred times the shipped one, roulette ends most far
+    # rows, and each estimate stays within SE_MULTIPLE paired SE of the pass
+    # that ends none; a survivor whose payment is booked at weight 1 biases
+    # the estimates down by far more than that
+    eps = 0.2
+    gaps = _roulette_gaps(linear_curve, monkeypatch, eps)
+    assert np.all(np.abs(gaps) <= sim_mod.SE_MULTIPLE)
+    for name, make in (("reflecting", sim_mod._reflect_leg), ("stop_at_c", sim_mod._stop_leg)):
+        monkeypatch.setitem(sim_mod._STRATEGIES, name, _unweighted(make))
+    gaps = _roulette_gaps(linear_curve, monkeypatch, eps)
+    assert np.all(gaps < -sim_mod.SE_MULTIPLE)
+
+
+def test_roulette_screen_is_exact(linear_curve, monkeypatch):
+    # a larger ROUNDING widens both screens, the reach screen's and the
+    # roulette screen's: more rows are bridged and evaluated exactly, and
+    # nothing else changes
+    want = simulate_strategies(linear_curve, ROULETTE_CFG, PAIR)
+    monkeypatch.setattr(sim_mod, "ROUNDING", 50.0)
+    got = simulate_strategies(linear_curve, ROULETTE_CFG, PAIR)
+    for name in PAIR:
+        assert got[name].counters.pop("bridge_rows") > want[name].counters.pop("bridge_rows")
+        _assert_same_result(got[name], want[name])
 
 
 def test_seed_reproducibility(linear_curve):
