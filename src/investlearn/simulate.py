@@ -126,8 +126,8 @@ ROUNDING = 1e-9
 # ROULETTE_STRIDE, on the rows that can still earn less than
 # eps = ROULETTE_EPS (1 - k).  On configs/linear_noise.json (eps 3e-3) at
 # 20 000 paths, seeds 1-6, the paired standard error rises by 0.4 % on
-# average and 0.6 % at most, and the path-steps fall from 23.3 M to 9.3 M;
-# at 8e-3 (1 - k) the paired SE rises by up to 1.1 %.
+# average and 0.6 % at most, and seed 1 takes 9.25 M path-steps, not
+# 23.3 M; at 8e-3 (1 - k) the paired SE rises by up to 1.1 %.
 ROULETTE_STRIDE = 16
 ROULETTE_EPS = 6e-3
 
