@@ -58,9 +58,10 @@ from .model import (ConfigError, ModelParams, RateSpec, SIGN_TOL, _threshold_c, 
 ROOT_F_TOL = 1e-13
 ROOT_F_REL = 1e-14
 
-TOL_BELLMAN = 1e-10
-TOL_GENERATOR = 1e-8
-TOL_SMOOTH_FIT = 1e-4
+# The bound of each verdict of `DiscreteCheckReport.checks()`, read from here
+# alone; `discrete_report.json` records the table as its `tolerances`.
+TOLERANCES = {"bellman": 1e-10, "generator": 1e-8, "smooth_fit": 1e-4}
+
 N_PI = 999  # beliefs of the verification suite's grid
 
 # The oracle's log-odds grid [-ORACLE_PHI_MAX, ORACLE_PHI_MAX], shared by all
@@ -312,9 +313,9 @@ class DiscreteCheckReport:
     def checks(self) -> dict:
         """Per-check verdicts, as the run manifest records them."""
         return {
-            "bellman": self.bellman_max_violation <= TOL_BELLMAN,
-            "generator": self.generator_max_residual <= TOL_GENERATOR,
-            "smooth_fit": self.smooth_fit_max_gap <= TOL_SMOOTH_FIT,
+            "bellman": self.bellman_max_violation <= TOLERANCES["bellman"],
+            "generator": self.generator_max_residual <= TOLERANCES["generator"],
+            "smooth_fit": self.smooth_fit_max_gap <= TOLERANCES["smooth_fit"],
             "b_nondecreasing": self.monotone.b_nondecreasing,
         }
 
@@ -325,15 +326,7 @@ class DiscreteCheckReport:
     def to_dict(self) -> dict:
         """The report as `discrete_report.json` holds it: every field, the
         verdict and the tolerances."""
-        return {
-            **asdict(self),
-            "tolerances": {
-                "bellman": TOL_BELLMAN,
-                "generator": TOL_GENERATOR,
-                "smooth_fit": TOL_SMOOTH_FIT,
-            },
-            "passed": self.passed,
-        }
+        return {**asdict(self), "tolerances": dict(TOLERANCES), "passed": self.passed}
 
 
 def discrete_verification_suite(ladder: DiscreteLadder) -> DiscreteCheckReport:

@@ -201,12 +201,6 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _logit(p: float) -> float:
-    # math.log, not model.logit: np.log rounds a few inputs differently, and
-    # the pinned Monte Carlo outputs hold these bits
-    return math.log(p) - math.log1p(-p)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters.
@@ -488,7 +482,7 @@ def _run(spec: RateSpec, params: ModelParams, cfg: SimConfig, keys: Sequence[int
     dt, sqdt, n_steps = cfg.dt, math.sqrt(cfg.dt), cfg.n_steps
     m = n * stepped.size
     rows = SimpleNamespace(leg=np.repeat(stepped, n), pos=np.tile(np.arange(n), stepped.size),
-                           phi=np.full(m, _logit(cfg.start_pi)), u=np.repeat(u0[stepped], n),
+                           phi=np.full(m, logit(cfg.start_pi)), u=np.repeat(u0[stepped], n),
                            theta=np.tile(theta, stepped.size), weight=np.ones(m),
                            drift=np.empty(m), vol=np.empty(m), gamma=np.empty(m),
                            floor=np.empty(m), cut=np.empty(m),
@@ -683,7 +677,7 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
     u_start = max(cfg.start_u, float(curve.h_at(cfg.start_pi)))
     jump = (cfg.start_pi - k) * (u_start - cfg.start_u) if u_start > cfg.start_u else 0.0
     payoffs = np.full(n, jump)
-    phi_full = _logit(float(curve.b_values[-1]))  # where U reaches 1
+    phi_full = logit(float(curve.b_values[-1]))  # where U reaches 1
     integral = curve.b_integral(np.full(n, u_start))  # of b from 0 to each path's U
 
     def hook(t, rows, idx, peak):
@@ -704,7 +698,7 @@ def _reflect_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
         rows.barrier[grew] = logit(b_new[moved])
         return grew, died
 
-    barrier = _logit(float(curve.b_at(u_start))) if u_start < 1.0 else math.inf
+    barrier = logit(float(curve.b_at(u_start))) if u_start < 1.0 else math.inf
     return Leg("reflecting", u_start, barrier, hook, jump, payoffs)
 
 
@@ -730,7 +724,7 @@ def _stop_leg(curve: BoundaryCurve, cfg: SimConfig, n: int) -> Leg:
         return replace(_full_leg(curve, cfg, n), name="stop_at_c")
     scale = 1.0 - cfg.start_u
     payoffs = np.zeros(n)
-    phi_c = _logit(cbar)
+    phi_c = logit(cbar)
 
     def hook(t, rows, idx, peak):
         payoffs[rows.pos[idx]] = math.exp(-r * t) * (cbar - k) * scale * rows.weight[idx]

@@ -40,14 +40,18 @@ from .boundary import BoundaryCurve
 # fundamental_G is not called here; bench/spans.py counts calls through this name
 from .model import _worst, fundamental_G, gamma, log_G, logit, stopping_value_of_gamma
 
-TOL_PDE_BELOW_REL = 1e-6
-TOL_PDE_ABOVE = 1e-8
-TOL_SMOOTH_FIT = 1e-4
-TOL_GRADIENT = 1e-6
-TOL_PREMIUM = 1e-8
-TOL_CONTINUITY = 1e-12
-TOL_C1_PASTING = 1e-5
-TOL_A_TERMINAL = 1e-12
+# The bound of each verdict of `ValueCheckReport.checks()`, read from here
+# alone; `verify_report.json` records the table as its `tolerances`.
+TOLERANCES = {
+    "pde_below_rel": 1e-6,
+    "pde_above_signed": 1e-8,
+    "smooth_fit": 1e-4,
+    "c1_pasting": 1e-5,
+    "gradient": 1e-6,
+    "premium": 1e-8,
+    "continuity": 1e-12,
+    "A_terminal": 1e-12,
+}
 
 # the interior sweeps read N_SAMPLES points, SAMPLE_MARGIN away from the edges
 N_SAMPLES = 10000
@@ -211,7 +215,8 @@ class PdeResidualReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_below_rel <= TOL_PDE_BELOW_REL and self.max_above_signed <= TOL_PDE_ABOVE
+        return (self.max_below_rel <= TOLERANCES["pde_below_rel"]
+                and self.max_above_signed <= TOLERANCES["pde_above_signed"])
 
 
 def pde_residual_sweep(ev: _Evaluation) -> PdeResidualReport:
@@ -272,7 +277,8 @@ class SweepReport:
 
 
 def gradient_bound_check(ev: _Evaluation) -> SweepReport:
-    """max of V_u(u, pi) - (k - pi) over an evaluation; must be <= 1e-6.
+    """max of V_u(u, pi) - (k - pi) over an evaluation; nonpositive up to
+    the "gradient" tolerance.
 
     Equality holds above the boundary, strict inequality below; this is the
     marginal-value bound that makes the reflecting control admissible.
@@ -317,27 +323,22 @@ class ValueCheckReport:
     A_terminal: float
 
     def checks(self) -> dict:
-        """Per-check verdicts, as the run manifest records them.
-
-        "all" also requires continuity, a positive value (a finite
-        log_value_min, so that an underflowing V still counts as positive)
-        and a vanishing terminal coefficient, which have no entry of their
-        own.
-        """
+        """Per-check verdicts, as the run manifest records them; "all" is
+        their conjunction.  A positive value is a finite log_value_min, so
+        that an underflowing V still counts as positive."""
+        tol = TOLERANCES
         checks = {
             "pde": self.pde.passed,
-            "smooth_fit": self.smooth_fit_max_vu <= TOL_SMOOTH_FIT
-            and self.smooth_fit_max_vupi <= TOL_SMOOTH_FIT,
-            "c1_pasting": self.c1_pasting_max <= TOL_C1_PASTING,
-            "gradient_bound": self.gradient.worst <= TOL_GRADIENT,
-            "learning_premium": self.premium.worst <= TOL_PREMIUM,
+            "smooth_fit": self.smooth_fit_max_vu <= tol["smooth_fit"]
+            and self.smooth_fit_max_vupi <= tol["smooth_fit"],
+            "c1_pasting": self.c1_pasting_max <= tol["c1_pasting"],
+            "gradient_bound": self.gradient.worst <= tol["gradient"],
+            "learning_premium": self.premium.worst <= tol["premium"],
+            "continuity": self.continuity_max <= tol["continuity"],
+            "positive_value": self.log_value_min > -np.inf,
+            "A_terminal": abs(self.A_terminal) <= tol["A_terminal"],
         }
-        checks["all"] = (
-            all(checks.values())
-            and self.continuity_max <= TOL_CONTINUITY
-            and self.log_value_min > -np.inf
-            and abs(self.A_terminal) <= TOL_A_TERMINAL
-        )
+        checks["all"] = all(checks.values())
         return checks
 
     @property
@@ -349,19 +350,7 @@ class ValueCheckReport:
         verdicts of the whole and of the PDE sweep, and the tolerances."""
         d = asdict(self)
         d["pde"]["passed"] = self.pde.passed
-        return {
-            **d,
-            "tolerances": {
-                "pde_below_rel": TOL_PDE_BELOW_REL,
-                "pde_above_signed": TOL_PDE_ABOVE,
-                "smooth_fit": TOL_SMOOTH_FIT,
-                "c1_pasting": TOL_C1_PASTING,
-                "gradient": TOL_GRADIENT,
-                "premium": TOL_PREMIUM,
-                "continuity": TOL_CONTINUITY,
-            },
-            "passed": self.passed,
-        }
+        return {**d, "tolerances": dict(TOLERANCES), "passed": self.passed}
 
 
 def verify_surface(surface: ValueSurface) -> ValueCheckReport:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -593,7 +594,8 @@ def test_manifest_checks_come_from_the_report(tmp_path):
         "rk4_stages": 4 * 2000, "projections": curve.n_projections,
         "sweep_samples": report.n_samples, "boundary_points": report.n_boundary_points}
     assert set(checks) == {"pde", "smooth_fit", "c1_pasting", "gradient_bound",
-                           "learning_premium", "all"}
+                           "learning_premium", "continuity", "positive_value", "A_terminal",
+                           "all"}
     assert rc == (0 if all(checks.values()) else 1)
 
     out = tmp_path / "discrete"
@@ -934,15 +936,29 @@ def test_shipped_linear_simulate_pinned(tmp_path):
     assert got == SHIPPED_SIMULATE_SHA1
 
 
+def test_readme_command_sequence(tmp_path, monkeypatch):
+    # the README's six commands, run as written from a directory holding a
+    # copy of configs/: each exits 0, plot included, which reads what solve
+    # and simulate wrote
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    lines = [line.split()[1:] for line in (root / "README.md").read_text().splitlines()
+             if line.startswith("investlearn ")]
+    assert [args[0] for args in lines] == list(COMMANDS)
+    assert [main(args) for args in lines] == [0] * len(COMMANDS)
+
+
 # sha1 of the reports verify and discrete write on the shipped configs,
 # taken before verify came to evaluate the value surface once per point set
 # and the ladder suite to compute each V_n once; neither moved a byte.  All
-# three re-taken under the SIMD dispatch tests/conftest.py fixes
+# three re-taken under the SIMD dispatch tests/conftest.py fixes, and the two
+# verify hashes again when the report's tolerances gained A_terminal
 SHIPPED_REPORT_SHA1 = [
     ("verify", "linear_noise.json", (), "verify_report.json",
-     "85c1d0661bccdc601d19ba12e44d1eca2588b97f"),
+     "777de7acf3b81a51a35b96fe467d4e3fdc4042bc"),
     ("verify", "hyperbolic_gamma.json", ("--grid", "20001"), "verify_report.json",
-     "5b50eec93f9aefeb5465954fa4f6b7cf55e6f6e0"),
+     "a9ac76b99099a1e9deaa5e1d9be13838946fe898"),
     ("discrete", "hyperbolic_gamma.json", (), "discrete_report.json",
      "5d86896e6d58abe5386b0c5b94541340db17736c"),
 ]

@@ -674,14 +674,21 @@ def test_reflecting_dominates_baselines(batch):
         assert float(np.mean(d)) > 3.0 * se
 
 
-def test_payoff_bounds_and_truncation(batch):
+def test_payoff_bounds_and_truncation(batch, linear_curve, monkeypatch):
     r = batch["reflect"]
     # this boundary sits above k, so every installed increment earns
     assert np.all(r.payoffs >= 0.0)
-    assert np.all(r.payoffs <= 1.0 - PARAMS.k + 1e-12)
     cfg = batch["cfg"]
     want = math.exp(-PARAMS.r * cfg.horizon) * (1.0 - PARAMS.k)
     assert r.truncation_bound == pytest.approx(want, rel=1e-12)
+    # a path earns at most 1 - k per unit of capacity, but roulette books a
+    # survivor's payments at a weight above 1, so the per-path bound is
+    # checked on a pass that ends no path early
+    monkeypatch.setattr(sim_mod, "ROULETTE_EPS", 0.0)
+    whole = simulate_strategies(linear_curve, cfg, ["reflecting"])["reflecting"]
+    assert whole.counters["roulette_ended"] == 0
+    assert np.all(whole.payoffs >= 0.0)
+    assert np.all(whole.payoffs <= 1.0 - PARAMS.k + 1e-12)
 
 
 def test_summary_keys(batch):

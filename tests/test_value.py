@@ -1,5 +1,7 @@
 """Value surface diagnostics and degenerate limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,7 @@ from investlearn.model import (
 )
 from investlearn.value import (
     N_SAMPLES,
-    TOL_C1_PASTING,
-    TOL_GRADIENT,
-    TOL_PDE_ABOVE,
-    TOL_PDE_BELOW_REL,
-    TOL_PREMIUM,
-    TOL_SMOOTH_FIT,
+    TOLERANCES,
     ValueSurface,
     _Evaluation,
     learning_premium_check,
@@ -33,6 +30,9 @@ from investlearn.value import (
 )
 
 PARAMS = ModelParams(r=0.1, k=0.5)
+# the verdicts of `ValueCheckReport.checks()`, "all" their conjunction
+CHECKS = ("pde", "smooth_fit", "c1_pasting", "gradient_bound", "learning_premium",
+          "continuity", "positive_value", "A_terminal", "all")
 LINEAR = LinearNoise(C=0.25, D=0.9)
 HYP = HyperbolicGamma(A=1.25, beta=0.2)
 
@@ -100,9 +100,9 @@ def test_verify_hyperbolic_passes(hyperbolic_report):
 
 
 @pytest.mark.parametrize("field,tol", [
-    ("smooth_fit_max_vu", TOL_SMOOTH_FIT),
-    ("smooth_fit_max_vupi", TOL_SMOOTH_FIT),
-    ("c1_pasting_max", TOL_C1_PASTING),
+    ("smooth_fit_max_vu", TOLERANCES["smooth_fit"]),
+    ("smooth_fit_max_vupi", TOLERANCES["smooth_fit"]),
+    ("c1_pasting_max", TOLERANCES["c1_pasting"]),
 ])
 def test_boundary_pasting_tolerances(linear_report, hyperbolic_report, field, tol):
     assert getattr(linear_report, field) <= tol
@@ -111,23 +111,36 @@ def test_boundary_pasting_tolerances(linear_report, hyperbolic_report, field, to
 
 def test_pde_residuals(linear_report, hyperbolic_report):
     for rep in (linear_report, hyperbolic_report):
-        assert rep.pde.max_below_rel <= TOL_PDE_BELOW_REL
-        assert rep.pde.max_above_signed <= TOL_PDE_ABOVE
+        assert rep.pde.max_below_rel <= TOLERANCES["pde_below_rel"]
+        assert rep.pde.max_above_signed <= TOLERANCES["pde_above_signed"]
         assert rep.pde.n_below > 0 and rep.pde.n_above > 0
 
 
 def test_gradient_bound(linear_report, hyperbolic_report):
-    assert linear_report.gradient.worst <= TOL_GRADIENT
-    assert hyperbolic_report.gradient.worst <= TOL_GRADIENT
+    assert linear_report.gradient.worst <= TOLERANCES["gradient"]
+    assert hyperbolic_report.gradient.worst <= TOLERANCES["gradient"]
 
 
 def test_learning_premium(linear_report, hyperbolic_report):
-    assert linear_report.premium.worst <= TOL_PREMIUM
-    assert hyperbolic_report.premium.worst <= TOL_PREMIUM
+    assert linear_report.premium.worst <= TOLERANCES["premium"]
+    assert hyperbolic_report.premium.worst <= TOLERANCES["premium"]
 
 
 def test_continuity_across_boundary(linear_report):
     assert linear_report.continuity_max <= 1e-12
+
+
+@pytest.mark.parametrize("field,value,check", [
+    ("continuity_max", np.nextafter(TOLERANCES["continuity"], np.inf), "continuity"),
+    ("A_terminal", np.nextafter(TOLERANCES["A_terminal"], np.inf), "A_terminal"),
+    ("A_terminal", -np.nextafter(TOLERANCES["A_terminal"], np.inf), "A_terminal"),
+    ("log_value_min", -np.inf, "positive_value"),
+])
+def test_each_verdict_has_its_own_entry(linear_report, field, value, check):
+    # a field just past its bound fails its own entry, and "all" only
+    # through it: every other entry still passes
+    checks = dataclasses.replace(linear_report, **{field: float(value)}).checks()
+    assert {name for name, ok in checks.items() if not ok} == {check, "all"}
 
 
 @pytest.mark.parametrize("spec,params", [
@@ -145,9 +158,7 @@ def test_verify_passes_near_family_edges(spec, params):
     # model's (k -> 1, r -> 0), where the boundary derivatives are hardest
     # to resolve
     report = verify_surface(ValueSurface(solve_boundary(spec, params, grid_size=2001)))
-    assert report.checks() == {
-        "pde": True, "smooth_fit": True, "c1_pasting": True,
-        "gradient_bound": True, "learning_premium": True, "all": True}
+    assert report.checks() == dict.fromkeys(CHECKS, True)
 
 
 def test_pde_sweep_with_no_sample_above():
@@ -239,9 +250,10 @@ def test_report_dict_shape(linear_surface, linear_report):
         u, pi = d["pde"][key]
         assert np.any((u_s == u) & (pi_s == pi))
         assert (pi <= float(linear_surface.curve.b_at(u))) == below
-    assert set(d["tolerances"]) == {
+    assert d["tolerances"] == TOLERANCES
+    assert set(TOLERANCES) == {
         "pde_below_rel", "pde_above_signed", "smooth_fit", "c1_pasting",
-        "gradient", "premium", "continuity"}
+        "gradient", "premium", "continuity", "A_terminal"}
 
 
 def test_log_value_matches_value(linear_surface):
@@ -270,9 +282,7 @@ def test_verify_passes_at_large_gamma_logit(r):
     # ratio x exp(log G(u, pi) - log G(u, b)) the surface passes every check
     report = verify_surface(ValueSurface(solve_boundary(HyperbolicGamma(A=50.0, beta=0.2),
                                                         ModelParams(r=r, k=0.98))))
-    assert report.checks() == {
-        "pde": True, "smooth_fit": True, "c1_pasting": True,
-        "gradient_bound": True, "learning_premium": True, "all": True}
+    assert report.checks() == dict.fromkeys(CHECKS, True)
 
 
 def test_premium_strictly_positive_inside(linear_surface):
